@@ -30,18 +30,15 @@ from .engine import (
     implication_factor,
     run,
     run_epoch,
-    update_trust,
 )
 from .generator import GenSpec, generate_claims, generate_kb
 from .serp import SerpRow, StaleMethodError, query, rank_websites, serp_tsv
 from .similarity import (
     NameMatch,
     best_name_match,
-    char_length,
     fact_pcf,
     name_pcf,
     tf_name_score,
-    website_sim,
 )
 
 __version__ = "0.1.0"

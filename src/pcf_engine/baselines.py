@@ -8,12 +8,11 @@ baseline reuses the full engine pipeline but scores facts with the
 from __future__ import annotations
 
 import copy
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .corpus import EngineConfig, FactRecord, TrustState
-from .engine import run
-from .similarity import fact_pcf, tf_name_score
+from .corpus import EngineConfig, TrustState
+from .engine import assign_pcf, run
+from .similarity import Scorer, fact_pcf, tf_name_score
 
 METHOD_PCF = "pcf"
 METHOD_TRUTHFINDER = "truthfinder"
@@ -35,15 +34,9 @@ def voting_run(state: TrustState) -> BaselineResult:
     winner per object is the fact with the largest share (ties go to the
     smallest fact id).
     """
-    by_object: dict[str, list[FactRecord]] = defaultdict(list)
-    for fact_id in sorted(state.facts):
-        fact = state.facts[fact_id]
-        by_object[fact.object].append(fact)
-
     share: dict[int, float] = {}
     winners: dict[str, int] = {}
-    for obj in sorted(by_object):
-        facts = by_object[obj]
+    for obj, facts in sorted(state.facts_by_object().items()):
         total = sum(len(f.providers) for f in facts)
         for fact in facts:
             share[fact.fact_id] = len(fact.providers) / total
@@ -56,46 +49,32 @@ def voting_run(state: TrustState) -> BaselineResult:
     return BaselineResult(METHOD_VOTING, trusts, winners)
 
 
-def _engine_run(state: TrustState, config: EngineConfig | None, method: str) -> BaselineResult:
+def _engine_run(
+    state: TrustState, config: EngineConfig | None, method: str, score: Scorer
+) -> BaselineResult:
+    # The engine updates the state it runs on; the caller's stays as it was.
+    # At zero trust, epoch 1 writes every fact field before reading it.
     working = copy.deepcopy(state)
     if config is not None:
         working.config = config
     working.epoch = 0
     for site in working.websites.values():
         site.trust = 0.0
-    for fact in working.facts.values():
-        truth = working.kb.get(fact.object)
-        fact.unknown_object = truth is None
-        if truth is None:
-            fact.pcf = 0.0
-        elif method == METHOD_TRUTHFINDER:
-            fact.pcf = tf_name_score(fact.authors, truth.authors)
-        else:
-            fact.pcf = fact_pcf(fact.authors, truth.authors)
-        fact.confidence = 0.0
-        fact.adjusted_confidence = 0.0
-        fact.confidence_score = 0.0
-        fact.adjusted_score = 0.0
+    run(assign_pcf(working, score=score))
 
-    final, _ = run(working)
-
-    by_object: dict[str, list[FactRecord]] = defaultdict(list)
-    for fact_id in sorted(final.facts):
-        fact = final.facts[fact_id]
-        by_object[fact.object].append(fact)
     winners = {
         obj: max(facts, key=lambda f: (f.adjusted_confidence, -f.fact_id)).fact_id
-        for obj, facts in sorted(by_object.items())
+        for obj, facts in sorted(working.facts_by_object().items())
     }
-    trusts = {url: site.trust for url, site in final.websites.items()}
+    trusts = {url: site.trust for url, site in working.websites.items()}
     return BaselineResult(method, trusts, winners)
 
 
 def truthfinder_run(state: TrustState, config: EngineConfig | None = None) -> BaselineResult:
     """Run the engine pipeline with the weighted-name fact scorer."""
-    return _engine_run(state, config, METHOD_TRUTHFINDER)
+    return _engine_run(state, config, METHOD_TRUTHFINDER, tf_name_score)
 
 
 def pcf_run(state: TrustState, config: EngineConfig | None = None) -> BaselineResult:
     """Run the engine pipeline from a fresh zero-trust start."""
-    return _engine_run(state, config, METHOD_PCF)
+    return _engine_run(state, config, METHOD_PCF, fact_pcf)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,7 +103,7 @@ class EngineConfig:
 
 @dataclass
 class TrustState:
-    """Full engine state: immutable snapshot between epochs."""
+    """Full engine state. The engine updates it in place, epoch by epoch."""
 
     websites: dict[str, Website] = field(default_factory=dict)
     facts: dict[int, FactRecord] = field(default_factory=dict)
@@ -111,6 +113,14 @@ class TrustState:
     # Per-method url->trust tables recorded by engine/baseline runs; queries
     # against a method that has no entry here fail as stale.
     method_trusts: dict[str, dict[str, float]] = field(default_factory=dict)
+
+    def facts_by_object(self) -> dict[ObjectId, list[FactRecord]]:
+        """Facts grouped by object; groups and objects in ascending fact id."""
+        groups: dict[ObjectId, list[FactRecord]] = {}
+        for fact_id in sorted(self.facts):
+            fact = self.facts[fact_id]
+            groups.setdefault(fact.object, []).append(fact)
+        return groups
 
 
 def canonical_authors(authors: list[str]) -> tuple[str, ...]:
@@ -155,8 +165,8 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                     )
                 authors.append(name)
             price = record.get("price", 0.0)
-            if not isinstance(price, (int, float)) or price < 0:
-                raise CorpusError(f"{path}: line {lineno}: price must be non-negative")
+            if not isinstance(price, (int, float)) or not math.isfinite(price) or price < 0:
+                raise CorpusError(f"{path}: line {lineno}: price must be finite and >= 0")
             kb[isbn] = TrueFact(
                 object=isbn,
                 authors=authors,
@@ -209,6 +219,8 @@ def load_claims(path: str | Path) -> list[Claim]:
             try:
                 price = float(price_field) if price_field.strip() else None
             except ValueError:
+                price = math.nan  # rejected below with the non-finite ones
+            if price is not None and not math.isfinite(price):
                 raise CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
             try:
                 quantity = int(quantity_field) if quantity_field.strip() else None
@@ -331,9 +343,18 @@ def save_state(state: TrustState, path: str | Path) -> None:
 
     Keys and id-ordered lists are sorted so saving the same state twice
     yields byte-identical files; floats keep full round-trip precision.
+    The document goes to a temporary file next to ``path`` that then
+    replaces it, so a process killed mid-write leaves the old file whole.
     """
-    text = json.dumps(_state_document(state), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_state_document(state), sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path: str | Path) -> TrustState:
@@ -396,13 +417,45 @@ def load_state(path: str | Path) -> TrustState:
             method: {url: float(t) for url, t in trusts.items()}
             for method, trusts in doc.get("method_trusts", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+        epoch = int(doc["epoch"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
+    _check_state(path, websites, facts)
     return TrustState(
         websites=websites,
         facts=facts,
         kb=kb,
-        epoch=int(doc["epoch"]),
+        epoch=epoch,
         config=config,
         method_trusts=method_trusts,
     )
+
+
+def _check_state(
+    path: str | Path, websites: dict[str, Website], facts: dict[int, FactRecord]
+) -> None:
+    """Reject values outside [0, 1] (NaN too) and unmirrored website-fact links."""
+    fact_ids_of: dict[int, set[int]] = {}
+    links = 0
+    for site in websites.values():
+        if not 0.0 <= site.trust <= 1.0:
+            raise StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
+        fact_ids_of[site.id] = site.fact_ids
+        links += len(site.fact_ids)
+    for fact in facts.values():
+        if not (
+            0.0 <= fact.pcf <= 1.0
+            and 0.0 <= fact.confidence <= 1.0
+            and 0.0 <= fact.adjusted_confidence <= 1.0
+        ):
+            raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
+        for site_id in fact.providers:
+            if fact.fact_id not in fact_ids_of.get(site_id, ()):
+                raise StateError(
+                    f"{path}: fact {fact.fact_id}: provider {site_id!r} is no website listing it"
+                )
+        links -= len(fact.providers)
+    # Every provider link has its mirror, so a surplus of fact_ids entries
+    # means one names a missing fact or a fact that does not list the site.
+    if links:
+        raise StateError(f"{path}: fact_ids and providers do not mirror each other")

@@ -1,7 +1,8 @@
 """The trust/confidence/implication iteration.
 
-One epoch runs three stages over an immutable state snapshot and produces
-a new snapshot:
+The engine updates the state it is given and returns that same object;
+callers that need the original keep a deep copy of it first. One epoch
+runs three stages:
 
 1. every website's trust is updated (first epoch: mean correctness of its
    facts against the knowledge base; afterwards: mean adjusted confidence
@@ -16,15 +17,13 @@ bit-identical run to run.
 
 from __future__ import annotations
 
-import copy
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Iterable, Mapping
 
 from .corpus import FactRecord, TrustState, Website
-from .similarity import fact_pcf
+from .similarity import Scorer, fact_pcf
 
 # Absolute tolerance for detecting the delta == epsilon implication case.
 CASE2_TOL = 1e-9
@@ -51,29 +50,34 @@ class EpochReport:
     implication_seconds: float
 
 
-def assign_pcf(state: TrustState) -> TrustState:
+def assign_pcf(state: TrustState, score: Scorer = fact_pcf) -> TrustState:
     """Score every fact's probability of correctness against the KB.
 
-    Facts for objects missing from the knowledge base are flagged and get
-    probability 0. The scores depend only on the KB, so they stay fixed
-    across epochs.
+    ``score(claimed_authors, true_authors)`` gives the probability; the
+    weighted-name baseline passes its own matcher. Facts for objects
+    missing from the knowledge base are flagged and get probability 0. The
+    scores depend only on the KB, so they stay fixed across epochs.
     """
-    nxt = copy.deepcopy(state)
-    for fact_id in sorted(nxt.facts):
-        fact = nxt.facts[fact_id]
-        truth = nxt.kb.get(fact.object)
+    for fact in state.facts.values():
+        truth = state.kb.get(fact.object)
         fact.unknown_object = truth is None
-        fact.pcf = fact_pcf(fact.authors, truth.authors) if truth else 0.0
-    return nxt
+        fact.pcf = score(fact.authors, truth.authors) if truth else 0.0
+    return state
 
 
-def _update_trust_inplace(state: TrustState) -> float:
+def _update_trust(state: TrustState) -> float:
     """Stage 1: recompute every website's trust; returns the max |delta|.
 
     A website still at trust zero takes the initial branch: the mean stored
     probability of its facts on known objects (equal to its claim-to-truth
     similarity). Otherwise trust is the mean adjusted confidence of all its
     facts from the previous epoch. Websites with no facts keep trust 0.
+
+    Zero trust is the "first epoch" sentinel, following PAPER.md's method
+    literally: a website whose facts all lie on objects outside the knowledge base
+    scores 0 in the initial branch and so takes that branch again every
+    epoch, staying at 0 however confident its shared facts become. Changing
+    that is a separate decision about the method, not about this code.
     """
     max_delta = 0.0
     for site in sorted(state.websites.values(), key=lambda w: w.id):
@@ -89,13 +93,6 @@ def _update_trust_inplace(state: TrustState) -> float:
         site.trust = new
         max_delta = max(max_delta, abs(new - old))
     return max_delta
-
-
-def update_trust(state: TrustState) -> TrustState:
-    """Run stage 1 alone on a copy of the state."""
-    nxt = copy.deepcopy(state)
-    _update_trust_inplace(nxt)
-    return nxt
 
 
 def fact_confidence(
@@ -190,41 +187,38 @@ def adjusted_score(s_prime: float) -> float:
 
 
 def run_epoch(state: TrustState) -> tuple[TrustState, EpochReport]:
-    """Execute one full three-stage pass, returning the successor snapshot."""
-    nxt = copy.deepcopy(state)
-    cfg = nxt.config
-    by_id = {w.id: w for w in nxt.websites.values()}
-    ordered_facts = [nxt.facts[fid] for fid in sorted(nxt.facts)]
+    """Execute one full three-stage pass on ``state``; returns it and a report."""
+    cfg = state.config
+    by_id = {w.id: w for w in state.websites.values()}
 
     t0 = perf_counter()
-    max_delta = _update_trust_inplace(nxt)
+    max_delta = _update_trust(state)
     t1 = perf_counter()
 
-    for fact in ordered_facts:
+    for fact in state.facts.values():
         fact.confidence = fact_confidence(fact, by_id, cfg.confidence_clamp)
         fact.confidence_score = confidence_score(fact.confidence)
     t2 = perf_counter()
 
-    groups: dict[str, list[FactRecord]] = defaultdict(list)
-    for fact in ordered_facts:
-        groups[fact.object].append(fact)
-    for fact in ordered_facts:
-        siblings = [f for f in groups[fact.object] if f.fact_id != fact.fact_id]
-        s_prime = adjust_confidence(fact, siblings, cfg.epsilon)
-        fact.adjusted_confidence = min(s_prime, 1.0 - cfg.confidence_clamp)
-        fact.adjusted_score = adjusted_score(fact.adjusted_confidence)
+    # Implication reads only pcf and confidence, so the order facts are
+    # adjusted in cannot change the result.
+    for group in state.facts_by_object().values():
+        for fact in group:
+            s_prime = adjust_confidence(fact, group, cfg.epsilon)
+            fact.adjusted_confidence = min(s_prime, 1.0 - cfg.confidence_clamp)
+            fact.adjusted_score = adjusted_score(fact.adjusted_confidence)
     t3 = perf_counter()
 
-    nxt.epoch += 1
+    state.epoch += 1
     report = EpochReport(
-        epoch=nxt.epoch,
+        epoch=state.epoch,
         max_trust_delta=max_delta,
         converged=max_delta < cfg.convergence_tol,
         trust_seconds=t1 - t0,
         confidence_seconds=t2 - t1,
         implication_seconds=t3 - t2,
     )
-    return nxt, report
+    return state, report
 
 
 def run(
@@ -232,24 +226,21 @@ def run(
     max_epochs: int | None = None,
     tol: float | None = None,
 ) -> tuple[TrustState, list[EpochReport]]:
-    """Repeat epochs until the largest trust change drops below ``tol``.
+    """Repeat epochs on ``state`` until the largest trust change drops below ``tol``.
 
     ``max_epochs``/``tol`` default to the state's config and, when given,
-    are recorded into the successor's config snapshot. A tolerance of 0
-    runs exactly ``max_epochs`` epochs.
+    are recorded into it. A tolerance of 0 runs exactly ``max_epochs``
+    epochs.
     """
     epochs = state.config.max_epochs if max_epochs is None else max_epochs
     tolerance = state.config.convergence_tol if tol is None else tol
     if epochs < 1:
         raise ValueError(f"max_epochs must be at least 1, got {epochs}")
-    current = copy.deepcopy(state)
-    current.config = replace(
-        current.config, max_epochs=epochs, convergence_tol=tolerance
-    )
+    state.config = replace(state.config, max_epochs=epochs, convergence_tol=tolerance)
     reports: list[EpochReport] = []
     for _ in range(epochs):
-        current, report = run_epoch(current)
+        state, report = run_epoch(state)
         reports.append(report)
         if report.max_trust_delta < tolerance:
             break
-    return current, reports
+    return state, reports

@@ -10,15 +10,16 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-from .corpus import FactRecord, ObjectId, TrueFact, Website
+from typing import Callable, Iterable
 
 FIRST_WEIGHT = 2.0
 MIDDLE_WEIGHT = 1.0
 LAST_WEIGHT = 3.0
 
 _PART_WEIGHTS = {"first": FIRST_WEIGHT, "middle": MIDDLE_WEIGHT, "last": LAST_WEIGHT}
+
+# A fact scorer: (claimed authors, true authors) -> probability in [0, 1].
+Scorer = Callable[[list[str], list[str]], float]
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,12 @@ class NameMatch:
     ratio: float
 
 
-def char_length(name: str) -> int:
-    """Character count of a normalized name, internal spaces included."""
-    return len(name)
-
-
 def best_name_match(claim_name: str, true_authors: Iterable[str]) -> NameMatch:
     """Find the true author containing ``claim_name`` with the highest ratio.
 
-    The ratio is len(claim)/len(true); ties break toward the
-    lexicographically smallest true name. No containment anywhere gives
-    ratio 0 and no match; an empty claim never matches.
+    The ratio is len(claim)/len(true), internal spaces counted; ties break
+    toward the lexicographically smallest true name. No containment
+    anywhere gives ratio 0 and no match; an empty claim never matches.
     """
     if not claim_name:
         return NameMatch(claim_name, None, 0.0)
@@ -49,7 +45,7 @@ def best_name_match(claim_name: str, true_authors: Iterable[str]) -> NameMatch:
     for true_name in true_authors:
         if not true_name or claim_name not in true_name:
             continue
-        ratio = char_length(claim_name) / char_length(true_name)
+        ratio = len(claim_name) / len(true_name)
         if ratio > best or (ratio == best and matched is not None and true_name < matched):
             matched, best = true_name, ratio
     return NameMatch(claim_name, matched, best)
@@ -71,26 +67,6 @@ def fact_pcf(claim_authors: list[str], true_authors: list[str]) -> float:
     return sum(name_pcf(name, true_authors) for name in claim_authors) / len(
         claim_authors
     )
-
-
-def website_sim(
-    website: Website,
-    facts: Iterable[FactRecord],
-    kb: Mapping[ObjectId, TrueFact],
-) -> float:
-    """Mean claim-to-truth similarity over a website's facts.
-
-    Facts whose objects are missing from the knowledge base do not enter
-    the average; a website with no scorable facts gets 0.
-    """
-    scores = [
-        fact_pcf(fact.authors, kb[fact.object].authors)
-        for fact in facts
-        if fact.fact_id in website.fact_ids and fact.object in kb
-    ]
-    if not scores:
-        return 0.0
-    return sum(scores) / len(scores)
 
 
 def levenshtein(a: str, b: str) -> int:

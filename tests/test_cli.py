@@ -112,6 +112,38 @@ class TestRun:
         assert cli.main(["run", "--state", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["websites"][0]["fact_ids"].append(999999),
+            lambda d: d["facts"][0]["providers"].append(999999),
+            lambda d: d["websites"][0]["fact_ids"].clear(),
+            lambda d: d["facts"][0]["providers"].clear(),
+            lambda d: d["websites"][0].update(trust="nan"),
+            lambda d: d["websites"][0].update(trust=1.5),
+            lambda d: d["facts"][0].update(pcf=-0.1),
+            lambda d: d["facts"][0].update(confidence="nan"),
+            lambda d: d["facts"][0].update(adjusted_confidence=2.0),
+            lambda d: d.pop("epoch"),
+            lambda d: d.update(method_trusts=[]),
+        ],
+        ids=[
+            "missing-fact", "missing-provider", "fact-ids-unmirrored",
+            "providers-unmirrored", "nan-trust", "trust-above-one", "negative-pcf",
+            "nan-confidence", "adjusted-above-one", "no-epoch", "method-trusts-list",
+        ],
+    )
+    def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
+        kb, claims = write_core_fixture(tmp_path)
+        state = ingest(tmp_path, kb, claims)
+        assert cli.main(["run", "--state", str(state), "--epochs", "1"]) == 0
+        doc = json.loads(state.read_text(encoding="utf-8"))
+        corrupt(doc)
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["run", "--state", str(state)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestQuery:
     def _ranked_state(self, tmp_path, capsys):

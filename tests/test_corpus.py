@@ -70,6 +70,15 @@ class TestLoadKnowledgeBase:
         with pytest.raises(corpus.CorpusError, match="duplicate author"):
             corpus.load_knowledge_base(path)
 
+    @pytest.mark.parametrize("price", [-1.0, float("nan"), float("inf"), "12"])
+    def test_bad_price_names_line(self, tmp_path, price):
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"], "price": 3.5})
+        bad = json.dumps({"isbn": "2", "authors": ["a b"], "price": price})
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match="line 2: price"):
+            corpus.load_knowledge_base(path)
+
 
 class TestLoadClaims:
     def test_names_normalized(self, tmp_path):
@@ -110,13 +119,15 @@ class TestLoadClaims:
 
     def test_bad_price_names_row(self, tmp_path):
         path = tmp_path / "claims.csv"
-        path.write_text(
-            "website_url,isbn,authors,publisher,price,quantity\n"
-            "http://a.com,1,x y,,cheap,\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(corpus.CorpusError, match="row 1"):
-            corpus.load_claims(path)
+        for price in ("cheap", "nan", "inf", "-Infinity"):
+            path.write_text(
+                "website_url,isbn,authors,publisher,price,quantity\n"
+                "http://a.com,1,x y,,2.5,\n"
+                f"http://a.com,2,x y,,{price},\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(corpus.CorpusError, match="row 2: bad price"):
+                corpus.load_claims(path)
 
 
 class TestBuildFactTable:
@@ -231,6 +242,25 @@ class TestPersistence:
         corpus.save_state(state, first)
         corpus.save_state(corpus.load_state(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_failed_save_leaves_the_old_file_whole(
+        self, tmp_path, core_java_state, monkeypatch
+    ):
+        path = tmp_path / "state.json"
+        corpus.save_state(core_java_state, path)
+        before = path.read_bytes()
+        engine.assign_pcf(core_java_state)
+        core_java_state.kb[CORE_ISBN].title = object()  # not JSON-serializable
+        with pytest.raises(TypeError):
+            corpus.save_state(core_java_state, path)
+        assert path.read_bytes() == before
+        # A failure while the text is being written out: a lone surrogate
+        # cannot be encoded as UTF-8.
+        monkeypatch.setattr(corpus.json, "dumps", lambda *a, **k: '{"x": "\ud800"}')
+        with pytest.raises(UnicodeEncodeError):
+            corpus.save_state(corpus.TrustState(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_corrupted_file_raises_schema_error(self, tmp_path):
         path = tmp_path / "state.json"

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcf_engine import corpus, engine, similarity
+from pcf_engine import corpus, engine
 
 from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim
 
@@ -55,12 +56,14 @@ class TestAssignPcf:
 
 
 class TestUpdateTrust:
+    """The trust stage, the first of the three that run_epoch runs."""
+
     def test_fresh_exact_copy_site_reaches_one(self):
-        updated = engine.update_trust(exact_copy_state())
+        updated, _ = engine.run_epoch(exact_copy_state())
         assert all(w.trust == 1.0 for w in updated.websites.values())
 
     def test_fresh_worked_example(self, core_java_state):
-        state = engine.update_trust(engine.assign_pcf(core_java_state))
+        state, _ = engine.run_epoch(engine.assign_pcf(core_java_state))
         assert state.websites[W2].trust == pytest.approx(0.5083333, abs=1e-6)
         assert state.websites[W1].trust == pytest.approx(2 / 3)
 
@@ -78,7 +81,7 @@ class TestUpdateTrust:
         fact_ids = sorted(site.fact_ids)
         state.facts[fact_ids[0]].adjusted_confidence = 0.4
         state.facts[fact_ids[1]].adjusted_confidence = 0.8
-        updated = engine.update_trust(state)
+        updated, _ = engine.run_epoch(state)
         assert updated.websites[W1].trust == pytest.approx(0.6)
 
     def test_site_without_facts_stays_zero(self, core_java_kb):
@@ -86,8 +89,30 @@ class TestUpdateTrust:
         state.websites["http://empty.example.com"] = corpus.Website(
             id=99, url="http://empty.example.com"
         )
-        updated = engine.update_trust(engine.assign_pcf(state))
+        updated, _ = engine.run_epoch(engine.assign_pcf(state))
         assert updated.websites["http://empty.example.com"].trust == 0.0
+
+    def test_zero_trust_sentinel_ignores_confident_shared_facts(self, core_java_kb):
+        # U's only fact is on an ISBN outside the KB. T also provides it and
+        # reaches trust 1, so the shared fact's adjusted confidence is about
+        # 1; U still scores 0 in the initial branch and so takes that branch
+        # again every epoch. This follows the method literally.
+        t, u = "http://t.example.com", "http://u.example.com"
+        state = corpus.build_state(
+            core_java_kb,
+            [
+                make_claim(t, CORE_ISBN, CORE_TRUTH),
+                make_claim(t, "not-in-kb", ["q r"]),
+                make_claim(u, "not-in-kb", ["q r"]),
+            ],
+        )
+        state = engine.assign_pcf(state)
+        (shared,) = [f for f in state.facts.values() if f.object == "not-in-kb"]
+        for _ in range(4):
+            state, _ = engine.run_epoch(state)
+            assert state.websites[u].trust == 0.0
+            assert shared.adjusted_confidence == pytest.approx(1.0)
+            assert state.websites[t].trust == pytest.approx(1.0)
 
 
 class TestFactConfidence:
@@ -294,12 +319,12 @@ class TestRunEpoch:
         assert state.epoch == 1
 
     def test_epoch_one_trust_matches_website_sim(self, core_java_state):
-        # Independent route: recompute the mean of name-length ratios by hand.
+        # Independent route: recompute the website similarity, the mean of
+        # name-length ratios, by hand.
         state = engine.assign_pcf(core_java_state)
         after, _ = engine.run_epoch(state)
         for url, site in after.websites.items():
             own = [state.facts[fid] for fid in site.fact_ids]
-            assert site.trust == similarity.website_sim(site, own, state.kb)
             ratios = []
             for fact in own:
                 per_name = []
@@ -315,21 +340,24 @@ class TestRunEpoch:
     def test_second_epoch_trust_is_mean_of_damped_adjusted(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
         first, _ = engine.run_epoch(state)
+        adjusted = {fid: f.adjusted_confidence for fid, f in first.facts.items()}
         second, _ = engine.run_epoch(first)
         for url, site in second.websites.items():
-            expected = [first.facts[fid].adjusted_confidence for fid in site.fact_ids]
+            expected = [adjusted[fid] for fid in site.fact_ids]
             assert site.trust == pytest.approx(sum(expected) / len(expected))
 
-    def test_input_snapshot_untouched(self, core_java_state):
+    def test_updates_the_given_state(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        trusts = {url: w.trust for url, w in state.websites.items()}
-        engine.run_epoch(state)
-        assert {url: w.trust for url, w in state.websites.items()} == trusts
+        after, report = engine.run_epoch(state)
+        assert after is state
+        assert state.epoch == report.epoch == 1
+        assert state.websites[W1].trust == pytest.approx(2 / 3)
 
     def test_deterministic_successor(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        a, _ = engine.run_epoch(state)
-        b, _ = engine.run_epoch(state)
+        a, _ = engine.run_epoch(copy.deepcopy(state))
+        b, _ = engine.run_epoch(copy.deepcopy(state))
+        assert a is not b
         assert a == b
 
 

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcf_engine import corpus, similarity
+from pcf_engine import corpus, engine, similarity
 
-from conftest import CORE_ISBN, CORE_TRUTH, W2, make_claim
+from conftest import CORE_ISBN, CORE_TRUTH, W2, core_java_claims, make_claim
 
 # Normalized-name strategy: lowercase words separated by single spaces.
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
@@ -12,12 +12,17 @@ names = st.builds(" ".join, st.lists(words, min_size=1, max_size=4))
 
 
 class TestCharLength:
+    """Name ratios are character-length ratios, internal spaces counted."""
+
     def test_counts_internal_spaces(self):
-        assert similarity.char_length("gary cornell") == 12
-        assert similarity.char_length("cay s horstmenn") == 15
+        assert similarity.name_pcf("gary", ["gary cornell"]) == 4 / 12
+        assert similarity.name_pcf("cay s", ["cay s horstmenn"]) == 5 / 15
+        assert similarity.name_pcf("s horstmenn", ["cay s horstmenn"]) == 11 / 15
 
     def test_empty(self):
-        assert similarity.char_length("") == 0
+        # An empty true name has no characters to contain a claim.
+        assert similarity.name_pcf("gary", ["", "gary cornell"]) == 4 / 12
+        assert similarity.name_pcf("gary", [""]) == 0.0
 
 
 class TestNamePcf:
@@ -72,53 +77,40 @@ class TestFactPcf:
 
 
 class TestWebsiteSim:
-    def _state(self, claims, kb):
-        return corpus.build_state(kb, claims)
+    """A website's similarity, the mean claim-to-truth score of its facts on
+    known objects, is the trust the first epoch gives it."""
+
+    def _trust(self, claims, kb, url="http://x.com"):
+        state, _ = engine.run_epoch(engine.assign_pcf(corpus.build_state(kb, claims)))
+        return state.websites[url].trust
 
     def test_exact_copy_site(self, core_java_kb):
-        state = self._state(
-            [make_claim("http://x.com", CORE_ISBN, CORE_TRUTH)], core_java_kb
-        )
-        site = state.websites["http://x.com"]
-        assert similarity.website_sim(site, state.facts.values(), state.kb) == 1.0
+        claims = [make_claim("http://x.com", CORE_ISBN, CORE_TRUTH)]
+        assert self._trust(claims, core_java_kb) == 1.0
 
-    def test_truncating_site(self, core_java_state):
-        site = core_java_state.websites[W2]
-        score = similarity.website_sim(
-            site, core_java_state.facts.values(), core_java_state.kb
-        )
+    def test_truncating_site(self, core_java_kb):
+        score = self._trust(core_java_claims(), core_java_kb, url=W2)
         assert score == pytest.approx(0.5083333, abs=1e-6)
 
     def test_mean_of_exact_and_garbage(self, core_java_kb):
         kb = dict(core_java_kb)
         kb["2222"] = corpus.TrueFact(object="2222", authors=["annoth er"])
-        state = self._state(
-            [
-                make_claim("http://x.com", CORE_ISBN, CORE_TRUTH),
-                make_claim("http://x.com", "2222", ["qqqq qq"]),
-            ],
-            kb,
-        )
-        site = state.websites["http://x.com"]
-        assert similarity.website_sim(site, state.facts.values(), kb) == 0.5
+        claims = [
+            make_claim("http://x.com", CORE_ISBN, CORE_TRUTH),
+            make_claim("http://x.com", "2222", ["qqqq qq"]),
+        ]
+        assert self._trust(claims, kb) == 0.5
 
     def test_unknown_objects_do_not_enter_the_mean(self, core_java_kb):
-        state = self._state(
-            [
-                make_claim("http://x.com", CORE_ISBN, CORE_TRUTH),
-                make_claim("http://x.com", "not-in-kb", ["qqqq qq"]),
-            ],
-            core_java_kb,
-        )
-        site = state.websites["http://x.com"]
-        assert similarity.website_sim(site, state.facts.values(), core_java_kb) == 1.0
+        claims = [
+            make_claim("http://x.com", CORE_ISBN, CORE_TRUTH),
+            make_claim("http://x.com", "not-in-kb", ["qqqq qq"]),
+        ]
+        assert self._trust(claims, core_java_kb) == 1.0
 
     def test_no_scorable_facts_gives_zero(self, core_java_kb):
-        state = self._state(
-            [make_claim("http://x.com", "not-in-kb", ["qqqq qq"])], core_java_kb
-        )
-        site = state.websites["http://x.com"]
-        assert similarity.website_sim(site, state.facts.values(), core_java_kb) == 0.0
+        claims = [make_claim("http://x.com", "not-in-kb", ["qqqq qq"])]
+        assert self._trust(claims, core_java_kb) == 0.0
 
 
 class TestLevenshtein:
