@@ -19,11 +19,14 @@ from .corpus import (
     save_state,
 )
 from .engine import (
+    EpochPlan,
     EpochReport,
     ImplicationTerm,
     adjust_confidence,
+    adjust_group,
     adjusted_score,
     assign_pcf,
+    build_plan,
     confidence_score,
     damp,
     fact_confidence,

@@ -7,8 +7,9 @@ baseline reuses the full engine pipeline but scores facts with the
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 from .corpus import EngineConfig, TrustState
 from .engine import assign_pcf, run
@@ -45,21 +46,23 @@ def voting_run(state: TrustState) -> BaselineResult:
     trusts = {}
     for url, site in state.websites.items():
         own = sorted(site.fact_ids)
-        trusts[url] = sum(share[fid] for fid in own) / len(own) if own else 0.0
+        trusts[url] = reduce(add, (share[fid] for fid in own), 0.0) / len(own) if own else 0.0
     return BaselineResult(METHOD_VOTING, trusts, winners)
 
 
 def _engine_run(
     state: TrustState, config: EngineConfig | None, method: str, score: Scorer
 ) -> BaselineResult:
-    # The engine updates the state it runs on; the caller's stays as it was.
-    # At zero trust, epoch 1 writes every fact field before reading it.
-    working = copy.deepcopy(state)
-    if config is not None:
-        working.config = config
-    working.epoch = 0
-    for site in working.websites.values():
-        site.trust = 0.0
+    # The engine updates the records it runs on, so it gets fresh ones and
+    # the caller's stay as they were. They share the KB, the author lists and
+    # the fact_ids/providers sets, which the engine never changes. At zero
+    # trust, epoch 1 writes every fact field before reading it.
+    working = TrustState(
+        websites={url: replace(site, trust=0.0) for url, site in state.websites.items()},
+        facts={fid: replace(fact) for fid, fact in state.facts.items()},
+        kb=state.kb,
+        config=state.config if config is None else config,
+    )
     run(assign_pcf(working, score=score))
 
     winners = {

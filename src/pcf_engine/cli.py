@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
+from operator import add
 from time import perf_counter
 
 from . import baselines, corpus, engine, generator, serp
@@ -33,6 +36,13 @@ def _rate(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -83,9 +93,8 @@ def epsilon_sweep(
     rows = []
     for eps in epsilons:
         if pairs:
-            mean = sum(
-                engine.implication_factor(p1, p2, eps) for p1, p2 in pairs
-            ) / len(pairs)
+            factors = (engine.implication_factor(p1, p2, eps) for p1, p2 in pairs)
+            mean = reduce(add, factors, 0.0) / len(pairs)
         else:
             mean = 0.0
         rows.append((eps, mean))
@@ -166,7 +175,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"converged={str(report.converged).lower()} "
             f"trust_s={report.trust_seconds:.6f} "
             f"confidence_s={report.confidence_seconds:.6f} "
-            f"implication_s={report.implication_seconds:.6f}"
+            f"implication_s={report.implication_seconds:.6f} "
+            f"epoch_s={report.epoch_seconds:.6f}"
         )
     state.method_trusts[baselines.METHOD_PCF] = {
         url: site.trust for url, site in state.websites.items()
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--state", required=True)
     p_run.add_argument("--epochs", type=_positive_int, default=None)
     p_run.add_argument("--epsilon", type=_rate, default=None)
-    p_run.add_argument("--tol", type=float, default=None)
+    p_run.add_argument("--tol", type=_finite, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_query = sub.add_parser("query", help="rank provider websites for an ISBN or title")

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -389,17 +390,17 @@ def load_state(path: str | Path) -> TrustState:
             )
             for rec in doc["kb"]
         }
-        websites = {
-            rec["url"]: Website(
+        site_list = [
+            Website(
                 id=int(rec["id"]),
                 url=rec["url"],
                 trust=float(rec["trust"]),
                 fact_ids=set(rec["fact_ids"]),
             )
             for rec in doc["websites"]
-        }
-        facts = {
-            int(rec["fact_id"]): FactRecord(
+        ]
+        fact_list = [
+            FactRecord(
                 fact_id=int(rec["fact_id"]),
                 object=rec["isbn"],
                 authors=list(rec["authors"]),
@@ -412,7 +413,7 @@ def load_state(path: str | Path) -> TrustState:
                 adjusted_score=float(rec["adjusted_score"]),
             )
             for rec in doc["facts"]
-        }
+        ]
         method_trusts = {
             method: {url: float(t) for url, t in trusts.items()}
             for method, trusts in doc.get("method_trusts", {}).items()
@@ -420,6 +421,12 @@ def load_state(path: str | Path) -> TrustState:
         epoch = int(doc["epoch"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
+    _check_config(path, config)
+    _check_unique(path, "website url", [site.url for site in site_list])
+    _check_unique(path, "website id", [site.id for site in site_list])
+    _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
+    websites = {site.url: site for site in site_list}
+    facts = {fact.fact_id: fact for fact in fact_list}
     _check_state(path, websites, facts)
     return TrustState(
         websites=websites,
@@ -429,6 +436,29 @@ def load_state(path: str | Path) -> TrustState:
         config=config,
         method_trusts=method_trusts,
     )
+
+
+def _check_config(path: str | Path, config: EngineConfig) -> None:
+    """Reject config values the engine cannot run with (NaN fails every range)."""
+    if not 0.0 <= config.epsilon <= 1.0:
+        raise StateError(f"{path}: config epsilon {config.epsilon} outside [0, 1]")
+    if not 0.0 < config.confidence_clamp < 1.0:
+        raise StateError(
+            f"{path}: config confidence_clamp {config.confidence_clamp} outside (0, 1)"
+        )
+    if config.max_epochs < 1:
+        raise StateError(f"{path}: config max_epochs {config.max_epochs} below 1")
+    if not math.isfinite(config.convergence_tol):
+        raise StateError(
+            f"{path}: config convergence_tol {config.convergence_tol} is not finite"
+        )
+
+
+def _check_unique(path: str | Path, what: str, keys: list) -> None:
+    """Reject a repeated key, which the id- and url-keyed tables would merge."""
+    if len(set(keys)) != len(keys):
+        duplicate = next(key for key, n in Counter(keys).items() if n > 1)
+        raise StateError(f"{path}: duplicate {what} {duplicate!r}")
 
 
 def _check_state(

@@ -13,14 +13,25 @@ runs three stages:
 
 Iteration order is ascending website/fact id everywhere, so results are
 bit-identical run to run.
+
+``run`` compiles the state once into an :class:`EpochPlan`: sites and facts
+in id order, each with its own facts or providers, and each object's facts
+as a sibling group, all in ascending id and holding the state's own
+records. Every epoch then walks those tuples with no sorting or regrouping,
+and the implication stage is a flat loop over each group's pcf and
+confidence lists. The per-fact functions ``fact_confidence``,
+``implication_terms`` and ``adjust_confidence`` are the readable reference
+for the same arithmetic: the epoch performs the same float operations in the
+same order, so its results equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from time import perf_counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import FactRecord, TrustState, Website
 from .similarity import Scorer, fact_pcf
@@ -48,6 +59,43 @@ class EpochReport:
     trust_seconds: float
     confidence_seconds: float
     implication_seconds: float
+    # The whole epoch, building the plan included when run_epoch builds it.
+    epoch_seconds: float
+
+
+@dataclass(frozen=True)
+class EpochPlan:
+    """A state's records in the order an epoch visits them.
+
+    ``sites`` pairs each website, in ascending id, with its facts in
+    ascending fact id; ``facts`` pairs each fact, in ascending id, with its
+    providers in ascending site id; ``groups`` holds each object's facts in
+    ascending fact id, objects in the order of their smallest fact id. The
+    plan references the state's own records, so it stays valid across
+    epochs, which change only trusts and fact scores, and goes stale if
+    records or their links are added, removed or replaced.
+    """
+
+    sites: tuple[tuple[Website, tuple[FactRecord, ...]], ...]
+    facts: tuple[tuple[FactRecord, tuple[Website, ...]], ...]
+    groups: tuple[tuple[FactRecord, ...], ...]
+
+
+def build_plan(state: TrustState) -> EpochPlan:
+    """Compile ``state`` into the id-ordered plan that ``run_epoch`` walks."""
+    facts = state.facts
+    by_id = {w.id: w for w in state.websites.values()}
+    return EpochPlan(
+        sites=tuple(
+            (site, tuple(facts[fid] for fid in sorted(site.fact_ids)))
+            for site in sorted(state.websites.values(), key=lambda w: w.id)
+        ),
+        facts=tuple(
+            (facts[fid], tuple(by_id[pid] for pid in sorted(facts[fid].providers)))
+            for fid in sorted(facts)
+        ),
+        groups=tuple(tuple(group) for group in state.facts_by_object().values()),
+    )
 
 
 def assign_pcf(state: TrustState, score: Scorer = fact_pcf) -> TrustState:
@@ -63,36 +111,6 @@ def assign_pcf(state: TrustState, score: Scorer = fact_pcf) -> TrustState:
         fact.unknown_object = truth is None
         fact.pcf = score(fact.authors, truth.authors) if truth else 0.0
     return state
-
-
-def _update_trust(state: TrustState) -> float:
-    """Stage 1: recompute every website's trust; returns the max |delta|.
-
-    A website still at trust zero takes the initial branch: the mean stored
-    probability of its facts on known objects (equal to its claim-to-truth
-    similarity). Otherwise trust is the mean adjusted confidence of all its
-    facts from the previous epoch. Websites with no facts keep trust 0.
-
-    Zero trust is the "first epoch" sentinel, following PAPER.md's method
-    literally: a website whose facts all lie on objects outside the knowledge base
-    scores 0 in the initial branch and so takes that branch again every
-    epoch, staying at 0 however confident its shared facts become. Changing
-    that is a separate decision about the method, not about this code.
-    """
-    max_delta = 0.0
-    for site in sorted(state.websites.values(), key=lambda w: w.id):
-        own = [state.facts[fid] for fid in sorted(site.fact_ids)]
-        old = site.trust
-        if not own:
-            new = old
-        elif old == 0.0:
-            known = [f.pcf for f in own if not f.unknown_object]
-            new = sum(known) / len(known) if known else 0.0
-        else:
-            new = sum(f.adjusted_confidence for f in own) / len(own)
-        site.trust = new
-        max_delta = max(max_delta, abs(new - old))
-    return max_delta
 
 
 def fact_confidence(
@@ -186,37 +204,101 @@ def adjusted_score(s_prime: float) -> float:
     return -math.log(1.0 - s_prime)
 
 
-def run_epoch(state: TrustState) -> tuple[TrustState, EpochReport]:
-    """Execute one full three-stage pass on ``state``; returns it and a report."""
-    cfg = state.config
-    by_id = {w.id: w for w in state.websites.values()}
+def adjust_group(group: Sequence[FactRecord], epsilon: float, clamp: float) -> None:
+    """Stage 3 for one object: set each fact's adjusted confidence and score.
 
+    ``group`` is the object's facts in ascending fact id. Each fact's total
+    starts at its own confidence and adds factor * confidence for every
+    sibling in ascending id, with ``implication_factor`` inlined; then comes
+    ``damp`` and the clamp to 1 - ``clamp``. These are the float operations
+    of ``adjust_confidence``, in its order, so the results are equal.
+    """
+    ceiling = 1.0 - clamp
+    scores = [(f.pcf, f.confidence) for f in group]
+    for i, (p1, total) in enumerate(scores):
+        for p2, s in chain(scores[:i], scores[i + 1 :]):
+            delta = p1 - p2
+            if delta > 0 and abs(delta - epsilon) < CASE2_TOL:
+                total += epsilon * s
+            else:
+                total += abs(epsilon - delta) * s
+        fact = group[i]
+        fact.adjusted_confidence = min(damp(total), ceiling)
+        fact.adjusted_score = adjusted_score(fact.adjusted_confidence)
+
+
+def run_epoch(
+    state: TrustState, plan: EpochPlan | None = None
+) -> tuple[TrustState, EpochReport]:
+    """Execute one full three-stage pass on ``state``; returns it and a report.
+
+    ``plan`` is ``build_plan(state)``, which ``run`` builds once for all its
+    epochs; without one the epoch builds its own.
+
+    Trust stage: a website still at trust zero takes the initial branch, the
+    mean stored probability of its facts on known objects (equal to its
+    claim-to-truth similarity); otherwise trust is the mean adjusted
+    confidence of all its facts from the previous epoch. Websites with no
+    facts keep their trust. Means add left to right from 0.0, so they do not
+    depend on the Python version's ``sum``.
+
+    Zero trust is the "first epoch" sentinel, following PAPER.md's method
+    literally: a website whose facts all lie on objects outside the knowledge
+    base scores 0 in the initial branch and so takes that branch again every
+    epoch, staying at 0 however confident its shared facts become. Changing
+    that is a separate decision about the method, not about this code.
+    """
     t0 = perf_counter()
-    max_delta = _update_trust(state)
-    t1 = perf_counter()
+    if plan is None:
+        plan = build_plan(state)
+    cfg = state.config
 
-    for fact in state.facts.values():
-        fact.confidence = fact_confidence(fact, by_id, cfg.confidence_clamp)
-        fact.confidence_score = confidence_score(fact.confidence)
+    t1 = perf_counter()
+    max_delta = 0.0
+    for site, own in plan.sites:
+        old = site.trust
+        if not own:
+            new = old
+        elif old == 0.0:
+            total = 0.0
+            known = 0
+            for fact in own:
+                if not fact.unknown_object:
+                    total += fact.pcf
+                    known += 1
+            new = total / known if known else 0.0
+        else:
+            total = 0.0
+            for fact in own:
+                total += fact.adjusted_confidence
+            new = total / len(own)
+        site.trust = new
+        max_delta = max(max_delta, abs(new - old))
     t2 = perf_counter()
 
-    # Implication reads only pcf and confidence, so the order facts are
-    # adjusted in cannot change the result.
-    for group in state.facts_by_object().values():
-        for fact in group:
-            s_prime = adjust_confidence(fact, group, cfg.epsilon)
-            fact.adjusted_confidence = min(s_prime, 1.0 - cfg.confidence_clamp)
-            fact.adjusted_score = adjusted_score(fact.adjusted_confidence)
+    # fact_confidence, over the plan's id-ordered providers.
+    ceiling = 1.0 - cfg.confidence_clamp
+    for fact, providers in plan.facts:
+        product = 1.0
+        for site in providers:
+            product *= 1.0 - site.trust
+        fact.confidence = min(1.0 - product, ceiling)
+        fact.confidence_score = confidence_score(fact.confidence)
     t3 = perf_counter()
+
+    for group in plan.groups:
+        adjust_group(group, cfg.epsilon, cfg.confidence_clamp)
+    t4 = perf_counter()
 
     state.epoch += 1
     report = EpochReport(
         epoch=state.epoch,
         max_trust_delta=max_delta,
         converged=max_delta < cfg.convergence_tol,
-        trust_seconds=t1 - t0,
-        confidence_seconds=t2 - t1,
-        implication_seconds=t3 - t2,
+        trust_seconds=t2 - t1,
+        confidence_seconds=t3 - t2,
+        implication_seconds=t4 - t3,
+        epoch_seconds=perf_counter() - t0,
     )
     return state, report
 
@@ -237,9 +319,10 @@ def run(
     if epochs < 1:
         raise ValueError(f"max_epochs must be at least 1, got {epochs}")
     state.config = replace(state.config, max_epochs=epochs, convergence_tol=tolerance)
+    plan = build_plan(state)
     reports: list[EpochReport] = []
     for _ in range(epochs):
-        state, report = run_epoch(state)
+        state, report = run_epoch(state, plan)
         reports.append(report)
         if report.max_trust_delta < tolerance:
             break

@@ -61,12 +61,17 @@ def name_pcf(claim_name: str, true_authors: Iterable[str]) -> float:
 
 
 def fact_pcf(claim_authors: list[str], true_authors: list[str]) -> float:
-    """Mean per-name correctness over a claim's author list."""
+    """Mean per-name correctness over a claim's author list.
+
+    The sum adds left to right from 0.0, as every float sum in the package
+    does, since the builtin ``sum`` rounds differently from Python 3.12 on.
+    """
     if not claim_authors:
         return 0.0
-    return sum(name_pcf(name, true_authors) for name in claim_authors) / len(
-        claim_authors
-    )
+    total = 0.0
+    for name in claim_authors:
+        total += name_pcf(name, true_authors)
+    return total / len(claim_authors)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -121,11 +126,12 @@ def _weighted_name_score(claim_name: str, true_name: str) -> float:
     if not true_parts:
         return 0.0
     claim_parts = split_name_parts(claim_name)
-    total = sum(_PART_WEIGHTS[part] for part in true_parts)
-    granted = sum(
-        _PART_WEIGHTS[part] * _part_credit(claim_parts.get(part), value)
-        for part, value in true_parts.items()
-    )
+    total = 0.0
+    granted = 0.0
+    for part, value in true_parts.items():
+        weight = _PART_WEIGHTS[part]
+        total += weight
+        granted += weight * _part_credit(claim_parts.get(part), value)
     return granted / total
 
 

@@ -101,6 +101,12 @@ class TestRun:
         assert state.config.max_epochs == 2
         assert state.epoch == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_a_usage_error(self, tmp_path, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "--state", str(tmp_path / "s.json"), f"--tol={tol}"])
+        assert excinfo.value.code == 2
+
     def test_zero_epochs_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--state", str(tmp_path / "s.json"), "--epochs", "0"])
@@ -126,11 +132,29 @@ class TestRun:
             lambda d: d["facts"][0].update(adjusted_confidence=2.0),
             lambda d: d.pop("epoch"),
             lambda d: d.update(method_trusts=[]),
+            # Each duplicate is placed so that the merged tables still pass
+            # the link check.
+            lambda d: d["websites"].insert(
+                0, dict(d["websites"][0], url="http://dup.example.com", fact_ids=[])
+            ),
+            lambda d: d["websites"].insert(0, dict(d["websites"][0], id=99, fact_ids=[])),
+            lambda d: d["facts"].append(dict(d["facts"][0], authors=["someone else"])),
+            lambda d: d["config"].update(epsilon="nan"),
+            lambda d: d["config"].update(epsilon=1.5),
+            lambda d: d["config"].update(epsilon=-0.1),
+            lambda d: d["config"].update(confidence_clamp=0.0),
+            lambda d: d["config"].update(confidence_clamp=1.0),
+            lambda d: d["config"].update(max_epochs=0),
+            lambda d: d["config"].update(convergence_tol="inf"),
+            lambda d: d["config"].update(convergence_tol="nan"),
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
             "providers-unmirrored", "nan-trust", "trust-above-one", "negative-pcf",
             "nan-confidence", "adjusted-above-one", "no-epoch", "method-trusts-list",
+            "duplicate-website-id", "duplicate-url", "duplicate-fact-id",
+            "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
+            "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

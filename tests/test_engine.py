@@ -252,6 +252,33 @@ class TestAdjustConfidence:
         assert term.contribution == pytest.approx(0.04)
 
 
+# Includes pairs exactly epsilon = 0.4 apart (0.9/0.5) and within CASE2_TOL
+# of it (0.6/0.2), and equal values when two facts draw the same entry.
+pcf_grid = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0, 1 / 3])
+
+
+class TestAdjustGroup:
+    @given(
+        scores=st.lists(st.tuples(pcf_grid, probabilities), min_size=1, max_size=40),
+        epsilon=st.sampled_from([0.4, 0.0, 0.25, 1.0]),
+    )
+    def test_equals_the_reference_exactly(self, scores, epsilon):
+        clamp = 1e-10
+        group = [
+            corpus.FactRecord(fact_id=i, object="1", authors=[], pcf=p, confidence=s)
+            for i, (p, s) in enumerate(scores, start=1)
+        ]
+        expected = [
+            min(engine.adjust_confidence(fact, group, epsilon), 1.0 - clamp)
+            for fact in group
+        ]
+        engine.adjust_group(group, epsilon, clamp)
+        assert [f.adjusted_confidence for f in group] == expected
+        assert [f.adjusted_score for f in group] == [
+            engine.adjusted_score(s) for s in expected
+        ]
+
+
 class TestDamp:
     def test_identity_below_one(self):
         assert engine.damp(0.85) == 0.85
@@ -352,6 +379,29 @@ class TestRunEpoch:
         assert after is state
         assert state.epoch == report.epoch == 1
         assert state.websites[W1].trust == pytest.approx(2 / 3)
+
+    @given(seed=st.integers(min_value=0, max_value=30))
+    def test_given_plan_equals_own_plan(self, seed):
+        from pcf_engine import generator
+
+        spec = generator.GenSpec(
+            n_websites=4 + seed % 5,
+            n_objects=1 + seed % 3,
+            claims_per_site=2,
+            corruption_rate=(seed % 11) / 10.0,
+            seed=seed,
+        )
+        kb_records = generator.generate_kb(spec)
+        kb = {b.object: b for b in kb_records}
+        claims = generator.generate_claims(spec, kb_records)
+        own = engine.assign_pcf(corpus.build_state(kb, claims))
+        planned = copy.deepcopy(own)
+        plan = engine.build_plan(planned)
+        for _ in range(3):
+            own, own_report = engine.run_epoch(own)
+            planned, planned_report = engine.run_epoch(planned, plan)
+            assert own == planned
+            assert own_report.max_trust_delta == planned_report.max_trust_delta
 
     def test_deterministic_successor(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
