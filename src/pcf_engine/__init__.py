@@ -24,7 +24,6 @@ from .engine import (
     ImplicationTerm,
     adjust_confidence,
     adjust_group,
-    adjusted_score,
     assign_pcf,
     build_plan,
     confidence_score,
@@ -36,12 +35,6 @@ from .engine import (
 )
 from .generator import GenSpec, generate_claims, generate_kb
 from .serp import SerpRow, StaleMethodError, query, rank_websites, serp_tsv
-from .similarity import (
-    NameMatch,
-    best_name_match,
-    fact_pcf,
-    name_pcf,
-    tf_name_score,
-)
+from .similarity import fact_pcf, name_pcf, tf_name_score
 
 __version__ = "0.1.0"

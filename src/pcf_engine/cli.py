@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -101,27 +102,23 @@ def epsilon_sweep(
     return rows
 
 
-def scaling_bench(
-    sizes: list[int],
-    claims_per_site: int = BENCH_CLAIMS_PER_SITE,
-    epochs: int = BENCH_EPOCHS,
-    corruption: float = BENCH_CORRUPTION,
-    seed: int = 0,
-    repeats: int = BENCH_REPEATS,
-) -> list[tuple[int, int, float, float]]:
+def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float, float]]:
     """Time corpus preparation and the scoring+epoch pipeline per corpus size.
 
     Returns (n_websites, n_facts, data_seconds, engine_seconds) rows; the
-    engine column is the best of ``repeats`` timed runs and excludes all
-    data generation and table building.
+    engine column is the best of ``BENCH_REPEATS`` timed runs and excludes
+    all data generation and table building. As in ``timeit``, the garbage
+    collector is off while a repeat is timed, so a collection triggered by
+    an earlier allocation does not land in one size's timing.
     """
+    config = corpus.EngineConfig(max_epochs=BENCH_EPOCHS, convergence_tol=0.0)
     rows = []
     for n in sizes:
         spec = generator.GenSpec(
             n_websites=n,
             n_objects=n,
-            claims_per_site=claims_per_site,
-            corruption_rate=corruption,
+            claims_per_site=BENCH_CLAIMS_PER_SITE,
+            corruption_rate=BENCH_CORRUPTION,
             seed=seed,
         )
         t0 = perf_counter()
@@ -132,13 +129,19 @@ def scaling_bench(
         data_seconds = perf_counter() - t0
 
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(BENCH_REPEATS):
             # The engine updates the state it runs on, so each repeat
             # starts from a fresh one, built before the timer starts.
-            state = corpus.build_state(kb, claims)
-            t1 = perf_counter()
-            engine.run(engine.assign_pcf(state), max_epochs=epochs, tol=0.0)
-            best = min(best, perf_counter() - t1)
+            state = corpus.build_state(kb, claims, config)
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                t1 = perf_counter()
+                engine.run(engine.assign_pcf(state))
+                best = min(best, perf_counter() - t1)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         rows.append((n, n_facts, data_seconds, best))
     return rows
 

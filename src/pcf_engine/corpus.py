@@ -427,7 +427,7 @@ def load_state(path: str | Path) -> TrustState:
     _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
     websites = {site.url: site for site in site_list}
     facts = {fact.fact_id: fact for fact in fact_list}
-    _check_state(path, websites, facts)
+    _check_state(path, websites, facts, kb)
     return TrustState(
         websites=websites,
         facts=facts,
@@ -462,9 +462,16 @@ def _check_unique(path: str | Path, what: str, keys: list) -> None:
 
 
 def _check_state(
-    path: str | Path, websites: dict[str, Website], facts: dict[int, FactRecord]
+    path: str | Path,
+    websites: dict[str, Website],
+    facts: dict[int, FactRecord],
+    kb: dict[ObjectId, TrueFact],
 ) -> None:
-    """Reject values outside [0, 1] (NaN too) and unmirrored website-fact links."""
+    """Reject values outside [0, 1] (NaN too) and inconsistent records.
+
+    Inconsistent: an unmirrored website-fact link, or an ``unknown_object``
+    flag that disagrees with the knowledge base.
+    """
     fact_ids_of: dict[int, set[int]] = {}
     links = 0
     for site in websites.values():
@@ -479,6 +486,11 @@ def _check_state(
             and 0.0 <= fact.adjusted_confidence <= 1.0
         ):
             raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
+        if fact.unknown_object == (fact.object in kb):
+            raise StateError(
+                f"{path}: fact {fact.fact_id}: unknown_object {fact.unknown_object}"
+                f" disagrees with the KB for ISBN {fact.object!r}"
+            )
         for site_id in fact.providers:
             if fact.fact_id not in fact_ids_of.get(site_id, ()):
                 raise StateError(

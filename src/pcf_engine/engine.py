@@ -17,21 +17,22 @@ bit-identical run to run.
 ``run`` compiles the state once into an :class:`EpochPlan`: sites and facts
 in id order, each with its own facts or providers, and each object's facts
 as a sibling group, all in ascending id and holding the state's own
-records. Every epoch then walks those tuples with no sorting or regrouping,
-and the implication stage is a flat loop over each group's pcf and
-confidence lists. The per-fact functions ``fact_confidence``,
-``implication_terms`` and ``adjust_confidence`` are the readable reference
-for the same arithmetic: the epoch performs the same float operations in the
-same order, so its results equal theirs bit for bit.
+records. Every epoch then walks those tuples with no sorting or regrouping.
+The confidence stage calls ``fact_confidence`` on each fact's providers, and
+the implication stage is ``adjust_group``, a flat loop over each group's
+(pcf, confidence) pairs. ``implication_terms`` and ``adjust_confidence`` are
+the readable reference for the implication arithmetic: ``adjust_group``
+performs the same float operations in the same order, so its results equal
+theirs bit for bit. ``run`` takes its length from ``state.config``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import FactRecord, TrustState, Website
 from .similarity import Scorer, fact_pcf
@@ -113,22 +114,24 @@ def assign_pcf(state: TrustState, score: Scorer = fact_pcf) -> TrustState:
     return state
 
 
-def fact_confidence(
-    fact: FactRecord, websites_by_id: Mapping[int, Website], clamp: float = 1e-10
-) -> float:
+def fact_confidence(providers: Iterable[Website], clamp: float) -> float:
     """Confidence that a fact is correct given its providers' trusts.
 
-    s(f) = 1 - prod(1 - t(w)) over providers, clamped to 1 - ``clamp`` so
-    a fully trusted provider still yields a finite log score.
+    s(f) = 1 - prod(1 - t(w)) over ``providers``, multiplied in the order
+    given (the plan's ascending site id), clamped to 1 - ``clamp`` so a
+    fully trusted provider still yields a finite log score.
     """
     product = 1.0
-    for provider_id in sorted(fact.providers):
-        product *= 1.0 - websites_by_id[provider_id].trust
+    for site in providers:
+        product *= 1.0 - site.trust
     return min(1.0 - product, 1.0 - clamp)
 
 
 def confidence_score(s: float) -> float:
-    """Log-domain confidence: -ln(1 - s), strictly increasing in s."""
+    """Log-domain confidence: -ln(1 - s), strictly increasing in s.
+
+    The score of both a fact's confidence and its adjusted confidence.
+    """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"confidence must lie in [0, 1) after clamping, got {s}")
     return -math.log(1.0 - s)
@@ -195,15 +198,6 @@ def damp(s_prime: float) -> float:
     return value
 
 
-def adjusted_score(s_prime: float) -> float:
-    """Log-domain adjusted confidence: -ln(1 - s')."""
-    if not 0.0 <= s_prime < 1.0:
-        raise ValueError(
-            f"adjusted confidence must lie in [0, 1) after clamping, got {s_prime}"
-        )
-    return -math.log(1.0 - s_prime)
-
-
 def adjust_group(group: Sequence[FactRecord], epsilon: float, clamp: float) -> None:
     """Stage 3 for one object: set each fact's adjusted confidence and score.
 
@@ -224,7 +218,7 @@ def adjust_group(group: Sequence[FactRecord], epsilon: float, clamp: float) -> N
                 total += abs(epsilon - delta) * s
         fact = group[i]
         fact.adjusted_confidence = min(damp(total), ceiling)
-        fact.adjusted_score = adjusted_score(fact.adjusted_confidence)
+        fact.adjusted_score = confidence_score(fact.adjusted_confidence)
 
 
 def run_epoch(
@@ -276,13 +270,8 @@ def run_epoch(
         max_delta = max(max_delta, abs(new - old))
     t2 = perf_counter()
 
-    # fact_confidence, over the plan's id-ordered providers.
-    ceiling = 1.0 - cfg.confidence_clamp
     for fact, providers in plan.facts:
-        product = 1.0
-        for site in providers:
-            product *= 1.0 - site.trust
-        fact.confidence = min(1.0 - product, ceiling)
+        fact.confidence = fact_confidence(providers, cfg.confidence_clamp)
         fact.confidence_score = confidence_score(fact.confidence)
     t3 = perf_counter()
 
@@ -303,27 +292,21 @@ def run_epoch(
     return state, report
 
 
-def run(
-    state: TrustState,
-    max_epochs: int | None = None,
-    tol: float | None = None,
-) -> tuple[TrustState, list[EpochReport]]:
-    """Repeat epochs on ``state`` until the largest trust change drops below ``tol``.
+def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
+    """Repeat epochs on ``state`` until the largest trust change drops below tolerance.
 
-    ``max_epochs``/``tol`` default to the state's config and, when given,
-    are recorded into it. A tolerance of 0 runs exactly ``max_epochs``
-    epochs.
+    ``state.config`` gives the length: at most ``max_epochs`` epochs,
+    stopping early once an epoch's largest trust change is below
+    ``convergence_tol``. A tolerance of 0 runs exactly ``max_epochs`` epochs.
     """
-    epochs = state.config.max_epochs if max_epochs is None else max_epochs
-    tolerance = state.config.convergence_tol if tol is None else tol
-    if epochs < 1:
-        raise ValueError(f"max_epochs must be at least 1, got {epochs}")
-    state.config = replace(state.config, max_epochs=epochs, convergence_tol=tolerance)
+    cfg = state.config
+    if cfg.max_epochs < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {cfg.max_epochs}")
     plan = build_plan(state)
     reports: list[EpochReport] = []
-    for _ in range(epochs):
+    for _ in range(cfg.max_epochs):
         state, report = run_epoch(state, plan)
         reports.append(report)
-        if report.max_trust_delta < tolerance:
+        if report.max_trust_delta < cfg.convergence_tol:
             break
     return state, reports

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Claim, TrueFact
+from .corpus import CLAIMS_HEADER, Claim, TrueFact
 
 FIRST_NAMES = [
     "alice", "bruno", "carla", "deepak", "elena", "farid", "grace", "henrik",
@@ -190,7 +190,7 @@ def write_kb_file(path: str | Path, books: list[TrueFact]) -> None:
 def write_claims_file(path: str | Path, claims: list[Claim]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["website_url", "isbn", "authors", "publisher", "price", "quantity"])
+    writer.writerow(CLAIMS_HEADER)
     for claim in claims:
         writer.writerow(
             [

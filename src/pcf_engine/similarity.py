@@ -9,7 +9,6 @@ baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 FIRST_WEIGHT = 2.0
@@ -22,42 +21,23 @@ _PART_WEIGHTS = {"first": FIRST_WEIGHT, "middle": MIDDLE_WEIGHT, "last": LAST_WE
 Scorer = Callable[[list[str], list[str]], float]
 
 
-@dataclass(frozen=True)
-class NameMatch:
-    """Best containing true author for one claimed name, with its ratio."""
-
-    claim_name: str
-    matched_true_name: str | None
-    ratio: float
-
-
-def best_name_match(claim_name: str, true_authors: Iterable[str]) -> NameMatch:
-    """Find the true author containing ``claim_name`` with the highest ratio.
-
-    The ratio is len(claim)/len(true), internal spaces counted; ties break
-    toward the lexicographically smallest true name. No containment
-    anywhere gives ratio 0 and no match; an empty claim never matches.
-    """
-    if not claim_name:
-        return NameMatch(claim_name, None, 0.0)
-    matched: str | None = None
-    best = 0.0
-    for true_name in true_authors:
-        if not true_name or claim_name not in true_name:
-            continue
-        ratio = len(claim_name) / len(true_name)
-        if ratio > best or (ratio == best and matched is not None and true_name < matched):
-            matched, best = true_name, ratio
-    return NameMatch(claim_name, matched, best)
-
-
 def name_pcf(claim_name: str, true_authors: Iterable[str]) -> float:
     """Probability that one claimed name is correct, in [0, 1].
 
-    1.0 exactly when the claim equals a true author; 0 when no true author
-    contains it as a contiguous substring.
+    The best len(claim)/len(true) over the true authors that contain the
+    claim as a contiguous substring, internal spaces counted: 1.0 exactly
+    when the claim equals a true author, 0 when none contains it. An empty
+    claim never matches.
     """
-    return best_name_match(claim_name, true_authors).ratio
+    if not claim_name:
+        return 0.0
+    best = 0.0
+    for true_name in true_authors:
+        if claim_name in true_name:
+            ratio = len(claim_name) / len(true_name)
+            if ratio > best:
+                best = ratio
+    return best
 
 
 def fact_pcf(claim_authors: list[str], true_authors: list[str]) -> float:

@@ -108,9 +108,11 @@ def test_4_probability_bounds_suite(capsys):
             kb = {book.object: book for book in kb_records}
             claims = generator.generate_claims(spec, kb_records)
             state = corpus.build_state(
-                kb, claims, corpus.EngineConfig(epsilon=epsilon)
+                kb,
+                claims,
+                corpus.EngineConfig(epsilon=epsilon, max_epochs=2, convergence_tol=0.0),
             )
-            state, _ = engine.run(engine.assign_pcf(state), max_epochs=2, tol=0.0)
+            state, _ = engine.run(engine.assign_pcf(state))
             for site in state.websites.values():
                 assert 0.0 <= site.trust <= 1.0
             for fact in state.facts.values():
@@ -123,14 +125,14 @@ def test_4_probability_bounds_suite(capsys):
             assert engine.damp(damped) == damped
 
             # Confidence is monotone in any single provider trust.
-            some_fact = state.facts[rng.randint(1, len(state.facts))]
-            by_id = {w.id: w for w in state.websites.values()}
-            base = engine.fact_confidence(some_fact, by_id)
-            bumped_id = rng.choice(sorted(some_fact.providers))
-            old_trust = by_id[bumped_id].trust
-            by_id[bumped_id].trust = min(1.0, old_trust + rng.random())
-            assert engine.fact_confidence(some_fact, by_id) >= base
-            by_id[bumped_id].trust = old_trust
+            clamp = state.config.confidence_clamp
+            _, providers = engine.build_plan(state).facts[rng.randrange(len(state.facts))]
+            base = engine.fact_confidence(providers, clamp)
+            bumped = rng.choice(providers)
+            old_trust = bumped.trust
+            bumped.trust = min(1.0, old_trust + rng.random())
+            assert engine.fact_confidence(providers, clamp) >= base
+            bumped.trust = old_trust
 
             # Pair-sum identity for |delta| <= epsilon, away from the
             # delta == epsilon carve-out which returns epsilon by design.

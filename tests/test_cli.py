@@ -147,6 +147,8 @@ class TestRun:
             lambda d: d["config"].update(max_epochs=0),
             lambda d: d["config"].update(convergence_tol="inf"),
             lambda d: d["config"].update(convergence_tol="nan"),
+            # `run` would use the stored flag and `compare` would re-derive it.
+            lambda d: d["facts"][0].update(unknown_object=not d["facts"][0]["unknown_object"]),
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
@@ -155,6 +157,7 @@ class TestRun:
             "duplicate-website-id", "duplicate-url", "duplicate-fact-id",
             "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
             "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol",
+            "unknown-object-flipped",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

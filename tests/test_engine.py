@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,9 +11,10 @@ from pcf_engine import corpus, engine
 from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+CLAMP = corpus.EngineConfig().confidence_clamp
 
 
-def exact_copy_state(n_sites=3, kb=None):
+def exact_copy_state(n_sites=3, kb=None, config=None):
     kb = kb or {
         "1000": corpus.TrueFact(object="1000", authors=["ann example", "bo sample"]),
         "1001": corpus.TrueFact(object="1001", authors=["cy other"]),
@@ -22,7 +24,7 @@ def exact_copy_state(n_sites=3, kb=None):
         url = f"http://copy{i}.example.com"
         for isbn, truth in kb.items():
             claims.append(make_claim(url, isbn, truth.authors))
-    return engine.assign_pcf(corpus.build_state(kb, claims))
+    return engine.assign_pcf(corpus.build_state(kb, claims, config))
 
 
 class TestAssignPcf:
@@ -116,24 +118,21 @@ class TestUpdateTrust:
 
 
 class TestFactConfidence:
-    def _fact(self, providers):
-        return corpus.FactRecord(fact_id=1, object="1", authors=["a b"], providers=providers)
-
     def _sites(self, trusts):
-        return {
-            i + 1: corpus.Website(id=i + 1, url=f"http://w{i}.com", trust=t)
+        return [
+            corpus.Website(id=i + 1, url=f"http://w{i}.com", trust=t)
             for i, t in enumerate(trusts)
-        }
+        ]
 
     def test_untrusted_providers(self):
-        assert engine.fact_confidence(self._fact({1, 2}), self._sites([0.0, 0.0])) == 0.0
+        assert engine.fact_confidence(self._sites([0.0, 0.0]), CLAMP) == 0.0
 
     def test_two_half_trusted_providers(self):
-        s = engine.fact_confidence(self._fact({1, 2}), self._sites([0.5, 0.5]))
+        s = engine.fact_confidence(self._sites([0.5, 0.5]), CLAMP)
         assert s == pytest.approx(0.75)
 
     def test_fully_trusted_provider_is_clamped(self):
-        s = engine.fact_confidence(self._fact({1}), self._sites([1.0]))
+        s = engine.fact_confidence(self._sites([1.0]), CLAMP)
         assert s == 1.0 - 1e-10
 
     @given(
@@ -145,17 +144,16 @@ class TestFactConfidence:
         bump_index %= len(trusts)
         raised = list(trusts)
         raised[bump_index] = min(1.0, raised[bump_index] + bump)
-        fact = self._fact(set(range(1, len(trusts) + 1)))
-        assert engine.fact_confidence(fact, self._sites(raised)) >= engine.fact_confidence(
-            fact, self._sites(trusts)
+        assert engine.fact_confidence(self._sites(raised), CLAMP) >= engine.fact_confidence(
+            self._sites(trusts), CLAMP
         )
 
     @given(trusts=st.lists(probabilities, min_size=1, max_size=5))
     def test_adding_a_provider_never_decreases_confidence(self, trusts):
-        fact = self._fact(set(range(1, len(trusts) + 1)))
-        wider = self._fact(set(range(1, len(trusts) + 2)))
         sites = self._sites(trusts + [0.5])
-        assert engine.fact_confidence(wider, sites) >= engine.fact_confidence(fact, sites)
+        assert engine.fact_confidence(sites, CLAMP) >= engine.fact_confidence(
+            sites[:-1], CLAMP
+        )
 
 
 class TestConfidenceScore:
@@ -275,7 +273,7 @@ class TestAdjustGroup:
         engine.adjust_group(group, epsilon, clamp)
         assert [f.adjusted_confidence for f in group] == expected
         assert [f.adjusted_score for f in group] == [
-            engine.adjusted_score(s) for s in expected
+            engine.confidence_score(s) for s in expected
         ]
 
 
@@ -315,20 +313,27 @@ class TestDamp:
 
 
 class TestAdjustedScore:
+    """A fact's adjusted score is the log score of its adjusted confidence."""
+
+    def _adjusted_score(self, confidence):
+        fact = corpus.FactRecord(fact_id=1, object="1", authors=[], confidence=confidence)
+        engine.adjust_group([fact], 0.4, CLAMP)
+        return fact.adjusted_score
+
     def test_half(self):
-        assert engine.adjusted_score(0.5) == pytest.approx(0.6931, abs=1e-4)
+        assert self._adjusted_score(0.5) == pytest.approx(0.6931, abs=1e-4)
 
     def test_zero(self):
-        assert engine.adjusted_score(0.0) == 0.0
+        assert self._adjusted_score(0.0) == 0.0
 
     def test_point_nine(self):
-        assert engine.adjusted_score(0.9) == pytest.approx(2.3026, abs=1e-4)
+        assert self._adjusted_score(0.9) == pytest.approx(2.3026, abs=1e-4)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            engine.adjusted_score(1.0)
+            engine.confidence_score(1.0)
         with pytest.raises(ValueError):
-            engine.adjusted_score(-0.01)
+            engine.confidence_score(-0.01)
 
 
 class TestRunEpoch:
@@ -413,27 +418,26 @@ class TestRunEpoch:
 
 class TestRun:
     def test_exact_copy_converges_in_two_epochs(self):
-        state, reports = engine.run(exact_copy_state(), max_epochs=10, tol=1e-6)
+        config = corpus.EngineConfig(max_epochs=10, convergence_tol=1e-6)
+        state, reports = engine.run(exact_copy_state(config=config))
         assert len(reports) == 2
         assert reports[-1].converged
         assert reports[-1].max_trust_delta == pytest.approx(1e-10, rel=1e-6)
 
     def test_single_epoch_cap(self, core_java_state):
-        _, reports = engine.run(engine.assign_pcf(core_java_state), max_epochs=1)
+        core_java_state.config = replace(core_java_state.config, max_epochs=1)
+        _, reports = engine.run(engine.assign_pcf(core_java_state))
         assert len(reports) == 1
 
     def test_zero_tolerance_runs_all_epochs(self):
-        _, reports = engine.run(exact_copy_state(), max_epochs=4, tol=0.0)
+        config = corpus.EngineConfig(max_epochs=4, convergence_tol=0.0)
+        _, reports = engine.run(exact_copy_state(config=config))
         assert len(reports) == 4
 
     def test_rejects_zero_epochs(self, core_java_state):
+        core_java_state.config = replace(core_java_state.config, max_epochs=0)
         with pytest.raises(ValueError):
-            engine.run(core_java_state, max_epochs=0)
-
-    def test_overrides_recorded_in_config(self, core_java_state):
-        state, _ = engine.run(engine.assign_pcf(core_java_state), max_epochs=3, tol=0.5)
-        assert state.config.max_epochs == 3
-        assert state.config.convergence_tol == 0.5
+            engine.run(core_java_state)
 
 
 class TestEpochBounds:
@@ -451,8 +455,9 @@ class TestEpochBounds:
         kb_records = generator.generate_kb(spec)
         kb = {b.object: b for b in kb_records}
         claims = generator.generate_claims(spec, kb_records)
-        state = engine.assign_pcf(corpus.build_state(kb, claims))
-        state, _ = engine.run(state, max_epochs=3, tol=0.0)
+        config = corpus.EngineConfig(max_epochs=3, convergence_tol=0.0)
+        state = engine.assign_pcf(corpus.build_state(kb, claims, config))
+        state, _ = engine.run(state)
         for site in state.websites.values():
             assert 0.0 <= site.trust <= 1.0
         for fact in state.facts.values():

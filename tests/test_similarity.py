@@ -38,15 +38,6 @@ class TestNamePcf:
     def test_empty_claim_gives_zero(self):
         assert similarity.name_pcf("", CORE_TRUTH) == 0.0
 
-    def test_best_match_reports_true_name(self):
-        match = similarity.best_name_match("corne", CORE_TRUTH)
-        assert match.matched_true_name == "gary cornell"
-        assert match.ratio == pytest.approx(5 / 12)
-
-    def test_ratio_tie_prefers_lexicographically_smaller(self):
-        match = similarity.best_name_match("ab", ["zz ab", "aa ab"])
-        assert match.matched_true_name == "aa ab"
-
     @given(claim=names, truth=st.lists(names, min_size=1, max_size=4))
     def test_bounded_and_exact_iff_equal(self, claim, truth):
         score = similarity.name_pcf(claim, truth)
