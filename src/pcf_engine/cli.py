@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from dataclasses import replace
 from functools import reduce
@@ -172,6 +173,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         state.config = replace(state.config, **overrides)
 
     state, reports = engine.run(state)
+    state.method_trusts[baselines.METHOD_PCF] = {
+        url: site.trust for url, site in state.websites.items()
+    }
+    corpus.save_state(state, args.state)
     for report in reports:
         print(
             f"epoch={report.epoch} max_trust_delta={report.max_trust_delta:.9f} "
@@ -181,10 +186,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"implication_s={report.implication_seconds:.6f} "
             f"epoch_s={report.epoch_seconds:.6f}"
         )
-    state.method_trusts[baselines.METHOD_PCF] = {
-        url: site.trust for url, site in state.websites.items()
-    }
-    corpus.save_state(state, args.state)
     return EXIT_OK
 
 
@@ -314,7 +315,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`pcf compare ... | head`). Every
+        # command writes its files before it prints, so nothing is lost.
+        # Output still buffered goes to the null device, so that the flush
+        # at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (corpus.CorpusError, corpus.StateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -359,7 +359,12 @@ def save_state(state: TrustState, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> TrustState:
-    """Rebuild a TrustState from a file written by :func:`save_state`."""
+    """Rebuild a TrustState from a file written by :func:`save_state`.
+
+    A malformed document, a wrongly typed field (a url, ISBN, title,
+    publisher or author name that is not a string, an author list that is
+    not a list) or an inconsistent one raises :class:`StateError`.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -381,11 +386,11 @@ def load_state(path: str | Path) -> TrustState:
             seed=int(cfg["seed"]),
         )
         kb = {
-            rec["isbn"]: TrueFact(
+            _text(rec["isbn"]): TrueFact(
                 object=rec["isbn"],
-                authors=list(rec["authors"]),
-                title=rec["title"],
-                publisher=rec["publisher"],
+                authors=_names(rec["authors"]),
+                title=_text(rec["title"]),
+                publisher=_text(rec["publisher"]),
                 price=float(rec["price"]),
             )
             for rec in doc["kb"]
@@ -393,7 +398,7 @@ def load_state(path: str | Path) -> TrustState:
         site_list = [
             Website(
                 id=int(rec["id"]),
-                url=rec["url"],
+                url=_text(rec["url"]),
                 trust=float(rec["trust"]),
                 fact_ids=set(rec["fact_ids"]),
             )
@@ -402,8 +407,8 @@ def load_state(path: str | Path) -> TrustState:
         fact_list = [
             FactRecord(
                 fact_id=int(rec["fact_id"]),
-                object=rec["isbn"],
-                authors=list(rec["authors"]),
+                object=_text(rec["isbn"]),
+                authors=_names(rec["authors"]),
                 providers=set(rec["providers"]),
                 unknown_object=bool(rec["unknown_object"]),
                 pcf=float(rec["pcf"]),
@@ -419,7 +424,7 @@ def load_state(path: str | Path) -> TrustState:
             for method, trusts in doc.get("method_trusts", {}).items()
         }
         epoch = int(doc["epoch"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
     _check_config(path, config)
     _check_unique(path, "website url", [site.url for site in site_list])
@@ -436,6 +441,19 @@ def load_state(path: str | Path) -> TrustState:
         config=config,
         method_trusts=method_trusts,
     )
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _names(value: object) -> list[str]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    "".join(value)  # raises TypeError on a name that is not a string
+    return value
 
 
 def _check_config(path: str | Path, config: EngineConfig) -> None:

@@ -1,6 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from functools import reduce
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcf_engine import cli, corpus
 
@@ -149,6 +161,11 @@ class TestRun:
             lambda d: d["config"].update(convergence_tol="nan"),
             # `run` would use the stored flag and `compare` would re-derive it.
             lambda d: d["facts"][0].update(unknown_object=not d["facts"][0]["unknown_object"]),
+            # Wrongly typed strings used to load and crash a later command.
+            lambda d: d["websites"][0].update(url=5),
+            lambda d: d["facts"][0].update(authors=[1, 2]),
+            lambda d: d["kb"][0].update(title=7),
+            lambda d: d["kb"][0].update(authors="abc"),
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
@@ -157,7 +174,8 @@ class TestRun:
             "duplicate-website-id", "duplicate-url", "duplicate-fact-id",
             "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
             "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol",
-            "unknown-object-flipped",
+            "unknown-object-flipped", "integer-url", "integer-author-names",
+            "integer-title", "string-author-list",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
@@ -370,3 +388,107 @@ class TestDeterminism:
         cli.main(["run", "--state", str(state_a), "--epochs", "4"])
         cli.main(["run", "--state", str(state_b), "--epochs", "4"])
         assert state_a.read_bytes() == state_b.read_bytes()
+
+
+class TestClosedStdout:
+    """A reader that stops early (`pcf compare ... | head`) is no input error."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_exits_0_quietly_after_writing_the_state(self, tmp_path, capsys, command):
+        args, kb, claims = gen_args(tmp_path, seed=3)
+        cli.main(args)
+        state_path = ingest(tmp_path, kb, claims)
+        before = state_path.read_bytes()
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pcf_engine.cli", command, "--state", str(state_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 0
+        assert state_path.read_bytes() != before
+        corpus.load_state(state_path)
+
+
+# Values of every JSON type, NaN and infinity included; a mutation puts one
+# of another type in place of a value of the state document.
+REPLACEMENTS = [
+    None, True, 0, -1, 7, 0.5, -1.5, math.nan, math.inf, "", "x", "1", [], [1], {}, {"a": 1},
+]
+
+
+def _paths(node, path=()):
+    """(path, is_key) for every leaf, and for every key of every object."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [(path, False)]
+    found = [] if node else [(path, False)]
+    for key, child in items:
+        if isinstance(node, dict):
+            found.append((path + (key,), True))
+        found += _paths(child, path + (key,))
+    return found
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A small `gen` state after ingest, run and compare, as a JSON document."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    args, kb, claims = gen_args(tmp_path, websites=5, objects=3, claims_per_site=2, seed=4)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+        state_path = ingest(tmp_path, kb, claims)
+        assert cli.main(["run", "--state", str(state_path)]) == 0
+        assert cli.main(["compare", "--state", str(state_path)]) == 0
+    doc = json.loads(state_path.read_text(encoding="utf-8"))
+    return doc, _paths(doc)
+
+
+class TestStateFuzz:
+    """A state document with one value of the wrong JSON type, or one key
+    missing, makes `run`, `compare` and `query` exit 0 or 2 (3 for a stale
+    `query` method), never with a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_state_never_escapes_an_exception(self, fuzz_base, data):
+        base, paths = fuzz_base
+        path, is_key = data.draw(st.sampled_from(paths), label="path")
+        doc = copy.deepcopy(base)
+        parent = reduce(lambda node, key: node[key], path[:-1], doc)
+        if is_key and data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            old = parent[path[-1]]
+            parent[path[-1]] = data.draw(
+                st.sampled_from([v for v in REPLACEMENTS if type(v) is not type(old)]),
+                label="value",
+            )
+        isbn = base["kb"][0]["isbn"]
+        method = data.draw(st.sampled_from(["pcf", "truthfinder", "voting"]), label="method")
+        commands = {
+            "run": [],
+            "compare": [],
+            "query": ["--needle", isbn, "--method", method],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            state_path = Path(tmp) / "state.json"
+            for command, extra in commands.items():
+                state_path.write_text(json.dumps(doc), encoding="utf-8")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--state", str(state_path), *extra])
+                allowed = {0, 2, 3} if command == "query" else {0, 2}
+                assert code in allowed, (command, code, err.getvalue())
+                if code:
+                    assert err.getvalue().startswith("error: ")

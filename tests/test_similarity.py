@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine, similarity
@@ -9,6 +9,112 @@ from conftest import CORE_ISBN, CORE_TRUTH, W2, core_java_claims, make_claim
 # Normalized-name strategy: lowercase words separated by single spaces.
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
 names = st.builds(" ".join, st.lists(words, min_size=1, max_size=4))
+
+
+def levenshtein_dp(a: str, b: str) -> int:
+    """Reference edit distance: the classic two-row dynamic program."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+def _reference_part_credit(claim_part, true_part):
+    if not claim_part:
+        return 0.0
+    if claim_part == true_part:
+        return 1.0
+    if claim_part in true_part or true_part in claim_part:
+        return 0.5
+    if levenshtein_dp(claim_part, true_part) <= 2:
+        return 0.5
+    return 0.0
+
+
+def _reference_weighted_name_score(claim_name, true_name):
+    true_parts = similarity.split_name_parts(true_name)
+    if not true_parts:
+        return 0.0
+    claim_parts = similarity.split_name_parts(claim_name)
+    total = 0.0
+    granted = 0.0
+    for part, value in true_parts.items():
+        weight = similarity._PART_WEIGHTS[part]
+        total += weight
+        granted += weight * _reference_part_credit(claim_parts.get(part), value)
+    return granted / total
+
+
+def reference_tf_name_score(claim_authors, true_authors):
+    """The weighted-name scorer as one function per (claim, true) pair over
+    the dynamic program, with no length prefilter and no shared splits."""
+    if not claim_authors or not true_authors:
+        return 0.0
+    total = 0.0
+    for claim_name in claim_authors:
+        total += max(_reference_weighted_name_score(claim_name, t) for t in true_authors)
+    return total / len(claim_authors)
+
+
+# Edit-distance text: repeats ("a" twice), non-ASCII and a space; short
+# strings or ones longer than 64 characters, one machine word.
+_chars = st.sampled_from("aabcé😀 ")
+texts = st.text(alphabet=_chars, max_size=12) | st.text(alphabet=_chars, min_size=60, max_size=140)
+
+
+@st.composite
+def edited(draw, text, max_edits=3):
+    """``text`` after up to ``max_edits`` random insertions, deletions and substitutions."""
+    chars = list(text)
+    for _ in range(draw(st.integers(0, max_edits))):
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op != "insert" and not chars:
+            continue
+        at = draw(st.integers(0, len(chars) - (op != "insert")))
+        if op == "delete":
+            del chars[at]
+        elif op == "insert":
+            chars.insert(at, draw(_chars))
+        else:
+            chars[at] = draw(_chars)
+    return "".join(chars)
+
+
+@st.composite
+def text_pairs(draw):
+    a = draw(texts)
+    b = draw(edited(a) | texts)
+    return a, b
+
+
+tokens = st.text(alphabet="abcdeé", min_size=1, max_size=9)
+true_names = st.builds(" ".join, st.lists(tokens, min_size=1, max_size=4))
+
+
+@st.composite
+def name_lists(draw):
+    """(claimed names, true names); most claims are true names whose tokens
+    are each up to three edits off, some with a token dropped."""
+    truth = draw(st.lists(true_names, min_size=1, max_size=3))
+    claims = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            claims.append(draw(true_names))
+            continue
+        parts = [draw(edited(token)) for token in draw(st.sampled_from(truth)).split()]
+        if len(parts) > 1 and draw(st.booleans()):
+            del parts[draw(st.integers(0, len(parts) - 1))]
+        claims.append(" ".join(parts))
+    return claims, truth
 
 
 class TestCharLength:
@@ -115,6 +221,34 @@ class TestLevenshtein:
     def test_symmetry_and_identity(self, a, b):
         assert similarity.levenshtein(a, b) == similarity.levenshtein(b, a)
         assert similarity.levenshtein(a, a) == 0
+
+
+class TestLevenshteinFastPath:
+    """The bit-parallel distance equals the dynamic program."""
+
+    @given(pair=text_pairs())
+    @example(pair=("", ""))
+    @example(pair=("", "é😀"))
+    @example(pair=("aaaa", "aa"))
+    @example(pair=("a" * 70, "a" * 69 + "b"))
+    @example(pair=("ab" * 40, "ba" * 40))
+    @example(pair=("é" * 65 + "😀", "😀" + "é" * 65))
+    def test_equals_the_dynamic_program(self, pair):
+        a, b = pair
+        assert similarity.levenshtein(a, b) == levenshtein_dp(a, b)
+
+
+class TestTfNameScoreReference:
+    """The scorer equals the per-pair formulation over the dynamic program."""
+
+    @given(lists=name_lists())
+    @example(lists=(["grame c simsio", "graeme c simsion"], ["graeme c simsion"]))
+    @example(lists=(["gr simsionnn", "x"], ["graeme simsion", "simsion"]))
+    # Two deletions: lengths two apart, two edits, neither a substring.
+    @example(lists=(["graeme smion"], ["graeme simsion"]))
+    def test_equals_the_reference_exactly(self, lists):
+        claims, truth = lists
+        assert similarity.tf_name_score(claims, truth) == reference_tf_name_score(claims, truth)
 
 
 class TestSplitNameParts:
