@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pcf_engine import baselines, cli, corpus, engine, generator
+from pcf_engine import baselines, bench, corpus, engine, generator
 
 
 def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed):
@@ -34,7 +34,7 @@ def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed):
 def epsilon_experiment(out_dir, seed):
     state = build_corpus(30, 20, 4, 0.5, seed)
     epsilons = [round(0.05 * i, 2) for i in range(11)]
-    rows = cli.epsilon_sweep(state, epsilons)
+    rows = bench.epsilon_sweep(state, epsilons)
     path = out_dir / "epsilon_sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -45,7 +45,7 @@ def epsilon_experiment(out_dir, seed):
 
 def scaling_experiment(out_dir, seed):
     sizes = [50, 100, 200, 400, 800]
-    rows = cli.scaling_bench(sizes, seed=seed)
+    rows = bench.scaling_bench(sizes, seed=seed)
     path = out_dir / "scaling.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

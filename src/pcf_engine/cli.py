@@ -3,28 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
 from dataclasses import replace
-from functools import reduce
-from itertools import combinations
-from operator import add
-from time import perf_counter
 
-from . import baselines, corpus, engine, generator, serp
+from . import baselines, bench, corpus, engine, generator, serp
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STALE = 3
-
-# Fixed shape for the scaling benchmark: objects scale with websites so the
-# per-object sibling count stays constant and total work stays linear.
-BENCH_CLAIMS_PER_SITE = 4
-BENCH_EPOCHS = 2
-BENCH_CORRUPTION = 0.3
-BENCH_REPEATS = 3
 
 
 def _positive_int(text: str) -> int:
@@ -77,74 +65,6 @@ def _epsilon_grid(text: str) -> list[float]:
         grid.append(round(value, 12))
         i += 1
     return grid
-
-
-def epsilon_sweep(
-    state: corpus.TrustState, epsilons: list[float]
-) -> list[tuple[float, float]]:
-    """Mean implication factor over all same-object fact pairs per epsilon.
-
-    Each unordered pair is counted once, oriented by ascending fact id.
-    """
-    pairs = [
-        (low.pcf, high.pcf)
-        for facts in state.facts_by_object().values()
-        for low, high in combinations(facts, 2)
-    ]
-
-    rows = []
-    for eps in epsilons:
-        if pairs:
-            factors = (engine.implication_factor(p1, p2, eps) for p1, p2 in pairs)
-            mean = reduce(add, factors, 0.0) / len(pairs)
-        else:
-            mean = 0.0
-        rows.append((eps, mean))
-    return rows
-
-
-def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float, float]]:
-    """Time corpus preparation and the scoring+epoch pipeline per corpus size.
-
-    Returns (n_websites, n_facts, data_seconds, engine_seconds) rows; the
-    engine column is the best of ``BENCH_REPEATS`` timed runs and excludes
-    all data generation and table building. As in ``timeit``, the garbage
-    collector is off while a repeat is timed, so a collection triggered by
-    an earlier allocation does not land in one size's timing.
-    """
-    config = corpus.EngineConfig(max_epochs=BENCH_EPOCHS, convergence_tol=0.0)
-    rows = []
-    for n in sizes:
-        spec = generator.GenSpec(
-            n_websites=n,
-            n_objects=n,
-            claims_per_site=BENCH_CLAIMS_PER_SITE,
-            corruption_rate=BENCH_CORRUPTION,
-            seed=seed,
-        )
-        t0 = perf_counter()
-        kb_records = generator.generate_kb(spec)
-        claims = generator.generate_claims(spec, kb_records)
-        kb = {book.object: book for book in kb_records}
-        n_facts = len(corpus.build_state(kb, claims).facts)
-        data_seconds = perf_counter() - t0
-
-        best = float("inf")
-        for _ in range(BENCH_REPEATS):
-            # The engine updates the state it runs on, so each repeat
-            # starts from a fresh one, built before the timer starts.
-            state = corpus.build_state(kb, claims, config)
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                t1 = perf_counter()
-                engine.run(engine.assign_pcf(state))
-                best = min(best, perf_counter() - t1)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        rows.append((n, n_facts, data_seconds, best))
-    return rows
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -246,13 +166,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if args.websites_list is not None:
         print("n_websites,n_facts,data_seconds,engine_seconds")
-        for n, facts, data_s, engine_s in scaling_bench(
+        for n, facts, data_s, engine_s in bench.scaling_bench(
             args.websites_list, seed=state.config.seed
         ):
             print(f"{n},{facts},{data_s:.6f},{engine_s:.6f}")
     if args.sweep_epsilon is not None:
         print("epsilon,mean_implication_factor")
-        for eps, mean in epsilon_sweep(state, args.sweep_epsilon):
+        for eps, mean in bench.epsilon_sweep(state, args.sweep_epsilon):
             print(f"{eps},{mean:.12f}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pcf_engine import baselines, cli, corpus, engine, generator, similarity
+from pcf_engine import baselines, bench, cli, corpus, engine, generator, similarity
 
 from conftest import CORE_TRUTH, W1, W2, core_java_claims, make_claim
 
@@ -168,7 +168,7 @@ def test_5_epsilon_sweep_trend(capsys):
                 assert fact.pcf - state.facts[sid].pcf < 0
 
         epsilons = [round(0.05 * i, 2) for i in range(11)]
-        rows = cli.epsilon_sweep(state, epsilons)
+        rows = bench.epsilon_sweep(state, epsilons)
         xs = np.array([eps for eps, _ in rows])
         ys = np.array([mean for _, mean in rows])
         slope = np.polyfit(xs, ys, 1)[0]
@@ -179,7 +179,7 @@ def test_5_epsilon_sweep_trend(capsys):
 def test_6_linear_scaling_trend(capsys):
     with criterion(capsys, 6, "engine time linear in website count"):
         started = perf_counter()
-        rows = cli.scaling_bench([50, 100, 200, 400, 800], seed=7)
+        rows = bench.scaling_bench([50, 100, 200, 400, 800], seed=7)
         elapsed = perf_counter() - started
         assert elapsed < 60.0
         xs = np.array([n for n, _, _, _ in rows], dtype=float)

@@ -34,6 +34,18 @@ def gen_args(tmp_path, websites=6, objects=4, claims_per_site=2, corruption=0.5,
     ], kb, claims
 
 
+def _unknown_object_as_string(doc):
+    """Make every fact's ISBN unknown, and write one fact's true flag as "no"."""
+    doc["kb"].clear()
+    for fact in doc["facts"]:
+        fact["unknown_object"] = True
+    doc["facts"][0]["unknown_object"] = "no"
+
+
+def _ids_as_floats(record, key):
+    record[key] = [float(i) for i in record[key]]
+
+
 def ingest(tmp_path, kb, claims):
     state = tmp_path / "state.json"
     code = cli.main(
@@ -166,6 +178,14 @@ class TestRun:
             lambda d: d["facts"][0].update(authors=[1, 2]),
             lambda d: d["kb"][0].update(title=7),
             lambda d: d["kb"][0].update(authors="abc"),
+            # Wrongly typed numbers and flags used to be coerced.
+            lambda d: d["websites"][0].update(id=1.5),
+            lambda d: d["websites"][0].update(trust=True),
+            lambda d: d.update(epoch="3"),
+            _unknown_object_as_string,
+            lambda d: _ids_as_floats(d["facts"][0], "providers"),
+            lambda d: _ids_as_floats(d["websites"][0], "fact_ids"),
+            lambda d: d["kb"][0].update(price=math.nan),
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
@@ -175,7 +195,9 @@ class TestRun:
             "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
             "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol",
             "unknown-object-flipped", "integer-url", "integer-author-names",
-            "integer-title", "string-author-list",
+            "integer-title", "string-author-list", "fractional-website-id",
+            "boolean-trust", "string-epoch", "string-unknown-object", "float-provider-ids",
+            "float-fact-ids", "nan-price",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

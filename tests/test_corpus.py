@@ -1,12 +1,129 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
 
 from conftest import CORE_ISBN, W1, core_java_claims, make_claim, write_core_fixture
+
+
+def state_document(state: corpus.TrustState) -> dict:
+    """Reference state document: what ``save_state`` writes, through ``json.dumps``."""
+    return {
+        "pcf_state_version": corpus.STATE_SCHEMA_VERSION,
+        "epoch": state.epoch,
+        "config": {
+            "epsilon": state.config.epsilon,
+            "convergence_tol": state.config.convergence_tol,
+            "max_epochs": state.config.max_epochs,
+            "confidence_clamp": state.config.confidence_clamp,
+            "seed": state.config.seed,
+        },
+        "kb": [
+            {
+                "isbn": tf.object,
+                "title": tf.title,
+                "authors": tf.authors,
+                "publisher": tf.publisher,
+                "price": tf.price,
+            }
+            for tf in (state.kb[k] for k in sorted(state.kb))
+        ],
+        "websites": [
+            {
+                "id": w.id,
+                "url": w.url,
+                "trust": w.trust,
+                "fact_ids": sorted(w.fact_ids),
+            }
+            for w in sorted(state.websites.values(), key=lambda w: w.id)
+        ],
+        "facts": [
+            {
+                "fact_id": f.fact_id,
+                "isbn": f.object,
+                "authors": f.authors,
+                "providers": sorted(f.providers),
+                "unknown_object": f.unknown_object,
+                "pcf": f.pcf,
+                "confidence": f.confidence,
+                "adjusted_confidence": f.adjusted_confidence,
+                "confidence_score": f.confidence_score,
+                "adjusted_score": f.adjusted_score,
+            }
+            for f in (state.facts[k] for k in sorted(state.facts))
+        ],
+        "method_trusts": {
+            method: dict(sorted(trusts.items()))
+            for method, trusts in sorted(state.method_trusts.items())
+        },
+    }
+
+
+# Text with what JSON must escape or may spell two ways: quotes, backslashes,
+# control characters, non-ASCII letters, an emoji, the JS line separator.
+texts = st.text(
+    alphabet=st.sampled_from(list('ab "\\/\x00\x1f\x7f\n\té€😀\u2028')) | st.characters(),
+    max_size=8,
+)
+# Floats whose shortest repr is an edge case, any finite float, and ints,
+# which json.dumps writes without a decimal point.
+numbers = (
+    st.sampled_from([5e-324, 1e-10, 0.1 + 0.2, -0.0, 1e16])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(10**20), 10**20)
+)
+ids = st.integers(-3, 10**9)
+
+
+@st.composite
+def library_states(draw):
+    """A TrustState built through the library; its links need not be consistent."""
+    kb = {
+        isbn: corpus.TrueFact(
+            isbn, draw(st.lists(texts, max_size=3)), draw(texts), draw(texts), draw(numbers)
+        )
+        for isbn in draw(st.lists(texts, max_size=3, unique=True))
+    }
+    websites = {
+        url: corpus.Website(draw(ids), url, draw(numbers), set(draw(st.lists(ids, max_size=3))))
+        for url in draw(st.lists(texts, max_size=3, unique=True))
+    }
+    facts = {
+        fact_id: corpus.FactRecord(
+            fact_id,
+            draw(texts),
+            draw(st.lists(texts, max_size=3)),
+            set(draw(st.lists(ids, max_size=3))),
+            draw(st.booleans()),
+            *(draw(numbers) for _ in range(5)),
+        )
+        for fact_id in draw(st.lists(ids, max_size=3, unique=True))
+    }
+    config = corpus.EngineConfig(
+        draw(numbers), draw(numbers), draw(ids), draw(numbers), draw(ids)
+    )
+    method_trusts = draw(
+        st.dictionaries(texts, st.dictionaries(texts, numbers, max_size=3), max_size=3)
+    )
+    return corpus.TrustState(websites, facts, kb, draw(ids), config, method_trusts)
+
+
+def _edge_state(method_trusts):
+    """An empty KB, a site with no facts, a fact, and the given trust tables."""
+    return corpus.TrustState(
+        websites={
+            "http://é.example/\"q\"": corpus.Website(1, "http://é.example/\"q\"", 1),
+            "\\😀\x01": corpus.Website(2, "\\😀\x01", 0.1 + 0.2, {7}),
+        },
+        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, True, 5e-324, 1e-10, -0.0, 1e16)},
+        method_trusts=method_trusts,
+    )
 
 
 class TestNormalizeName:
@@ -256,11 +373,34 @@ class TestPersistence:
         assert path.read_bytes() == before
         # A failure while the text is being written out: a lone surrogate
         # cannot be encoded as UTF-8.
-        monkeypatch.setattr(corpus.json, "dumps", lambda *a, **k: '{"x": "\ud800"}')
+        monkeypatch.setattr(corpus, "_state_text", lambda state: '{"x": "\ud800"}')
         with pytest.raises(UnicodeEncodeError):
             corpus.save_state(corpus.TrustState(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_not_saved(self, tmp_path, core_java_state, value):
+        path = tmp_path / "state.json"
+        state = engine.assign_pcf(core_java_state)
+        corpus.save_state(state, path)
+        before = path.read_bytes()
+        state.websites[W1].trust = value
+        with pytest.raises(ValueError, match="non-finite"):
+            corpus.save_state(state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    @settings(deadline=None)  # each example writes and reads a file
+    @given(state=library_states())
+    @example(state=_edge_state({}))
+    @example(state=_edge_state({"pcf": {}, "voting": {"\\😀\x01": 1, "é": 0.5}}))
+    def test_file_is_byte_identical_to_json_dumps(self, state):
+        expected = json.dumps(state_document(state), sort_keys=True, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            corpus.save_state(state, path)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_corrupted_file_raises_schema_error(self, tmp_path):
         path = tmp_path / "state.json"
