@@ -62,10 +62,11 @@ def methods_experiment(out_dir, seed):
         writer.writerow(["corruption_rate", "voting_mean", "truthfinder_mean", "pcf_mean"])
         for rate in (0.0, 0.3, 0.6):
             state = build_corpus(40, 40, 6, rate, seed)
+            ix = engine.build_index(state)
             results = {
-                "voting": baselines.voting_run(state),
-                "truthfinder": baselines.truthfinder_run(state, one_epoch),
-                "pcf": baselines.pcf_run(state, one_epoch),
+                "voting": baselines.voting_run(state, ix),
+                "truthfinder": baselines.truthfinder_run(state, ix, one_epoch),
+                "pcf": baselines.pcf_run(state, ix, one_epoch),
             }
             means = {
                 name: sum(r.trusts.values()) / len(r.trusts)

@@ -19,19 +19,20 @@ from .corpus import (
     save_state,
 )
 from .engine import (
-    EpochPlan,
     EpochReport,
     ImplicationTerm,
+    Index,
     adjust_confidence,
     adjust_group,
     assign_pcf,
-    build_plan,
+    build_index,
     confidence_score,
     damp,
     fact_confidence,
     implication_factor,
     run,
     run_epoch,
+    run_epochs,
 )
 from .generator import GenSpec, generate_claims, generate_kb
 from .serp import SerpRow, StaleMethodError, query, rank_websites, serp_tsv

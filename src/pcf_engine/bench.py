@@ -25,10 +25,11 @@ def epsilon_sweep(
 
     Each unordered pair is counted once, oriented by ascending fact id.
     """
+    ix = engine.build_index(state)
     pairs = [
-        (low.pcf, high.pcf)
-        for facts in state.facts_by_object().values()
-        for low, high in combinations(facts, 2)
+        (ix.facts[low].pcf, ix.facts[high].pcf)
+        for group in ix.groups
+        for low, high in combinations(group, 2)
     ]
 
     rows = []

@@ -118,21 +118,18 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     state = corpus.load_state(args.state)
-    results = [
-        baselines.voting_run(state),
-        baselines.truthfinder_run(state),
-        baselines.pcf_run(state),
-    ]
-    for result in results:
-        state.method_trusts[result.method] = dict(result.trusts)
+    ix = engine.build_index(state)
+    for method_run in (baselines.voting_run, baselines.truthfinder_run, baselines.pcf_run):
+        result = method_run(state, ix)
+        state.method_trusts[result.method] = result.trusts
     corpus.save_state(state, args.state)
 
-    by_method = {result.method: result.trusts for result in results}
+    tables = state.method_trusts
     print("url,voting,truthfinder,pcf")
     for url in sorted(state.websites):
         print(
-            f"{url},{by_method['voting'][url]:.6f},"
-            f"{by_method['truthfinder'][url]:.6f},{by_method['pcf'][url]:.6f}"
+            f"{url},{tables['voting'][url]:.6f},"
+            f"{tables['truthfinder'][url]:.6f},{tables['pcf'][url]:.6f}"
         )
     return EXIT_OK
 

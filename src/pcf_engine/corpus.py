@@ -105,7 +105,7 @@ class EngineConfig:
 
 @dataclass
 class TrustState:
-    """Full engine state. The engine updates it in place, epoch by epoch."""
+    """Full engine state. ``engine.run`` updates it in place."""
 
     websites: dict[str, Website] = field(default_factory=dict)
     facts: dict[int, FactRecord] = field(default_factory=dict)
@@ -115,14 +115,6 @@ class TrustState:
     # Per-method url->trust tables recorded by engine/baseline runs; queries
     # against a method that has no entry here fail as stale.
     method_trusts: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def facts_by_object(self) -> dict[ObjectId, list[FactRecord]]:
-        """Facts grouped by object; groups and objects in ascending fact id."""
-        groups: dict[ObjectId, list[FactRecord]] = {}
-        for fact_id in sorted(self.facts):
-            fact = self.facts[fact_id]
-            groups.setdefault(fact.object, []).append(fact)
-        return groups
 
 
 def canonical_authors(authors: list[str]) -> tuple[str, ...]:
@@ -439,8 +431,10 @@ def load_state(path: str | Path) -> TrustState:
     Types are checked, not coerced: ids, ``epoch``, ``max_epochs`` and
     ``seed`` must be ints; other numbers ints or floats, not bools, and
     never NaN or Infinity; ``unknown_object`` a bool; urls, ISBNs, titles,
-    publishers and author names strings. A malformed document, a wrongly
-    typed field or an inconsistent one raises :class:`StateError`.
+    publishers and author names strings. Trusts, method-table trusts
+    included, and probabilities lie in [0, 1]; KB prices and log scores are
+    finite and non-negative. A malformed document, a wrongly typed field, one
+    out of range or an inconsistent one raises :class:`StateError`.
     """
     try:
         doc = json.loads(
@@ -475,7 +469,7 @@ def load_state(path: str | Path) -> TrustState:
                 _names(rec["authors"]),
                 _text(rec["title"]),
                 _text(rec["publisher"]),
-                _number(rec["price"]),
+                _price(rec["price"]),
             )
             for rec in doc["kb"]
         }
@@ -504,12 +498,14 @@ def load_state(path: str | Path) -> TrustState:
             for rec in doc["facts"]
         ]
         method_trusts = {
-            method: {url: _number(t) for url, t in trusts.items()}
+            method: {url: _trust(t) for url, t in trusts.items()}
             for method, trusts in doc.get("method_trusts", {}).items()
         }
         epoch = _int(doc["epoch"])
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
+    except ValueError as exc:
+        raise StateError(f"{path}: {exc}")
     _check_config(path, config)
     _check_unique(path, "website url", [site.url for site in site_list])
     _check_unique(path, "website id", [site.id for site in site_list])
@@ -544,6 +540,20 @@ def _number(value: object) -> float:
     if type(value) is int:
         return float(value)
     raise TypeError(f"expected a number, got {value!r}")
+
+
+def _price(value: object) -> float:
+    number = _number(value)
+    if 0.0 <= number < math.inf:
+        return number
+    raise ValueError(f"KB price {value!r} is negative or not finite")
+
+
+def _trust(value: object) -> float:
+    number = _number(value)
+    if 0.0 <= number <= 1.0:
+        return number
+    raise ValueError(f"method trust {value!r} outside [0, 1]")
 
 
 def _flag(value: object) -> bool:
@@ -594,10 +604,12 @@ def _check_state(
     facts: dict[int, FactRecord],
     kb: dict[ObjectId, TrueFact],
 ) -> None:
-    """Reject values outside [0, 1] (NaN too) and inconsistent records.
+    """Reject values out of range (NaN too) and inconsistent records.
 
-    Inconsistent: an unmirrored website-fact link, a link whose id is not an
-    int, or an ``unknown_object`` flag that disagrees with the knowledge base.
+    Out of range: a trust or probability outside [0, 1], a log score that is
+    negative or not finite. Inconsistent: a fact no website provides, an
+    unmirrored website-fact link, a link whose id is not an int, or an
+    ``unknown_object`` flag that disagrees with the knowledge base.
     """
     fact_ids_of: dict[int, set[int]] = {}
     links = 0
@@ -615,6 +627,12 @@ def _check_state(
             and 0.0 <= fact.adjusted_confidence <= 1.0
         ):
             raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
+        if not (
+            0.0 <= fact.confidence_score < math.inf and 0.0 <= fact.adjusted_score < math.inf
+        ):
+            raise StateError(f"{path}: fact {fact.fact_id}: a log score is negative or not finite")
+        if not fact.providers:
+            raise StateError(f"{path}: fact {fact.fact_id}: no website provides it")
         if fact.unknown_object == (fact.object in kb):
             raise StateError(
                 f"{path}: fact {fact.fact_id}: unknown_object {fact.unknown_object}"

@@ -1,6 +1,6 @@
 """The trust/confidence/implication iteration.
 
-The engine updates the state it is given and returns that same object;
+``run`` updates the state it is given and returns that same object;
 callers that need the original keep a deep copy of it first. One epoch
 runs three stages:
 
@@ -14,16 +14,17 @@ runs three stages:
 Iteration order is ascending website/fact id everywhere, so results are
 bit-identical run to run.
 
-``run`` compiles the state once into an :class:`EpochPlan`: sites and facts
-in id order, each with its own facts or providers, and each object's facts
-as a sibling group, all in ascending id and holding the state's own
-records. Every epoch then walks those tuples with no sorting or regrouping.
-The confidence stage calls ``fact_confidence`` on each fact's providers, and
-the implication stage is ``adjust_group``, a flat loop over each group's
-(pcf, confidence) pairs. ``implication_terms`` and ``adjust_confidence`` are
-the readable reference for the implication arithmetic: ``adjust_group``
-performs the same float operations in the same order, so its results equal
-theirs bit for bit. ``run`` takes its length from ``state.config``.
+``build_index`` compiles a state once into an :class:`Index`: its records in
+id order and their links as positions. An epoch, ``run_epoch``, is a
+function over float vectors indexed by those positions and touches no
+record. ``run`` reads the records into vectors once, runs the epochs through
+``run_epochs`` and writes the results back once; the baselines call
+``run_epochs`` on vectors of their own. The confidence stage calls
+``fact_confidence`` on each fact's provider trusts, and the implication
+stage is ``adjust_group``, a flat loop over each group's (pcf, confidence)
+pairs. ``implication_terms`` and ``adjust_confidence`` are the readable
+reference for the implication arithmetic: ``adjust_group`` performs the same
+float operations in the same order, so its results equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ from itertools import chain
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .corpus import FactRecord, TrustState, Website
-from .similarity import Scorer, fact_pcf
+from .corpus import EngineConfig, FactRecord, TrustState, Website
+from .similarity import fact_pcf
 
 # Absolute tolerance for detecting the delta == epsilon implication case.
 CASE2_TOL = 1e-9
+
+# One float per site or per fact, in the order of an Index's sites or facts.
+Vector = list[float]
 
 
 @dataclass(frozen=True)
@@ -60,70 +64,71 @@ class EpochReport:
     trust_seconds: float
     confidence_seconds: float
     implication_seconds: float
-    # The whole epoch, building the plan included when run_epoch builds it.
+    # The whole run_epoch call.
     epoch_seconds: float
 
 
 @dataclass(frozen=True)
-class EpochPlan:
-    """A state's records in the order an epoch visits them.
+class Index:
+    """A state's records in ascending id, and their links as positions into them.
 
-    ``sites`` pairs each website, in ascending id, with its facts in
-    ascending fact id; ``facts`` pairs each fact, in ascending id, with its
-    providers in ascending site id; ``groups`` holds each object's facts in
-    ascending fact id, objects in the order of their smallest fact id. The
-    plan references the state's own records, so it stays valid across
-    epochs, which change only trusts and fact scores, and goes stale if
-    records or their links are added, removed or replaced.
+    ``site_facts[i]`` holds site ``i``'s facts and ``fact_providers[k]`` fact
+    ``k``'s providers, ascending; ``groups`` holds each object's facts,
+    objects in the order of their smallest fact id; ``known[k]`` says whether
+    fact ``k``'s object is in the KB. Epochs change no record or link.
     """
 
-    sites: tuple[tuple[Website, tuple[FactRecord, ...]], ...]
-    facts: tuple[tuple[FactRecord, tuple[Website, ...]], ...]
-    groups: tuple[tuple[FactRecord, ...], ...]
+    sites: tuple[Website, ...]
+    facts: tuple[FactRecord, ...]
+    site_facts: tuple[tuple[int, ...], ...]
+    fact_providers: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[int, ...], ...]
+    known: tuple[bool, ...]
 
 
-def build_plan(state: TrustState) -> EpochPlan:
-    """Compile ``state`` into the id-ordered plan that ``run_epoch`` walks."""
-    facts = state.facts
-    by_id = {w.id: w for w in state.websites.values()}
-    return EpochPlan(
-        sites=tuple(
-            (site, tuple(facts[fid] for fid in sorted(site.fact_ids)))
-            for site in sorted(state.websites.values(), key=lambda w: w.id)
-        ),
-        facts=tuple(
-            (facts[fid], tuple(by_id[pid] for pid in sorted(facts[fid].providers)))
-            for fid in sorted(facts)
-        ),
-        groups=tuple(tuple(group) for group in state.facts_by_object().values()),
+def build_index(state: TrustState) -> Index:
+    """Compile ``state`` into the index that epochs and the baselines walk."""
+    sites = sorted(state.websites.values(), key=lambda w: w.id)
+    facts = [state.facts[fid] for fid in sorted(state.facts)]
+    site_at = {site.id: i for i, site in enumerate(sites)}
+    fact_at = {fact.fact_id: k for k, fact in enumerate(facts)}
+    groups: dict[str, list[int]] = {}
+    for k, fact in enumerate(facts):
+        groups.setdefault(fact.object, []).append(k)
+    return Index(
+        sites=tuple(sites),
+        facts=tuple(facts),
+        site_facts=tuple(tuple(sorted(map(fact_at.__getitem__, s.fact_ids))) for s in sites),
+        fact_providers=tuple(tuple(sorted(map(site_at.__getitem__, f.providers))) for f in facts),
+        groups=tuple(map(tuple, groups.values())),
+        known=tuple(fact.object in state.kb for fact in facts),
     )
 
 
-def assign_pcf(state: TrustState, score: Scorer = fact_pcf) -> TrustState:
+def assign_pcf(state: TrustState) -> TrustState:
     """Score every fact's probability of correctness against the KB.
 
-    ``score(claimed_authors, true_authors)`` gives the probability; the
-    weighted-name baseline passes its own matcher. Facts for objects
-    missing from the knowledge base are flagged and get probability 0. The
-    scores depend only on the KB, so they stay fixed across epochs.
+    Facts for objects missing from the knowledge base are flagged and get
+    probability 0. The scores depend only on the KB, so they stay fixed
+    across epochs.
     """
     for fact in state.facts.values():
         truth = state.kb.get(fact.object)
         fact.unknown_object = truth is None
-        fact.pcf = score(fact.authors, truth.authors) if truth else 0.0
+        fact.pcf = fact_pcf(fact.authors, truth.authors) if truth else 0.0
     return state
 
 
-def fact_confidence(providers: Iterable[Website], clamp: float) -> float:
+def fact_confidence(trusts: Iterable[float], clamp: float) -> float:
     """Confidence that a fact is correct given its providers' trusts.
 
-    s(f) = 1 - prod(1 - t(w)) over ``providers``, multiplied in the order
-    given (the plan's ascending site id), clamped to 1 - ``clamp`` so a
+    s(f) = 1 - prod(1 - t(w)) over ``trusts``, multiplied in the order
+    given (the index's ascending site id), clamped to 1 - ``clamp`` so a
     fully trusted provider still yields a finite log score.
     """
     product = 1.0
-    for site in providers:
-        product *= 1.0 - site.trust
+    for trust in trusts:
+        product *= 1.0 - trust
     return min(1.0 - product, 1.0 - clamp)
 
 
@@ -198,17 +203,24 @@ def damp(s_prime: float) -> float:
     return value
 
 
-def adjust_group(group: Sequence[FactRecord], epsilon: float, clamp: float) -> None:
-    """Stage 3 for one object: set each fact's adjusted confidence and score.
+def adjust_group(
+    group: Sequence[int],
+    pcf: Vector,
+    confidence: Vector,
+    adjusted: Vector,
+    epsilon: float,
+    clamp: float,
+) -> None:
+    """Stage 3 for one object: set ``adjusted`` at each of its fact positions.
 
-    ``group`` is the object's facts in ascending fact id. Each fact's total
+    ``group`` holds the positions in ascending fact id. Each fact's total
     starts at its own confidence and adds factor * confidence for every
     sibling in ascending id, with ``implication_factor`` inlined; then comes
     ``damp`` and the clamp to 1 - ``clamp``. These are the float operations
     of ``adjust_confidence``, in its order, so the results are equal.
     """
     ceiling = 1.0 - clamp
-    scores = [(f.pcf, f.confidence) for f in group]
+    scores = [(pcf[k], confidence[k]) for k in group]
     for i, (p1, total) in enumerate(scores):
         for p2, s in chain(scores[:i], scores[i + 1 :]):
             delta = p1 - p2
@@ -216,21 +228,17 @@ def adjust_group(group: Sequence[FactRecord], epsilon: float, clamp: float) -> N
                 total += epsilon * s
             else:
                 total += abs(epsilon - delta) * s
-        fact = group[i]
-        fact.adjusted_confidence = min(damp(total), ceiling)
-        fact.adjusted_score = confidence_score(fact.adjusted_confidence)
+        adjusted[group[i]] = min(damp(total), ceiling)
 
 
 def run_epoch(
-    state: TrustState, plan: EpochPlan | None = None
-) -> tuple[TrustState, EpochReport]:
-    """Execute one full three-stage pass on ``state``; returns it and a report.
-
-    ``plan`` is ``build_plan(state)``, which ``run`` builds once for all its
-    epochs; without one the epoch builds its own.
+    ix: Index, config: EngineConfig, epoch: int, pcf: Vector, trust: Vector, adjusted: Vector
+) -> tuple[tuple[Vector, Vector, Vector], EpochReport]:
+    """One three-stage pass; returns new (trust, confidence, adjusted) vectors
+    and the report of epoch number ``epoch``, leaving its inputs alone.
 
     Trust stage: a website still at trust zero takes the initial branch, the
-    mean stored probability of its facts on known objects (equal to its
+    mean probability of its facts on known objects (equal to its
     claim-to-truth similarity); otherwise trust is the mean adjusted
     confidence of all its facts from the previous epoch. Websites with no
     facts keep their trust. Means add left to right from 0.0, so they do not
@@ -243,70 +251,89 @@ def run_epoch(
     that is a separate decision about the method, not about this code.
     """
     t0 = perf_counter()
-    if plan is None:
-        plan = build_plan(state)
-    cfg = state.config
-
-    t1 = perf_counter()
+    known = ix.known
+    new_trust = []
     max_delta = 0.0
-    for site, own in plan.sites:
-        old = site.trust
+    for old, own in zip(trust, ix.site_facts):
         if not own:
             new = old
         elif old == 0.0:
             total = 0.0
-            known = 0
-            for fact in own:
-                if not fact.unknown_object:
-                    total += fact.pcf
-                    known += 1
-            new = total / known if known else 0.0
+            count = 0
+            for k in own:
+                if known[k]:
+                    total += pcf[k]
+                    count += 1
+            new = total / count if count else 0.0
         else:
             total = 0.0
-            for fact in own:
-                total += fact.adjusted_confidence
+            for k in own:
+                total += adjusted[k]
             new = total / len(own)
-        site.trust = new
+        new_trust.append(new)
         max_delta = max(max_delta, abs(new - old))
+    t1 = perf_counter()
+
+    clamp = config.confidence_clamp
+    at = new_trust.__getitem__
+    confidence = [fact_confidence(map(at, providers), clamp) for providers in ix.fact_providers]
     t2 = perf_counter()
 
-    for fact, providers in plan.facts:
-        fact.confidence = fact_confidence(providers, cfg.confidence_clamp)
-        fact.confidence_score = confidence_score(fact.confidence)
+    new_adjusted = [0.0] * len(confidence)
+    for group in ix.groups:
+        adjust_group(group, pcf, confidence, new_adjusted, config.epsilon, clamp)
     t3 = perf_counter()
 
-    for group in plan.groups:
-        adjust_group(group, cfg.epsilon, cfg.confidence_clamp)
-    t4 = perf_counter()
-
-    state.epoch += 1
     report = EpochReport(
-        epoch=state.epoch,
+        epoch=epoch,
         max_trust_delta=max_delta,
-        converged=max_delta < cfg.convergence_tol,
-        trust_seconds=t2 - t1,
-        confidence_seconds=t3 - t2,
-        implication_seconds=t4 - t3,
+        converged=max_delta < config.convergence_tol,
+        trust_seconds=t1 - t0,
+        confidence_seconds=t2 - t1,
+        implication_seconds=t3 - t2,
         epoch_seconds=perf_counter() - t0,
     )
-    return state, report
+    return (new_trust, confidence, new_adjusted), report
+
+
+def run_epochs(
+    ix: Index, config: EngineConfig, epoch: int, pcf: Vector, trust: Vector, adjusted: Vector
+) -> tuple[Vector, Vector, Vector, list[EpochReport]]:
+    """Repeat ``run_epoch`` after epoch number ``epoch``; returns its last vectors and all reports.
+
+    At most ``config.max_epochs`` epochs, stopping early once an epoch's
+    largest trust change is below ``convergence_tol``. A tolerance of 0 runs
+    exactly ``max_epochs`` epochs.
+    """
+    if config.max_epochs < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {config.max_epochs}")
+    reports: list[EpochReport] = []
+    for number in range(epoch + 1, epoch + 1 + config.max_epochs):
+        (trust, confidence, adjusted), report = run_epoch(ix, config, number, pcf, trust, adjusted)
+        reports.append(report)
+        if report.max_trust_delta < config.convergence_tol:
+            break
+    return trust, confidence, adjusted, reports
 
 
 def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
-    """Repeat epochs on ``state`` until the largest trust change drops below tolerance.
+    """``run_epochs`` on vectors read from ``state``'s records, written back after the last epoch.
 
-    ``state.config`` gives the length: at most ``max_epochs`` epochs,
-    stopping early once an epoch's largest trust change is below
-    ``convergence_tol``. A tolerance of 0 runs exactly ``max_epochs`` epochs.
+    The write-back sets every trust, confidence and adjusted confidence, and
+    the two log scores; ``state.epoch`` counts the epochs.
     """
-    cfg = state.config
-    if cfg.max_epochs < 1:
-        raise ValueError(f"max_epochs must be at least 1, got {cfg.max_epochs}")
-    plan = build_plan(state)
-    reports: list[EpochReport] = []
-    for _ in range(cfg.max_epochs):
-        state, report = run_epoch(state, plan)
-        reports.append(report)
-        if report.max_trust_delta < cfg.convergence_tol:
-            break
+    ix = build_index(state)
+    pcf = [fact.pcf for fact in ix.facts]
+    adjusted = [fact.adjusted_confidence for fact in ix.facts]
+    trust, confidence, adjusted, reports = run_epochs(
+        ix, state.config, state.epoch, pcf, [site.trust for site in ix.sites], adjusted
+    )
+    for site, t in zip(ix.sites, trust):
+        site.trust = t
+    for fact, s, a in zip(ix.facts, confidence, adjusted):
+        fact.confidence = s
+        fact.confidence_score = confidence_score(s)
+        fact.adjusted_confidence = a
+        fact.adjusted_score = confidence_score(a)
+    state.epoch += len(reports)
     return state, reports

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from pcf_engine import corpus
+from pcf_engine import corpus, engine
 
 CORE_ISBN = "8131701621"
 CORE_TRUTH = ["cay s horstmenn", "gary cornell"]
@@ -64,3 +65,14 @@ def write_core_fixture(tmp_path):
         encoding="utf-8",
     )
     return kb_path, claims_path
+
+
+def one_epoch(state):
+    """Exactly one epoch of ``engine.run`` on ``state``; returns the state and its report."""
+    config = state.config
+    state.config = replace(config, max_epochs=1)
+    try:
+        state, (report,) = engine.run(state)
+    finally:
+        state.config = config
+    return state, report

@@ -14,7 +14,7 @@ from scipy import stats
 
 from pcf_engine import baselines, bench, cli, corpus, engine, generator, similarity
 
-from conftest import CORE_TRUTH, W1, W2, core_java_claims, make_claim
+from conftest import CORE_TRUTH, W1, W2, core_java_claims, make_claim, one_epoch
 
 ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
@@ -43,7 +43,7 @@ def test_1_worked_example_golden(capsys, core_java_kb):
         assert name_scores == pytest.approx([1.0, 0.33333, 0.6, 0.41667], abs=1e-3)
 
         state = engine.assign_pcf(corpus.build_state(core_java_kb, core_java_claims()))
-        state, _ = engine.run_epoch(state)
+        state, _ = one_epoch(state)
         assert state.websites[W2].trust == pytest.approx(0.50833, abs=1e-3)
         assert state.websites[W1].trust == pytest.approx(0.66667, abs=1e-3)
         assert perf_counter() - started < 1.0
@@ -87,7 +87,7 @@ def test_3_exact_copy_trust_is_one(capsys):
                         )
                     )
             state = engine.assign_pcf(corpus.build_state(kb, claims))
-            state, _ = engine.run_epoch(state)
+            state, _ = one_epoch(state)
             for url in exact_sites:
                 assert state.websites[url].trust == 1.0
 
@@ -126,13 +126,13 @@ def test_4_probability_bounds_suite(capsys):
 
             # Confidence is monotone in any single provider trust.
             clamp = state.config.confidence_clamp
-            _, providers = engine.build_plan(state).facts[rng.randrange(len(state.facts))]
-            base = engine.fact_confidence(providers, clamp)
-            bumped = rng.choice(providers)
-            old_trust = bumped.trust
-            bumped.trust = min(1.0, old_trust + rng.random())
-            assert engine.fact_confidence(providers, clamp) >= base
-            bumped.trust = old_trust
+            ix = engine.build_index(state)
+            providers = ix.fact_providers[rng.randrange(len(ix.facts))]
+            trusts = [ix.sites[p].trust for p in providers]
+            base = engine.fact_confidence(trusts, clamp)
+            bumped = rng.randrange(len(trusts))
+            trusts[bumped] = min(1.0, trusts[bumped] + rng.random())
+            assert engine.fact_confidence(trusts, clamp) >= base
 
             # Pair-sum identity for |delta| <= epsilon, away from the
             # delta == epsilon carve-out which returns epsilon by design.
@@ -225,7 +225,7 @@ def test_7_method_comparison_substitute(capsys):
         # sites, corruption rate and epoch-1 trust anticorrelate strongly.
         for seed in (0, 1, 2):
             state, rates = _per_site_corruption_corpus(seed)
-            result = baselines.pcf_run(state, ONE_EPOCH)
+            result = baselines.pcf_run(state, engine.build_index(state), ONE_EPOCH)
             urls = sorted(rates)
             rho = stats.spearmanr(
                 [rates[u] for u in urls], [result.trusts[u] for u in urls]
@@ -242,9 +242,10 @@ def test_7_method_comparison_substitute(capsys):
             make_claim("http://mangled-b.com", "100", ["graeme simsio"]),
         ]
         state = corpus.build_state(kb, claims)
-        pcf = baselines.pcf_run(state, ONE_EPOCH)
-        tf = baselines.truthfinder_run(state, ONE_EPOCH)
-        voting = baselines.voting_run(state)
+        ix = engine.build_index(state)
+        pcf = baselines.pcf_run(state, ix, ONE_EPOCH)
+        tf = baselines.truthfinder_run(state, ix, ONE_EPOCH)
+        voting = baselines.voting_run(state, ix)
         for url in ("http://mangled-a.com", "http://mangled-b.com"):
             assert pcf.trusts[url] == 0.0
             assert pcf.trusts[url] < tf.trusts[url]

@@ -1,6 +1,10 @@
-import pytest
+import copy
 
-from pcf_engine import baselines, corpus, engine
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pcf_engine import baselines, corpus, engine, generator
 
 from conftest import make_claim
 
@@ -9,6 +13,18 @@ ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
 def state_of(kb, claims):
     return engine.assign_pcf(corpus.build_state(kb, claims))
+
+
+def run_voting(state):
+    return baselines.voting_run(state, engine.build_index(state))
+
+
+def run_truthfinder(state, config):
+    return baselines.truthfinder_run(state, engine.build_index(state), config)
+
+
+def run_pcf(state, config):
+    return baselines.pcf_run(state, engine.build_index(state), config)
 
 
 def simple_kb():
@@ -27,7 +43,7 @@ class TestVoting:
             make_claim("http://c.com", "100", ["ann example", "bo sample"]),
             make_claim("http://d.com", "100", ["someone else"]),
         ]
-        result = baselines.voting_run(state_of(kb, claims))
+        result = run_voting(state_of(kb, claims))
         assert result.trusts["http://a.com"] == pytest.approx(0.75)
         assert result.trusts["http://d.com"] == pytest.approx(0.25)
         assert result.winners["100"] == 1
@@ -39,12 +55,12 @@ class TestVoting:
             for url in ("http://a.com", "http://b.com")
             for isbn, truth in kb.items()
         ]
-        result = baselines.voting_run(state_of(kb, claims))
+        result = run_voting(state_of(kb, claims))
         assert all(t == 1.0 for t in result.trusts.values())
 
     def test_single_site_single_fact(self):
         kb = simple_kb()
-        result = baselines.voting_run(
+        result = run_voting(
             state_of(kb, [make_claim("http://a.com", "100", ["ann example"])])
         )
         assert result.trusts["http://a.com"] == 1.0
@@ -55,7 +71,7 @@ class TestVoting:
             make_claim("http://a.com", "100", ["first variant"]),
             make_claim("http://b.com", "100", ["second variant"]),
         ]
-        result = baselines.voting_run(state_of(kb, claims))
+        result = run_voting(state_of(kb, claims))
         assert result.winners["100"] == 1
 
     def test_shares_per_object_sum_to_one(self):
@@ -67,7 +83,7 @@ class TestVoting:
             make_claim("http://a.com", "200", ["cy other"]),
         ]
         state = state_of(kb, claims)
-        result = baselines.voting_run(state)
+        result = run_voting(state)
         by_object = {}
         for fact in state.facts.values():
             by_object.setdefault(fact.object, []).append(fact)
@@ -77,7 +93,7 @@ class TestVoting:
             assert sum(shares) == pytest.approx(1.0)
 
     def test_every_website_appears(self, core_java_state):
-        result = baselines.voting_run(core_java_state)
+        result = run_voting(core_java_state)
         assert set(result.trusts) == set(core_java_state.websites)
 
 
@@ -90,15 +106,15 @@ class TestTruthfinder:
             for isbn, truth in kb.items()
         ]
         state = state_of(kb, claims)
-        tf = baselines.truthfinder_run(state, ONE_EPOCH)
-        pcf = baselines.pcf_run(state, ONE_EPOCH)
+        tf = run_truthfinder(state, ONE_EPOCH)
+        pcf = run_pcf(state, ONE_EPOCH)
         assert all(t == 1.0 for t in tf.trusts.values())
         assert tf.trusts == pcf.trusts
 
     def test_dropped_middle_names_score_five_sixths_at_epoch_one(self):
         kb = {"100": corpus.TrueFact(object="100", authors=["graeme c simsion"])}
         claims = [make_claim("http://a.com", "100", ["graeme simsion"])]
-        result = baselines.truthfinder_run(state_of(kb, claims), ONE_EPOCH)
+        result = run_truthfinder(state_of(kb, claims), ONE_EPOCH)
         assert result.trusts["http://a.com"] == pytest.approx(5 / 6)
 
     def test_substring_gate_failure_ranks_below_weighted_matching(self):
@@ -107,8 +123,8 @@ class TestTruthfinder:
         kb = {"100": corpus.TrueFact(object="100", authors=["graeme c simsion"])}
         claims = [make_claim("http://a.com", "100", ["graeme simsio"])]
         state = state_of(kb, claims)
-        pcf = baselines.pcf_run(state, ONE_EPOCH)
-        tf = baselines.truthfinder_run(state, ONE_EPOCH)
+        pcf = run_pcf(state, ONE_EPOCH)
+        tf = run_truthfinder(state, ONE_EPOCH)
         assert pcf.trusts["http://a.com"] == 0.0
         assert tf.trusts["http://a.com"] > pcf.trusts["http://a.com"]
 
@@ -119,7 +135,7 @@ class TestTruthfinder:
             make_claim("http://b.com", "100", ["ann example", "bo sample"]),
             make_claim("http://c.com", "100", ["wholly wrong"]),
         ]
-        result = baselines.pcf_run(state_of(kb, claims), ONE_EPOCH)
+        result = run_pcf(state_of(kb, claims), ONE_EPOCH)
         assert result.winners["100"] == 1
 
 
@@ -138,18 +154,18 @@ class TestThreeMethodComparison:
 
     def test_truthful_site_ranks_first_under_all_methods(self):
         state = self._garbage_corpus()
-        voting = baselines.voting_run(state)
-        tf = baselines.truthfinder_run(state, ONE_EPOCH)
-        pcf = baselines.pcf_run(state, ONE_EPOCH)
+        voting = run_voting(state)
+        tf = run_truthfinder(state, ONE_EPOCH)
+        pcf = run_pcf(state, ONE_EPOCH)
         for result in (voting, tf, pcf):
             ranked = sorted(result.trusts.items(), key=lambda kv: -kv[1])
             assert ranked[0][0] == "http://truthful.com"
 
     def test_only_similarity_methods_reach_trust_one(self):
         state = self._garbage_corpus()
-        voting = baselines.voting_run(state)
-        tf = baselines.truthfinder_run(state, ONE_EPOCH)
-        pcf = baselines.pcf_run(state, ONE_EPOCH)
+        voting = run_voting(state)
+        tf = run_truthfinder(state, ONE_EPOCH)
+        pcf = run_pcf(state, ONE_EPOCH)
         assert pcf.trusts["http://truthful.com"] == 1.0
         assert tf.trusts["http://truthful.com"] == 1.0
         # Voting only grants the truthful site its mean vote share:
@@ -158,15 +174,56 @@ class TestThreeMethodComparison:
 
     def test_deterministic(self):
         state = self._garbage_corpus()
-        assert baselines.voting_run(state) == baselines.voting_run(state)
-        assert baselines.truthfinder_run(state, ONE_EPOCH) == baselines.truthfinder_run(
+        assert run_voting(state) == run_voting(state)
+        assert run_truthfinder(state, ONE_EPOCH) == run_truthfinder(
             state, ONE_EPOCH
         )
 
     def test_baseline_runs_leave_the_input_state_alone(self):
-        state = self._garbage_corpus()
-        trusts = {url: w.trust for url, w in state.websites.items()}
-        baselines.pcf_run(state, ONE_EPOCH)
-        baselines.truthfinder_run(state, ONE_EPOCH)
-        baselines.voting_run(state)
-        assert {url: w.trust for url, w in state.websites.items()} == trusts
+        # After a run every record field holds a value a baseline could
+        # overwrite; the three runs share one index, as `compare` does.
+        state, _ = engine.run(self._garbage_corpus())
+        before = copy.deepcopy(state)
+        ix = engine.build_index(state)
+        baselines.pcf_run(state, ix, ONE_EPOCH)
+        baselines.truthfinder_run(state, ix, ONE_EPOCH)
+        baselines.voting_run(state, ix)
+        assert state == before
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=40),
+    epsilon=st.sampled_from([0.0, 0.25, 0.4, 1.0]),
+    max_epochs=st.integers(min_value=1, max_value=4),
+    tol=st.sampled_from([0.0, 1e-6, 0.05]),
+)
+def test_pcf_run_equals_engine_run_from_zero_trust(seed, epsilon, max_epochs, tol):
+    spec = generator.GenSpec(
+        n_websites=3 + seed % 5,
+        n_objects=1 + seed % 3,
+        claims_per_site=2,
+        corruption_rate=(seed % 11) / 10.0,
+        seed=seed,
+    )
+    kb_records = generator.generate_kb(spec)
+    claims = generator.generate_claims(spec, kb_records)
+    # Every third seed drops a book from the KB, so some facts lie off it.
+    kb = {b.object: b for b in (kb_records[1:] if seed % 3 == 0 else kb_records)}
+    state, _ = engine.run(state_of(kb, claims))
+    config = corpus.EngineConfig(epsilon=epsilon, convergence_tol=tol, max_epochs=max_epochs)
+
+    result = baselines.pcf_run(state, engine.build_index(state), config)
+
+    reference = copy.deepcopy(state)
+    reference.config = config
+    for site in reference.websites.values():
+        site.trust = 0.0
+    engine.run(reference)
+    assert result.trusts == {url: site.trust for url, site in reference.websites.items()}
+    best = {}
+    for fact_id in sorted(reference.facts):
+        fact = reference.facts[fact_id]
+        leader = best.get(fact.object)
+        if leader is None or fact.adjusted_confidence > leader.adjusted_confidence:
+            best[fact.object] = fact
+    assert result.winners == {obj: fact.fact_id for obj, fact in best.items()}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import cli, corpus
 
-from conftest import write_core_fixture
+from conftest import CORE_ISBN, W1, write_core_fixture
 
 
 def gen_args(tmp_path, websites=6, objects=4, claims_per_site=2, corruption=0.5, seed=11):
@@ -44,6 +44,24 @@ def _unknown_object_as_string(doc):
 
 def _ids_as_floats(record, key):
     record[key] = [float(i) for i in record[key]]
+
+
+# json.dumps writes an infinity as `Infinity`, a token the loader refuses on
+# its own. A case that stores this marker is written with the number literal
+# 1e400 in its place, which overflows to an infinity as it is read.
+OVERFLOW = 1.25e300
+
+
+def _unprovided_object(doc):
+    """Take every fact of one ISBN off its providers and them off the websites."""
+    isbn = doc["facts"][0]["isbn"]
+    dropped = set()
+    for fact in doc["facts"]:
+        if fact["isbn"] == isbn:
+            fact["providers"] = []
+            dropped.add(fact["fact_id"])
+    for site in doc["websites"]:
+        site["fact_ids"] = [fid for fid in site["fact_ids"] if fid not in dropped]
 
 
 def ingest(tmp_path, kb, claims):
@@ -186,6 +204,16 @@ class TestRun:
             lambda d: _ids_as_floats(d["facts"][0], "providers"),
             lambda d: _ids_as_floats(d["websites"][0], "fact_ids"),
             lambda d: d["kb"][0].update(price=math.nan),
+            # Out-of-range numbers used to load, and `query` printed them.
+            lambda d: d["method_trusts"]["pcf"].update({W1: 5.0}),
+            lambda d: d["method_trusts"]["pcf"].update({W1: -1.0}),
+            lambda d: d["method_trusts"]["pcf"].update({W1: OVERFLOW}),
+            lambda d: d["kb"][0].update(price=-3),
+            lambda d: d["kb"][0].update(price=OVERFLOW),
+            lambda d: d["facts"][0].update(confidence_score=OVERFLOW),
+            lambda d: d["facts"][0].update(adjusted_score=-0.5),
+            # Passed the mirror check; `compare` then divided by zero.
+            _unprovided_object,
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
@@ -197,7 +225,9 @@ class TestRun:
             "unknown-object-flipped", "integer-url", "integer-author-names",
             "integer-title", "string-author-list", "fractional-website-id",
             "boolean-trust", "string-epoch", "string-unknown-object", "float-provider-ids",
-            "float-fact-ids", "nan-price",
+            "float-fact-ids", "nan-price", "method-trust-above-one", "negative-method-trust",
+            "overflowing-method-trust", "negative-price", "overflowing-price",
+            "overflowing-confidence-score", "negative-adjusted-score", "fact-without-providers",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
@@ -206,9 +236,12 @@ class TestRun:
         assert cli.main(["run", "--state", str(state), "--epochs", "1"]) == 0
         doc = json.loads(state.read_text(encoding="utf-8"))
         corrupt(doc)
-        state.write_text(json.dumps(doc), encoding="utf-8")
+        state.write_text(json.dumps(doc).replace(repr(OVERFLOW), "1e400"), encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["run", "--state", str(state)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # `query` never writes, so the writer's own checks cannot stop it.
+        assert cli.main(["query", "--state", str(state), "--needle", CORE_ISBN]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
 
-from conftest import CORE_ISBN, W1, core_java_claims, make_claim, write_core_fixture
+from conftest import CORE_ISBN, W1, core_java_claims, make_claim, one_epoch, write_core_fixture
 
 
 def state_document(state: corpus.TrustState) -> dict:
@@ -346,14 +346,14 @@ class TestPersistence:
 
     def test_round_trip_is_identity(self, tmp_path, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        state, _ = engine.run_epoch(state)
+        state, _ = one_epoch(state)
         path = tmp_path / "state.json"
         corpus.save_state(state, path)
         assert corpus.load_state(path) == state
 
     def test_second_save_is_byte_identical(self, tmp_path, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        state, _ = engine.run_epoch(state)
+        state, _ = one_epoch(state)
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         corpus.save_state(state, first)

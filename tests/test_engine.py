@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
 
-from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim
+from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim, one_epoch
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 CLAMP = corpus.EngineConfig().confidence_clamp
@@ -52,8 +52,8 @@ class TestAssignPcf:
     def test_pcf_unchanged_by_epochs(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
         before = {fid: f.pcf for fid, f in state.facts.items()}
-        state, _ = engine.run_epoch(state)
-        state, _ = engine.run_epoch(state)
+        state, _ = one_epoch(state)
+        state, _ = one_epoch(state)
         assert {fid: f.pcf for fid, f in state.facts.items()} == before
 
 
@@ -61,11 +61,11 @@ class TestUpdateTrust:
     """The trust stage, the first of the three that run_epoch runs."""
 
     def test_fresh_exact_copy_site_reaches_one(self):
-        updated, _ = engine.run_epoch(exact_copy_state())
+        updated, _ = one_epoch(exact_copy_state())
         assert all(w.trust == 1.0 for w in updated.websites.values())
 
     def test_fresh_worked_example(self, core_java_state):
-        state, _ = engine.run_epoch(engine.assign_pcf(core_java_state))
+        state, _ = one_epoch(engine.assign_pcf(core_java_state))
         assert state.websites[W2].trust == pytest.approx(0.5083333, abs=1e-6)
         assert state.websites[W1].trust == pytest.approx(2 / 3)
 
@@ -83,7 +83,7 @@ class TestUpdateTrust:
         fact_ids = sorted(site.fact_ids)
         state.facts[fact_ids[0]].adjusted_confidence = 0.4
         state.facts[fact_ids[1]].adjusted_confidence = 0.8
-        updated, _ = engine.run_epoch(state)
+        updated, _ = one_epoch(state)
         assert updated.websites[W1].trust == pytest.approx(0.6)
 
     def test_site_without_facts_stays_zero(self, core_java_kb):
@@ -91,7 +91,7 @@ class TestUpdateTrust:
         state.websites["http://empty.example.com"] = corpus.Website(
             id=99, url="http://empty.example.com"
         )
-        updated, _ = engine.run_epoch(engine.assign_pcf(state))
+        updated, _ = one_epoch(engine.assign_pcf(state))
         assert updated.websites["http://empty.example.com"].trust == 0.0
 
     def test_zero_trust_sentinel_ignores_confident_shared_facts(self, core_java_kb):
@@ -111,28 +111,36 @@ class TestUpdateTrust:
         state = engine.assign_pcf(state)
         (shared,) = [f for f in state.facts.values() if f.object == "not-in-kb"]
         for _ in range(4):
-            state, _ = engine.run_epoch(state)
+            state, _ = one_epoch(state)
             assert state.websites[u].trust == 0.0
             assert shared.adjusted_confidence == pytest.approx(1.0)
             assert state.websites[t].trust == pytest.approx(1.0)
 
 
 class TestFactConfidence:
-    def _sites(self, trusts):
-        return [
-            corpus.Website(id=i + 1, url=f"http://w{i}.com", trust=t)
+    def _trusts(self, trusts):
+        """The trusts of one fact's providers, read through the index as an epoch reads them."""
+        websites = {
+            f"http://w{i}.com": corpus.Website(
+                id=i + 1, url=f"http://w{i}.com", trust=t, fact_ids={1}
+            )
             for i, t in enumerate(trusts)
-        ]
+        }
+        fact = corpus.FactRecord(
+            fact_id=1, object="1", authors=[], providers=set(range(1, len(trusts) + 1))
+        )
+        ix = engine.build_index(corpus.TrustState(websites=websites, facts={1: fact}))
+        return [ix.sites[p].trust for p in ix.fact_providers[0]]
 
     def test_untrusted_providers(self):
-        assert engine.fact_confidence(self._sites([0.0, 0.0]), CLAMP) == 0.0
+        assert engine.fact_confidence(self._trusts([0.0, 0.0]), CLAMP) == 0.0
 
     def test_two_half_trusted_providers(self):
-        s = engine.fact_confidence(self._sites([0.5, 0.5]), CLAMP)
+        s = engine.fact_confidence(self._trusts([0.5, 0.5]), CLAMP)
         assert s == pytest.approx(0.75)
 
     def test_fully_trusted_provider_is_clamped(self):
-        s = engine.fact_confidence(self._sites([1.0]), CLAMP)
+        s = engine.fact_confidence(self._trusts([1.0]), CLAMP)
         assert s == 1.0 - 1e-10
 
     @given(
@@ -144,15 +152,15 @@ class TestFactConfidence:
         bump_index %= len(trusts)
         raised = list(trusts)
         raised[bump_index] = min(1.0, raised[bump_index] + bump)
-        assert engine.fact_confidence(self._sites(raised), CLAMP) >= engine.fact_confidence(
-            self._sites(trusts), CLAMP
+        assert engine.fact_confidence(self._trusts(raised), CLAMP) >= engine.fact_confidence(
+            self._trusts(trusts), CLAMP
         )
 
     @given(trusts=st.lists(probabilities, min_size=1, max_size=5))
     def test_adding_a_provider_never_decreases_confidence(self, trusts):
-        sites = self._sites(trusts + [0.5])
-        assert engine.fact_confidence(sites, CLAMP) >= engine.fact_confidence(
-            sites[:-1], CLAMP
+        read = self._trusts(trusts + [0.5])
+        assert engine.fact_confidence(read, CLAMP) >= engine.fact_confidence(
+            read[:-1], CLAMP
         )
 
 
@@ -270,11 +278,16 @@ class TestAdjustGroup:
             min(engine.adjust_confidence(fact, group, epsilon), 1.0 - clamp)
             for fact in group
         ]
-        engine.adjust_group(group, epsilon, clamp)
-        assert [f.adjusted_confidence for f in group] == expected
-        assert [f.adjusted_score for f in group] == [
-            engine.confidence_score(s) for s in expected
-        ]
+        # The group takes every other position of the vectors, so that a
+        # kernel reading or writing the wrong slots fails.
+        size = 2 * len(scores) + 1
+        positions = range(1, size, 2)
+        pcf, confidence, adjusted = [0.7] * size, [0.3] * size, [-1.0] * size
+        for k, (p, s) in zip(positions, scores):
+            pcf[k], confidence[k] = p, s
+        engine.adjust_group(positions, pcf, confidence, adjusted, epsilon, clamp)
+        assert adjusted[1::2] == expected
+        assert adjusted[::2] == [-1.0] * (len(scores) + 1)
 
 
 class TestDamp:
@@ -316,9 +329,27 @@ class TestAdjustedScore:
     """A fact's adjusted score is the log score of its adjusted confidence."""
 
     def _adjusted_score(self, confidence):
-        fact = corpus.FactRecord(fact_id=1, object="1", authors=[], confidence=confidence)
-        engine.adjust_group([fact], 0.4, CLAMP)
-        return fact.adjusted_score
+        # One site at trust `confidence` provides one fact, off the KB and
+        # with no sibling, whose adjusted confidence is `confidence` too: the
+        # epoch keeps that trust (zero takes the initial branch, which also
+        # gives zero), so the fact's confidence and adjusted confidence equal
+        # it, and `run` writes the adjusted score back.
+        url = "http://x.com"
+        state = corpus.TrustState(
+            websites={url: corpus.Website(id=1, url=url, trust=confidence, fact_ids={1})},
+            facts={
+                1: corpus.FactRecord(
+                    fact_id=1,
+                    object="1",
+                    authors=["a b"],
+                    providers={1},
+                    unknown_object=True,
+                    adjusted_confidence=confidence,
+                )
+            },
+        )
+        state, _ = one_epoch(state)
+        return state.facts[1].adjusted_score
 
     def test_half(self):
         assert self._adjusted_score(0.5) == pytest.approx(0.6931, abs=1e-4)
@@ -338,14 +369,14 @@ class TestAdjustedScore:
 
 class TestRunEpoch:
     def test_exact_copy_epoch_one(self):
-        state, report = engine.run_epoch(exact_copy_state())
+        state, report = one_epoch(exact_copy_state())
         assert all(w.trust == 1.0 for w in state.websites.values())
         assert all(f.adjusted_confidence == 1 - 1e-10 for f in state.facts.values())
         assert report.epoch == 1
         assert report.max_trust_delta == 1.0
 
     def test_empty_corpus_is_noop(self):
-        state, report = engine.run_epoch(corpus.TrustState())
+        state, report = one_epoch(corpus.TrustState())
         assert report.max_trust_delta == 0.0
         assert report.converged
         assert state.epoch == 1
@@ -354,7 +385,7 @@ class TestRunEpoch:
         # Independent route: recompute the website similarity, the mean of
         # name-length ratios, by hand.
         state = engine.assign_pcf(core_java_state)
-        after, _ = engine.run_epoch(state)
+        after, _ = one_epoch(state)
         for url, site in after.websites.items():
             own = [state.facts[fid] for fid in site.fact_ids]
             ratios = []
@@ -371,16 +402,16 @@ class TestRunEpoch:
 
     def test_second_epoch_trust_is_mean_of_damped_adjusted(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        first, _ = engine.run_epoch(state)
+        first, _ = one_epoch(state)
         adjusted = {fid: f.adjusted_confidence for fid, f in first.facts.items()}
-        second, _ = engine.run_epoch(first)
+        second, _ = one_epoch(first)
         for url, site in second.websites.items():
             expected = [adjusted[fid] for fid in site.fact_ids]
             assert site.trust == pytest.approx(sum(expected) / len(expected))
 
     def test_updates_the_given_state(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        after, report = engine.run_epoch(state)
+        after, report = one_epoch(state)
         assert after is state
         assert state.epoch == report.epoch == 1
         assert state.websites[W1].trust == pytest.approx(2 / 3)
@@ -399,21 +430,66 @@ class TestRunEpoch:
         kb_records = generator.generate_kb(spec)
         kb = {b.object: b for b in kb_records}
         claims = generator.generate_claims(spec, kb_records)
-        own = engine.assign_pcf(corpus.build_state(kb, claims))
-        planned = copy.deepcopy(own)
-        plan = engine.build_plan(planned)
-        for _ in range(3):
-            own, own_report = engine.run_epoch(own)
-            planned, planned_report = engine.run_epoch(planned, plan)
-            assert own == planned
-            assert own_report.max_trust_delta == planned_report.max_trust_delta
+        config = corpus.EngineConfig(max_epochs=3, convergence_tol=0.0)
+        whole = engine.assign_pcf(corpus.build_state(kb, claims, config))
+        stepped = copy.deepcopy(whole)
+        whole, whole_reports = engine.run(whole)
+        step_reports = [one_epoch(stepped)[1] for _ in range(3)]
+        assert stepped == whole
+        assert [(r.epoch, r.max_trust_delta) for r in step_reports] == [
+            (r.epoch, r.max_trust_delta) for r in whole_reports
+        ]
 
     def test_deterministic_successor(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        a, _ = engine.run_epoch(copy.deepcopy(state))
-        b, _ = engine.run_epoch(copy.deepcopy(state))
+        a, _ = one_epoch(copy.deepcopy(state))
+        b, _ = one_epoch(copy.deepcopy(state))
         assert a is not b
         assert a == b
+
+    def test_is_a_function_of_its_vectors(self, core_java_state):
+        # The second site's trust is not zero, so it takes the
+        # adjusted-confidence branch.
+        state = engine.assign_pcf(core_java_state)
+        before = copy.deepcopy(state)
+        ix = engine.build_index(state)
+        pcf, trust, adjusted = [f.pcf for f in ix.facts], [0.0, 0.5], [0.25, 0.75]
+        inputs = copy.deepcopy((pcf, trust, adjusted))
+        (new_trust, confidence, new_adjusted), report = engine.run_epoch(
+            ix, state.config, 7, pcf, trust, adjusted
+        )
+        assert (pcf, trust, adjusted) == inputs
+        assert state == before
+        assert report.epoch == 7
+        assert new_trust[0] == pytest.approx(2 / 3)  # the mean pcf of W1's one fact
+        assert new_trust[1] == 0.75  # the adjusted confidence of W2's one fact
+        assert len(confidence) == len(new_adjusted) == len(ix.facts)
+        # Called again on the same vectors, it returns equal ones.
+        again, _ = engine.run_epoch(ix, state.config, 7, pcf, trust, adjusted)
+        assert again == (new_trust, confidence, new_adjusted)
+
+
+class TestBuildIndex:
+    def test_orders_by_id_whatever_the_insertion_order(self):
+        kb = {"1": corpus.TrueFact(object="1", authors=["a b"])}
+        websites = {
+            f"http://s{i}.com": corpus.Website(id=i, url=f"http://s{i}.com") for i in (3, 1, 2)
+        }
+        links = {10: (3, 1), 4: (2,), 7: (1, 2, 3)}  # fact id -> provider site ids
+        facts = {}
+        for fid, providers in links.items():
+            facts[fid] = corpus.FactRecord(
+                fact_id=fid, object="1" if fid != 4 else "2", authors=[], providers=set(providers)
+            )
+            for sid in providers:
+                websites[f"http://s{sid}.com"].fact_ids.add(fid)
+        ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts, kb=kb))
+        assert [w.id for w in ix.sites] == [1, 2, 3]
+        assert [f.fact_id for f in ix.facts] == [4, 7, 10]
+        assert ix.site_facts == ((1, 2), (0, 1), (1, 2))
+        assert ix.fact_providers == ((1,), (0, 1, 2), (0, 2))
+        assert ix.groups == ((0,), (1, 2))
+        assert ix.known == (False, True, True)
 
 
 class TestRun:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine, similarity
 
-from conftest import CORE_ISBN, CORE_TRUTH, W2, core_java_claims, make_claim
+from conftest import CORE_ISBN, CORE_TRUTH, W2, core_java_claims, make_claim, one_epoch
 
 # Normalized-name strategy: lowercase words separated by single spaces.
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
@@ -178,7 +178,7 @@ class TestWebsiteSim:
     known objects, is the trust the first epoch gives it."""
 
     def _trust(self, claims, kb, url="http://x.com"):
-        state, _ = engine.run_epoch(engine.assign_pcf(corpus.build_state(kb, claims)))
+        state, _ = one_epoch(engine.assign_pcf(corpus.build_state(kb, claims)))
         return state.websites[url].trust
 
     def test_exact_copy_site(self, core_java_kb):
