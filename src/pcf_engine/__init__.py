@@ -36,6 +36,6 @@ from .engine import (
 )
 from .generator import GenSpec, generate_claims, generate_kb
 from .serp import SerpRow, StaleMethodError, query, rank_websites, serp_tsv
-from .similarity import fact_pcf, name_pcf, tf_name_score
+from .similarity import WeightedNameScorer, fact_pcf, name_pcf, tf_name_score
 
 __version__ = "0.1.0"

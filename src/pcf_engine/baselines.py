@@ -14,7 +14,7 @@ from operator import add
 
 from .corpus import EngineConfig, TrustState
 from .engine import Index, Vector, run_epochs
-from .similarity import Scorer, fact_pcf, tf_name_score
+from .similarity import Scorer, WeightedNameScorer, fact_pcf
 
 METHOD_PCF = "pcf"
 METHOD_TRUTHFINDER = "truthfinder"
@@ -74,8 +74,11 @@ def _engine_run(
 def truthfinder_run(
     state: TrustState, ix: Index, config: EngineConfig | None = None
 ) -> BaselineResult:
-    """Run the engine's epochs from zero trust with the weighted-name fact scorer."""
-    return _engine_run(state, ix, config, METHOD_TRUTHFINDER, tf_name_score)
+    """Run the engine's epochs from zero trust with the weighted-name fact scorer.
+
+    One scorer serves the whole run, so each distinct name pair is scored once.
+    """
+    return _engine_run(state, ix, config, METHOD_TRUTHFINDER, WeightedNameScorer())
 
 
 def pcf_run(state: TrustState, ix: Index, config: EngineConfig | None = None) -> BaselineResult:

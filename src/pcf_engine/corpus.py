@@ -433,8 +433,9 @@ def load_state(path: str | Path) -> TrustState:
     never NaN or Infinity; ``unknown_object`` a bool; urls, ISBNs, titles,
     publishers and author names strings. Trusts, method-table trusts
     included, and probabilities lie in [0, 1]; KB prices and log scores are
-    finite and non-negative. A malformed document, a wrongly typed field, one
-    out of range or an inconsistent one raises :class:`StateError`.
+    finite and non-negative. Each method's trust table names exactly the
+    state's websites. A malformed document, a wrongly typed field, one out of
+    range or an inconsistent one raises :class:`StateError`.
     """
     try:
         doc = json.loads(
@@ -511,6 +512,10 @@ def load_state(path: str | Path) -> TrustState:
     _check_unique(path, "website id", [site.id for site in site_list])
     _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
     websites = {site.url: site for site in site_list}
+    for method, trusts in method_trusts.items():
+        if trusts.keys() != websites.keys():
+            url = min(trusts.keys() ^ websites.keys())
+            raise StateError(f"{path}: {method} trust table and websites disagree on url {url!r}")
     facts = {fact.fact_id: fact for fact in fact_list}
     _check_state(path, websites, facts, kb)
     return TrustState(

@@ -55,10 +55,7 @@ def query(
 
     rows: list[SerpRow] = []
     for url, trust in rank_websites(state, method):
-        site = state.websites.get(url)
-        if site is None:
-            continue
-        for fact_id in sorted(site.fact_ids):
+        for fact_id in sorted(state.websites[url].fact_ids):
             fact = state.facts[fact_id]
             if fact.object not in matched:
                 continue

@@ -6,7 +6,9 @@ name, scored by the character-length ratio. The second is a weighted
 first/middle/last name matcher (weights 2:1:3) used by the comparison
 baseline. Its near-miss test, edit distance at most 2, uses Myers'
 bit-parallel edit distance; the tests check it against the classic
-dynamic program.
+dynamic program. Sites copy the same author names, so the baseline scores
+through one :class:`WeightedNameScorer` per run: each distinct name is split
+once, and each distinct name pair and part pair is scored once.
 """
 
 from __future__ import annotations
@@ -126,7 +128,11 @@ def _part_credit(claim_part: str | None, true_part: str) -> float:
     return 0.0
 
 
-def _weighted_name_score(claim_parts: dict[str, str], true_parts: dict[str, str]) -> float:
+def _weighted_name_score(
+    claim_parts: dict[str, str],
+    true_parts: dict[str, str],
+    credit: Callable[[str | None, str], float],
+) -> float:
     if not true_parts:
         return 0.0
     total = 0.0
@@ -134,8 +140,55 @@ def _weighted_name_score(claim_parts: dict[str, str], true_parts: dict[str, str]
     for part, value in true_parts.items():
         weight = _PART_WEIGHTS[part]
         total += weight
-        granted += weight * _part_credit(claim_parts.get(part), value)
+        granted += weight * credit(claim_parts.get(part), value)
     return granted / total
+
+
+class WeightedNameScorer:
+    """The weighted-name fact scorer, remembering what it has computed.
+
+    Scores exactly as :func:`tf_name_score`, but keeps each distinct name's
+    parts, each (claim name, true name) score and each (claim part, true
+    part) credit. Names and parts have memos of their own: a middle part such
+    as "b c" is also a two-token name, and the two map to different values.
+    The memos grow with the distinct names scored and last as long as the
+    object, so make one per run.
+    """
+
+    def __init__(self) -> None:
+        self._parts: dict[str, dict[str, str]] = {}
+        self._names: dict[tuple[str, str], float] = {}
+        self._credits: dict[tuple[str | None, str], float] = {}
+
+    def __call__(self, claim_authors: list[str], true_authors: list[str]) -> float:
+        if not claim_authors or not true_authors:
+            return 0.0
+        total = 0.0
+        for claim_name in claim_authors:
+            total += max(self._name_score(claim_name, true_name) for true_name in true_authors)
+        return total / len(claim_authors)
+
+    def _name_score(self, claim_name: str, true_name: str) -> float:
+        key = (claim_name, true_name)
+        score = self._names.get(key)
+        if score is None:
+            score = self._names[key] = _weighted_name_score(
+                self._split(claim_name), self._split(true_name), self._credit
+            )
+        return score
+
+    def _split(self, name: str) -> dict[str, str]:
+        parts = self._parts.get(name)
+        if parts is None:
+            parts = self._parts[name] = split_name_parts(name)
+        return parts
+
+    def _credit(self, claim_part: str | None, true_part: str) -> float:
+        key = (claim_part, true_part)
+        credit = self._credits.get(key)
+        if credit is None:
+            credit = self._credits[key] = _part_credit(claim_part, true_part)
+        return credit
 
 
 def tf_name_score(claim_authors: list[str], true_authors: list[str]) -> float:
@@ -143,13 +196,7 @@ def tf_name_score(claim_authors: list[str], true_authors: list[str]) -> float:
 
     Each claim author is paired with the true author giving it the highest
     part-weighted score (first 2, middle 1, last 3), then scores average
-    over the claim's authors. Every name is split into parts once.
+    over the claim's authors. A fresh :class:`WeightedNameScorer` scores
+    the one fact, so nothing carries over from call to call.
     """
-    if not claim_authors or not true_authors:
-        return 0.0
-    true_parts = [split_name_parts(t) for t in true_authors]
-    total = 0.0
-    for claim_name in claim_authors:
-        claim_parts = split_name_parts(claim_name)
-        total += max(_weighted_name_score(claim_parts, parts) for parts in true_parts)
-    return total / len(claim_authors)
+    return WeightedNameScorer()(claim_authors, true_authors)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pcf_engine import baselines, corpus, engine, generator
 
 from conftest import make_claim
+from test_similarity import reference_tf_name_score
 
 ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
@@ -189,6 +190,46 @@ class TestThreeMethodComparison:
         baselines.truthfinder_run(state, ix, ONE_EPOCH)
         baselines.voting_run(state, ix)
         assert state == before
+
+
+def generated_state(seed):
+    """A corrupted generator corpus; every seed uses the same ISBNs with other authors."""
+    spec = generator.GenSpec(
+        n_websites=30, n_objects=8, claims_per_site=3, corruption_rate=0.5, seed=seed
+    )
+    kb_records = generator.generate_kb(spec)
+    claims = generator.generate_claims(spec, kb_records)
+    return state_of({b.object: b for b in kb_records}, claims)
+
+
+def reference_truthfinder_run(state):
+    """The baseline with every fact scored on its own by the reference scorer."""
+    return baselines._engine_run(
+        state,
+        engine.build_index(state),
+        None,
+        baselines.METHOD_TRUTHFINDER,
+        reference_tf_name_score,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 9])
+def test_truthfinder_run_equals_the_per_fact_reference(seed):
+    state = generated_state(seed)
+    result = baselines.truthfinder_run(state, engine.build_index(state))
+    expected = reference_truthfinder_run(state)
+    assert result.trusts == expected.trusts
+    assert result.winners == expected.winners
+
+
+def test_truthfinder_runs_carry_nothing_over():
+    # Both corpora claim the same ISBNs against different true authors, so a
+    # score remembered from the first run would be wrong in the second.
+    first, second = generated_state(2), generated_state(3)
+    baselines.truthfinder_run(first, engine.build_index(first))
+    assert baselines.truthfinder_run(second, engine.build_index(second)) == (
+        reference_truthfinder_run(second)
+    )
 
 
 @given(

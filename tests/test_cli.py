@@ -214,6 +214,9 @@ class TestRun:
             lambda d: d["facts"][0].update(adjusted_score=-0.5),
             # Passed the mirror check; `compare` then divided by zero.
             _unprovided_object,
+            # `query` skipped urls it did not know and left out the missing site.
+            lambda d: d["method_trusts"]["pcf"].pop(W1),
+            lambda d: d["method_trusts"]["pcf"].update({"http://nobody.example": 0.9}),
         ],
         ids=[
             "missing-fact", "missing-provider", "fact-ids-unmirrored",
@@ -228,6 +231,7 @@ class TestRun:
             "float-fact-ids", "nan-price", "method-trust-above-one", "negative-method-trust",
             "overflowing-method-trust", "negative-price", "overflowing-price",
             "overflowing-confidence-score", "negative-adjusted-score", "fact-without-providers",
+            "method-table-missing-site", "method-table-unknown-url",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

@@ -251,6 +251,33 @@ class TestTfNameScoreReference:
         assert similarity.tf_name_score(claims, truth) == reference_tf_name_score(claims, truth)
 
 
+# Names that share parts: "a b c z" has the middle part "b c", which is also
+# the two-token name "b c", and the pair ("b c", "b d") scores 0.7 as names
+# but 0.5 as middle parts; the middle "b" of "a b c" is the one-token name
+# "b". Near misses of "graeme c simsion" reach the edit distance.
+NAME_POOL = [
+    "b", "b c", "b d", "a b c", "a b c z", "a b d z",
+    "graeme c simsion", "graeme simsion", "grame simsio", "simsion",
+]
+pooled_lists = st.lists(st.sampled_from(NAME_POOL), max_size=3)
+
+
+class TestWeightedNameScorer:
+    """One scorer over many facts gives each the reference score: its memos
+    return what scoring from scratch would."""
+
+    @given(batch=st.lists(st.tuples(pooled_lists, pooled_lists), min_size=1, max_size=12))
+    @example(batch=[([], ["b c"])])
+    @example(batch=[(["b c"], [])])
+    @example(batch=[(["a b c z", "a b c z"], ["b c", "a b c z"])])
+    @example(batch=[(["b c"], ["b d"]), (["a b c z"], ["a b d z"])])
+    @example(batch=[(["a b d z"], ["a b c z"]), (["b d"], ["b c"])])
+    def test_one_scorer_equals_the_reference_on_every_fact(self, batch):
+        scorer = similarity.WeightedNameScorer()
+        for claims, truth in batch:
+            assert scorer(claims, truth) == reference_tf_name_score(claims, truth)
+
+
 class TestSplitNameParts:
     def test_one_token_is_last_name(self):
         assert similarity.split_name_parts("simsion") == {"last": "simsion"}
