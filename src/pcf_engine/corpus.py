@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -35,12 +34,11 @@ class StateError(Exception):
 
 
 _DROPPED_PUNCT = str.maketrans("", "", ".,")
-_WHITESPACE = re.compile(r"\s+")
 
 
 def normalize_name(raw: str) -> str:
     """Lowercase, drop periods and commas, collapse whitespace runs."""
-    return _WHITESPACE.sub(" ", raw.lower().translate(_DROPPED_PUNCT)).strip()
+    return " ".join(raw.lower().translate(_DROPPED_PUNCT).split())
 
 
 @dataclass
@@ -125,8 +123,11 @@ def canonical_authors(authors: list[str]) -> tuple[str, ...]:
 def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     """Read a JSON-Lines knowledge base, one object per line.
 
-    Author names are normalized on load. Duplicate ISBNs, empty author
-    lists, and duplicate author names within a record are rejected.
+    Author names are normalized on load. Types are checked, not coerced:
+    author names, ``title`` and ``publisher`` must be strings, and ``price``
+    an int or float (not a bool) that converts to a finite float >= 0.
+    Duplicate ISBNs, empty author lists, and duplicate author names within a
+    record are rejected.
     """
     kb: dict[ObjectId, TrueFact] = {}
     with open(path, encoding="utf-8") as fh:
@@ -137,6 +138,8 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
+            except ValueError as exc:  # an integer past the interpreter's digit limit
+                raise CorpusError(f"{path}: line {lineno}: {exc}")
             if not isinstance(record, dict):
                 raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
             isbn = record.get("isbn")
@@ -150,7 +153,9 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 raise CorpusError(f"{path}: line {lineno}: empty author list")
             authors = []
             for raw in raw_authors:
-                name = normalize_name(str(raw))
+                if not isinstance(raw, str):
+                    raise CorpusError(f"{path}: line {lineno}: an author name is not a string")
+                name = normalize_name(raw)
                 if not name:
                     raise CorpusError(f"{path}: line {lineno}: blank author name")
                 if name in authors:
@@ -158,16 +163,18 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                         f"{path}: line {lineno}: duplicate author name {name!r}"
                     )
                 authors.append(name)
-            price = record.get("price", 0.0)
-            if not isinstance(price, (int, float)) or not math.isfinite(price) or price < 0:
-                raise CorpusError(f"{path}: line {lineno}: price must be finite and >= 0")
-            kb[isbn] = TrueFact(
-                object=isbn,
-                authors=authors,
-                title=str(record.get("title", "")),
-                publisher=str(record.get("publisher", "")),
-                price=float(price),
-            )
+            title = record.get("title", "")
+            publisher = record.get("publisher", "")
+            for key, value in (("title", title), ("publisher", publisher)):
+                if not isinstance(value, str):
+                    raise CorpusError(f"{path}: line {lineno}: {key} is not a string")
+            try:
+                price = _price(record.get("price", 0.0))
+            except (OverflowError, TypeError, ValueError):
+                raise CorpusError(
+                    f"{path}: line {lineno}: price must be a finite number >= 0"
+                )
+            kb[isbn] = TrueFact(isbn, authors, title, publisher, price)
     return kb
 
 
@@ -176,62 +183,67 @@ def load_claims(path: str | Path) -> list[Claim]:
 
     The authors column is semicolon-separated; names are normalized and
     rows whose author list comes out empty are rejected with their row
-    number.
+    number, as is a row the csv module cannot read (a field over its size
+    limit). Each distinct authors field is normalized once per call; every
+    claim gets its own copy of the name list.
     """
     claims: list[Claim] = []
+    names_of: dict[str, list[str]] = {}
+    row_num = 0
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             return []
+        except csv.Error as exc:
+            raise CorpusError(f"{path}: header: {exc}")
         if [h.strip() for h in header] != CLAIMS_HEADER:
             raise CorpusError(
                 f"{path}: bad header; expected {','.join(CLAIMS_HEADER)}"
             )
-        for row_num, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(CLAIMS_HEADER):
-                raise CorpusError(
-                    f"{path}: row {row_num}: expected {len(CLAIMS_HEADER)} columns, got {len(row)}"
+        try:
+            for row_num, row in enumerate(reader, start=1):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != len(CLAIMS_HEADER):
+                    raise CorpusError(
+                        f"{path}: row {row_num}: expected {len(CLAIMS_HEADER)} columns, got {len(row)}"
+                    )
+                website, isbn, authors_field, publisher, price_field, quantity_field = row
+                website = website.strip()
+                isbn = isbn.strip()
+                if not website:
+                    raise CorpusError(f"{path}: row {row_num}: empty website_url")
+                if not isbn:
+                    raise CorpusError(f"{path}: row {row_num}: empty isbn")
+                authors = names_of.get(authors_field)
+                if authors is None:
+                    authors = names_of[authors_field] = [
+                        name
+                        for name in (normalize_name(part) for part in authors_field.split(";"))
+                        if name
+                    ]
+                if not authors:
+                    raise CorpusError(f"{path}: row {row_num}: empty author list")
+                try:
+                    price = float(price_field) if price_field.strip() else None
+                except ValueError:
+                    price = math.nan  # rejected below with the non-finite ones
+                if price is not None and not math.isfinite(price):
+                    raise CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
+                try:
+                    quantity = int(quantity_field) if quantity_field.strip() else None
+                except ValueError:
+                    raise CorpusError(
+                        f"{path}: row {row_num}: bad quantity {quantity_field!r}"
+                    )
+                claims.append(
+                    Claim(website, isbn, authors[:], publisher.strip() or None, price, quantity)
                 )
-            website, isbn, authors_field, publisher, price_field, quantity_field = row
-            website = website.strip()
-            isbn = isbn.strip()
-            if not website:
-                raise CorpusError(f"{path}: row {row_num}: empty website_url")
-            if not isbn:
-                raise CorpusError(f"{path}: row {row_num}: empty isbn")
-            authors = [
-                name
-                for name in (normalize_name(part) for part in authors_field.split(";"))
-                if name
-            ]
-            if not authors:
-                raise CorpusError(f"{path}: row {row_num}: empty author list")
-            try:
-                price = float(price_field) if price_field.strip() else None
-            except ValueError:
-                price = math.nan  # rejected below with the non-finite ones
-            if price is not None and not math.isfinite(price):
-                raise CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
-            try:
-                quantity = int(quantity_field) if quantity_field.strip() else None
-            except ValueError:
-                raise CorpusError(
-                    f"{path}: row {row_num}: bad quantity {quantity_field!r}"
-                )
-            claims.append(
-                Claim(
-                    website=website,
-                    object=isbn,
-                    authors=authors,
-                    publisher=publisher.strip() or None,
-                    price=price,
-                    quantity=quantity,
-                )
-            )
+        except csv.Error as exc:
+            # The reader fails on the row after the last one it returned.
+            raise CorpusError(f"{path}: row {row_num + 1}: {exc}")
     return claims
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcf_engine import cli, corpus
@@ -111,6 +112,17 @@ class TestIngest:
         )
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit_exits_2_and_names_row(self, tmp_path, capsys):
+        kb, claims = write_core_fixture(tmp_path)
+        with claims.open("a", encoding="utf-8") as fh:
+            fh.write(f"http://b.com,1,{'x' * 140_000},,,\n")
+        code = cli.main(
+            ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3" in err
 
 
 class TestRun:
@@ -551,3 +563,84 @@ class TestStateFuzz:
                 assert code in allowed, (command, code, err.getvalue())
                 if code:
                     assert err.getvalue().startswith("error: ")
+
+
+# KB records and claims rows of `gen --websites 5 --objects 3
+# --claims-per-site 2 --seed 4`: header plus 10 rows.
+FUZZ_KB_RECORDS = 3
+FUZZ_CLAIMS_ROWS = 11
+DROP = object()
+# Values of every JSON type, a huge int and a string past the csv field limit
+# in place of a KB value, or the key dropped.
+KB_VALUES = [
+    None, True, False, 0, -1, 0.5, math.nan, math.inf, "", " ", "x", [], ["a b"], [None], {},
+    {"a": 1}, 10**400, "x" * 140_000, DROP,
+]
+# Blank, long and non-numeric text in place of a claims cell.
+CELL_VALUES = ["", "   ", "x" * 140_000, "abc", ";;", "nan", "1e400", "-1", "1.5", "9" * 5000]
+KB_FIELDS = ["isbn", "title", "authors", "publisher", "price", ("authors", 0)]
+
+
+@pytest.fixture(scope="module")
+def ingest_fuzz_base(tmp_path_factory):
+    """The KB records and claims rows of a small `gen` corpus."""
+    tmp_path = tmp_path_factory.mktemp("ingest_fuzz")
+    args, kb, claims = gen_args(tmp_path, websites=5, objects=3, claims_per_site=2, seed=4)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+    records = [json.loads(line) for line in kb.read_text(encoding="utf-8").splitlines()]
+    with claims.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert (len(records), len(rows)) == (FUZZ_KB_RECORDS, FUZZ_CLAIMS_ROWS)
+    return records, rows
+
+
+class TestIngestFuzz:
+    """A KB value of another JSON type, a huge int or a long string, a KB key
+    dropped, or a blank, long or non-numeric claims cell, makes `ingest`
+    exit 0 or 2, never with a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mutation=st.tuples(
+            st.just("kb"),
+            st.integers(0, FUZZ_KB_RECORDS - 1),
+            st.sampled_from(KB_FIELDS),
+            st.sampled_from(KB_VALUES),
+        )
+        | st.tuples(
+            st.just("claims"),
+            st.integers(0, FUZZ_CLAIMS_ROWS - 1),
+            st.integers(0, 5),
+            st.sampled_from(CELL_VALUES),
+        )
+    )
+    @example(mutation=("kb", 1, "price", 10**400))
+    @example(mutation=("claims", 4, 2, "x" * 140_000))
+    def test_mutated_inputs_never_escape_an_exception(self, ingest_fuzz_base, mutation):
+        side, index, field, value = mutation
+        records, rows = copy.deepcopy(ingest_fuzz_base)
+        if side == "kb":
+            parent, key = records[index], field
+            if isinstance(field, tuple):
+                parent, key = parent[field[0]], field[1]
+            if value is DROP:
+                del parent[key]
+            else:
+                parent[key] = value
+        else:
+            rows[index][field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            kb, claims = Path(tmp) / "kb.jsonl", Path(tmp) / "claims.csv"
+            kb.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            with claims.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(
+                    ["ingest", "--kb", str(kb), "--claims", str(claims),
+                     "--state", str(Path(tmp) / "state.json")]
+                )
+        assert code in {0, 2}, (mutation[:3], code, err.getvalue()[:200])
+        if code:
+            assert err.getvalue().startswith("error: ")

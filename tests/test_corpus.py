@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -63,6 +66,24 @@ def state_document(state: corpus.TrustState) -> dict:
             for method, trusts in sorted(state.method_trusts.items())
         },
     }
+
+
+_DROPPED_PUNCT = str.maketrans("", "", ".,")
+_WHITESPACE = re.compile(r"\s+")
+
+
+def reference_normalize_name(raw: str) -> str:
+    """Reference name normalization through a regex: the oracle of ``normalize_name``."""
+    return _WHITESPACE.sub(" ", raw.lower().translate(_DROPPED_PUNCT)).strip()
+
+
+# Every code point for which str.isspace() holds.
+SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+name_texts = st.text(alphabet=st.sampled_from(list("aBz.,é" + SPACES)), max_size=30)
 
 
 # Text with what JSON must escape or may spell two ways: quotes, backslashes,
@@ -141,6 +162,14 @@ class TestNormalizeName:
         once = corpus.normalize_name(raw)
         assert corpus.normalize_name(once) == once
 
+    def test_spaces_are_every_isspace_code_point(self):
+        assert SPACES == "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+    @given(name_texts)
+    @example("\u3000A.\x85b,\u2029 é\x1c")
+    def test_equals_the_regex_reference(self, raw):
+        assert corpus.normalize_name(raw) == reference_normalize_name(raw)
+
 
 class TestLoadKnowledgeBase:
     def test_single_record(self, tmp_path):
@@ -187,13 +216,43 @@ class TestLoadKnowledgeBase:
         with pytest.raises(corpus.CorpusError, match="duplicate author"):
             corpus.load_knowledge_base(path)
 
-    @pytest.mark.parametrize("price", [-1.0, float("nan"), float("inf"), "12"])
+    @pytest.mark.parametrize(
+        "price",
+        [-1.0, float("nan"), float("inf"), "12", True, False, pytest.param(10**400, id="10**400")],
+    )
     def test_bad_price_names_line(self, tmp_path, price):
         path = tmp_path / "kb.jsonl"
         good = json.dumps({"isbn": "1", "authors": ["a b"], "price": 3.5})
         bad = json.dumps({"isbn": "2", "authors": ["a b"], "price": price})
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(corpus.CorpusError, match="line 2: price"):
+            corpus.load_knowledge_base(path)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"authors": [None, 42]}, "an author name is not a string"),
+            ({"authors": ["a b", 42]}, "an author name is not a string"),
+            ({"authors": ["a b", ["c d"]]}, "an author name is not a string"),
+            ({"title": None}, "title is not a string"),
+            ({"title": 7}, "title is not a string"),
+            ({"publisher": {"name": "p"}}, "publisher is not a string"),
+        ],
+    )
+    def test_wrongly_typed_text_names_line(self, tmp_path, field, message):
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"], "title": "t", "publisher": "p"})
+        bad = json.dumps({"isbn": "2", "authors": ["a b"], **field})
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match=f"line 2: {message}"):
+            corpus.load_knowledge_base(path)
+
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(
+            '{"isbn": "1", "authors": ["a b"], "price": 1' + "0" * 5000 + "}\n", encoding="utf-8"
+        )
+        with pytest.raises(corpus.CorpusError, match="line 1: "):
             corpus.load_knowledge_base(path)
 
 
@@ -245,6 +304,63 @@ class TestLoadClaims:
             )
             with pytest.raises(corpus.CorpusError, match="row 2: bad price"):
                 corpus.load_claims(path)
+
+
+    def test_field_over_the_csv_limit_names_row(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text(
+            "website_url,isbn,authors,publisher,price,quantity\n"
+            "http://a.com,1,x y,,,\n"
+            f"http://b.com,1,{'x' * 140_000},,,\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(corpus.CorpusError, match="row 2: field larger than field limit"):
+            corpus.load_claims(path)
+
+    def test_header_over_the_csv_limit_is_named(self, tmp_path):
+        path = tmp_path / "claims.csv"
+        path.write_text("x" * 140_000 + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match="header: field larger than field limit"):
+            corpus.load_claims(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_a_per_row_reference(self, data):
+        """Files whose authors fields repeat, or differ only in case, spacing or
+        punctuation, with empty and whitespace-only names and blank rows, load
+        as the row-by-row reference does, and no two claims share a name list."""
+        names = st.sampled_from(
+            ["Ann Ax", "ann ax", "ANN  AX", " Ann\tAx ", "Ann. Ax,", "A. Ax", "Bob By", "bob\u3000by"]
+        )
+        fields = st.tuples(
+            names, st.lists(names | st.sampled_from(["", " ", "\t "]), max_size=3)
+        ).flatmap(lambda t: st.permutations([t[0], *t[1]])).map(";".join)
+        pool = data.draw(st.lists(fields, min_size=1, max_size=4), label="fields")
+        rows, expected = [], []
+        for site, isbn, field, blank in data.draw(st.lists(st.tuples(
+            st.sampled_from(["http://w1.com", "http://w2.com", "http://w3.com"]),
+            st.sampled_from(["i1", "i2"]),
+            st.sampled_from(pool),
+            st.sampled_from([None, None, None, "", "   ", ", ,\t, , ,"]),
+        ), max_size=30), label="rows"):
+            if blank is not None:
+                rows.append(blank)
+                continue
+            line = io.StringIO()
+            csv.writer(line, lineterminator="").writerow([site, isbn, field, "", "", ""])
+            rows.append(line.getvalue())
+            authors = [n for n in map(reference_normalize_name, field.split(";")) if n]
+            expected.append(corpus.Claim(site, isbn, authors))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "claims.csv"
+            path.write_text(
+                "\n".join([",".join(corpus.CLAIMS_HEADER), *rows]) + "\n", encoding="utf-8"
+            )
+            claims = corpus.load_claims(path)
+        assert claims == expected
+        for i, claim in enumerate(claims):
+            claim.authors.append(f"zed {i}")
+        assert [c.authors for c in claims] == [e.authors + [f"zed {i}"] for i, e in enumerate(expected)]
 
 
 class TestBuildFactTable:
