@@ -20,9 +20,7 @@ from .corpus import (
 )
 from .engine import (
     EpochReport,
-    ImplicationTerm,
     Index,
-    adjust_confidence,
     adjust_group,
     assign_pcf,
     build_index,

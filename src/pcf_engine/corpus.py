@@ -126,8 +126,9 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     Author names are normalized on load. Types are checked, not coerced:
     author names, ``title`` and ``publisher`` must be strings, and ``price``
     an int or float (not a bool) that converts to a finite float >= 0.
-    Duplicate ISBNs, empty author lists, and duplicate author names within a
-    record are rejected.
+    Duplicate ISBNs, empty author lists, duplicate author names within a
+    record, and author names containing ``;`` (which no claim could name,
+    since claims separate names with it) are rejected.
     """
     kb: dict[ObjectId, TrueFact] = {}
     with open(path, encoding="utf-8") as fh:
@@ -158,6 +159,8 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 name = normalize_name(raw)
                 if not name:
                     raise CorpusError(f"{path}: line {lineno}: blank author name")
+                if ";" in name:
+                    raise CorpusError(f"{path}: line {lineno}: author name {name!r} contains ';'")
                 if name in authors:
                     raise CorpusError(
                         f"{path}: line {lineno}: duplicate author name {name!r}"
@@ -182,10 +185,11 @@ def load_claims(path: str | Path) -> list[Claim]:
     """Read a claims CSV (header ``website_url,isbn,authors,...``).
 
     The authors column is semicolon-separated; names are normalized and
-    rows whose author list comes out empty are rejected with their row
-    number, as is a row the csv module cannot read (a field over its size
-    limit). Each distinct authors field is normalized once per call; every
-    claim gets its own copy of the name list.
+    rows whose author list comes out empty or names one author twice are
+    rejected with their row number, as is a row the csv module cannot read
+    (a field over its size limit). Each distinct authors field is normalized
+    and checked once per call; every claim gets its own copy of the name
+    list.
     """
     claims: list[Claim] = []
     names_of: dict[str, list[str]] = {}
@@ -219,11 +223,16 @@ def load_claims(path: str | Path) -> list[Claim]:
                     raise CorpusError(f"{path}: row {row_num}: empty isbn")
                 authors = names_of.get(authors_field)
                 if authors is None:
-                    authors = names_of[authors_field] = [
-                        name
-                        for name in (normalize_name(part) for part in authors_field.split(";"))
-                        if name
-                    ]
+                    authors = []
+                    for part in authors_field.split(";"):
+                        name = normalize_name(part)
+                        if name in authors:
+                            raise CorpusError(
+                                f"{path}: row {row_num}: duplicate author name {name!r}"
+                            )
+                        if name:
+                            authors.append(name)
+                    names_of[authors_field] = authors
                 if not authors:
                     raise CorpusError(f"{path}: row {row_num}: empty author list")
                 try:

@@ -22,9 +22,9 @@ record. ``run`` reads the records into vectors once, runs the epochs through
 ``run_epochs`` on vectors of their own. The confidence stage calls
 ``fact_confidence`` on each fact's provider trusts, and the implication
 stage is ``adjust_group``, a flat loop over each group's (pcf, confidence)
-pairs. ``implication_terms`` and ``adjust_confidence`` are the readable
-reference for the implication arithmetic: ``adjust_group`` performs the same
-float operations in the same order, so its results equal theirs bit for bit.
+pairs and the package's one implementation of that arithmetic. The tests
+hold a readable per-fact reference of it as the oracle, and check that
+``adjust_group``'s results equal the reference's bit for bit.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ CASE2_TOL = 1e-9
 
 # One float per site or per fact, in the order of an Index's sites or facts.
 Vector = list[float]
-
-
-@dataclass(frozen=True)
-class ImplicationTerm:
-    """One sibling fact's contribution to a target fact's adjusted confidence."""
-
-    source_fact: int
-    target_fact: int
-    delta: float
-    factor: float
-    contribution: float
 
 
 @dataclass(frozen=True)
@@ -157,37 +146,6 @@ def implication_factor(p1: float, p2: float, epsilon: float) -> float:
     return abs(epsilon - delta)
 
 
-def implication_terms(
-    fact: FactRecord, same_object_facts: Iterable[FactRecord], epsilon: float
-) -> list[ImplicationTerm]:
-    """Contributions of sibling facts to ``fact``, in ascending sibling id."""
-    terms = []
-    for sibling in sorted(same_object_facts, key=lambda f: f.fact_id):
-        if sibling.fact_id == fact.fact_id or sibling.object != fact.object:
-            continue
-        factor = implication_factor(fact.pcf, sibling.pcf, epsilon)
-        terms.append(
-            ImplicationTerm(
-                source_fact=sibling.fact_id,
-                target_fact=fact.fact_id,
-                delta=fact.pcf - sibling.pcf,
-                factor=factor,
-                contribution=factor * sibling.confidence,
-            )
-        )
-    return terms
-
-
-def adjust_confidence(
-    fact: FactRecord, same_object_facts: Iterable[FactRecord], epsilon: float
-) -> float:
-    """Confidence plus accumulated sibling implication, damped into [0, 1]."""
-    total = fact.confidence
-    for term in implication_terms(fact, same_object_facts, epsilon):
-        total += term.contribution
-    return damp(total)
-
-
 def damp(s_prime: float) -> float:
     """Scale by the smallest power of ten bringing the value to at most 1.
 
@@ -216,8 +174,7 @@ def adjust_group(
     ``group`` holds the positions in ascending fact id. Each fact's total
     starts at its own confidence and adds factor * confidence for every
     sibling in ascending id, with ``implication_factor`` inlined; then comes
-    ``damp`` and the clamp to 1 - ``clamp``. These are the float operations
-    of ``adjust_confidence``, in its order, so the results are equal.
+    ``damp`` and the clamp to 1 - ``clamp``.
     """
     ceiling = 1.0 - clamp
     scores = [(pcf[k], confidence[k]) for k in group]
@@ -301,9 +258,9 @@ def run_epochs(
 ) -> tuple[Vector, Vector, Vector, list[EpochReport]]:
     """Repeat ``run_epoch`` after epoch number ``epoch``; returns its last vectors and all reports.
 
-    At most ``config.max_epochs`` epochs, stopping early once an epoch's
-    largest trust change is below ``convergence_tol``. A tolerance of 0 runs
-    exactly ``max_epochs`` epochs.
+    At most ``config.max_epochs`` epochs, stopping early after the first
+    epoch whose report is ``converged`` (its largest trust change is below
+    ``convergence_tol``). A tolerance of 0 runs exactly ``max_epochs`` epochs.
     """
     if config.max_epochs < 1:
         raise ValueError(f"max_epochs must be at least 1, got {config.max_epochs}")
@@ -311,7 +268,7 @@ def run_epochs(
     for number in range(epoch + 1, epoch + 1 + config.max_epochs):
         (trust, confidence, adjusted), report = run_epoch(ix, config, number, pcf, trust, adjusted)
         reports.append(report)
-        if report.max_trust_delta < config.convergence_tol:
+        if report.converged:
             break
     return trust, confidence, adjusted, reports
 

@@ -98,11 +98,13 @@ def generate_kb(spec: GenSpec) -> list[TrueFact]:
 
 def _truncate_tail(rng: random.Random, authors: list[str]) -> None:
     # Keeps the claim a prefix of the true name, so containment survives.
+    # A cut that would repeat another author leaves the name whole.
     idx = rng.randrange(len(authors))
     name = authors[idx]
     cut = rng.randint(1, 4)
-    kept = name[: max(1, len(name) - cut)].rstrip()
-    authors[idx] = kept or name[:1]
+    kept = name[: max(1, len(name) - cut)].rstrip() or name[:1]
+    if kept not in authors:
+        authors[idx] = kept
 
 
 def _drop_middle_token(rng: random.Random, authors: list[str]) -> None:
@@ -113,7 +115,11 @@ def _drop_middle_token(rng: random.Random, authors: list[str]) -> None:
     idx = rng.choice(candidates)
     tokens = authors[idx].split()
     tokens.pop(rng.randrange(1, len(tokens) - 1))
-    authors[idx] = " ".join(tokens)
+    shorter = " ".join(tokens)
+    if shorter in authors:
+        _truncate_tail(rng, authors)
+        return
+    authors[idx] = shorter
 
 
 def _drop_author(rng: random.Random, authors: list[str]) -> None:
@@ -126,11 +132,13 @@ def _drop_author(rng: random.Random, authors: list[str]) -> None:
 def _replace_author(rng: random.Random, authors: list[str]) -> None:
     idx = rng.randrange(len(authors))
     name = random_author(rng)
-    while name == authors[idx]:
+    while name in authors:
         name = random_author(rng)
     authors[idx] = name
 
 
+# Each op changes the list in place and never writes a name that the list
+# already holds: a claim names each author once, and ingest refuses a repeat.
 CORRUPTION_OPS = [_truncate_tail, _drop_middle_token, _drop_author, _replace_author]
 
 

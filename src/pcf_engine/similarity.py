@@ -128,22 +128,6 @@ def _part_credit(claim_part: str | None, true_part: str) -> float:
     return 0.0
 
 
-def _weighted_name_score(
-    claim_parts: dict[str, str],
-    true_parts: dict[str, str],
-    credit: Callable[[str | None, str], float],
-) -> float:
-    if not true_parts:
-        return 0.0
-    total = 0.0
-    granted = 0.0
-    for part, value in true_parts.items():
-        weight = _PART_WEIGHTS[part]
-        total += weight
-        granted += weight * credit(claim_parts.get(part), value)
-    return granted / total
-
-
 class WeightedNameScorer:
     """The weighted-name fact scorer, remembering what it has computed.
 
@@ -172,9 +156,14 @@ class WeightedNameScorer:
         key = (claim_name, true_name)
         score = self._names.get(key)
         if score is None:
-            score = self._names[key] = _weighted_name_score(
-                self._split(claim_name), self._split(true_name), self._credit
-            )
+            claim_parts = self._split(claim_name)
+            total = 0.0
+            granted = 0.0
+            for part, value in self._split(true_name).items():
+                weight = _PART_WEIGHTS[part]
+                total += weight
+                granted += weight * self._credit(claim_parts.get(part), value)
+            score = self._names[key] = granted / total if total else 0.0
         return score
 
     def _split(self, name: str) -> dict[str, str]:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcf_engine import cli, corpus
+from pcf_engine import cli, corpus, generator
 
 from conftest import CORE_ISBN, W1, write_core_fixture
 
@@ -123,6 +124,29 @@ class TestIngest:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "row 3" in err
+
+
+    def test_repeated_claim_name_exits_2_and_names_row(self, tmp_path, capsys):
+        kb, claims = write_core_fixture(tmp_path)
+        with claims.open("a", encoding="utf-8") as fh:
+            fh.write(f"http://b.com,{CORE_ISBN},Gary Cornell;gary cornell.,,,\n")
+        code = cli.main(
+            ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3: duplicate author name 'gary cornell'" in err
+
+    def test_kb_author_name_with_a_semicolon_exits_2_and_names_line(self, tmp_path, capsys):
+        kb, claims = write_core_fixture(tmp_path)
+        with kb.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"isbn": "2", "authors": ["Ann Ax", "a;b"]}) + "\n")
+        code = cli.main(
+            ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2: author name 'a;b'" in err
 
 
 class TestRun:
@@ -406,6 +430,45 @@ class TestGen:
         state_path = ingest(tmp_path, kb, claims)
         state = corpus.load_state(state_path)
         assert len(state.facts) == 100
+
+    def test_no_claim_names_an_author_twice(self, tmp_path, capsys):
+        # At this shape and seed a replaced author once drew a name the claim
+        # already held.
+        args, kb, claims = gen_args(
+            tmp_path, websites=600, objects=75, claims_per_site=8, corruption=0.6, seed=1
+        )
+        assert cli.main(args) == 0
+        with claims.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for row in rows:
+            names = row[2].split(";")
+            assert len(set(names)) == len(names), row
+        ingest(tmp_path, kb, claims)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize(
+        "op, authors",
+        [
+            # Every cut of "anne" is one of the other names.
+            (generator._truncate_tail, ["anne", "ann", "an", "a"]),
+            # Dropping the middle name gives the second author.
+            (generator._drop_middle_token, ["ann b cole", "ann cole"]),
+            (generator._drop_author, ["ann cole", "bo dee", "cy eng"]),
+            (generator._replace_author, None),
+        ],
+        ids=["truncate_tail", "drop_middle_token", "drop_author", "replace_author"],
+    )
+    def test_corruption_never_repeats_a_name(self, op, authors, seed):
+        if authors is None:
+            # Put the first name that _replace_author draws for this seed
+            # beside the one it replaces.
+            probe = random.Random(seed)
+            idx = probe.randrange(2)
+            authors = ["ann cole", "bo dee"]
+            authors[1 - idx] = generator.random_author(probe)
+        out = list(authors)
+        op(random.Random(seed), out)
+        assert len(set(out)) == len(out), (authors, out)
 
     def test_corruption_rate_must_be_a_rate(self, tmp_path):
         args, _, _ = gen_args(tmp_path, corruption=0.5)

@@ -247,6 +247,15 @@ class TestLoadKnowledgeBase:
         with pytest.raises(corpus.CorpusError, match=f"line 2: {message}"):
             corpus.load_knowledge_base(path)
 
+    def test_author_name_with_the_claims_separator_names_line(self, tmp_path):
+        # Claims split their authors field on ";", so no claim could name it.
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"]})
+        bad = json.dumps({"isbn": "2", "authors": ["Ann Ax", "a;b"]})
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match="line 2: author name 'a;b' contains ';'"):
+            corpus.load_knowledge_base(path)
+
     def test_integer_past_the_digit_limit_names_line(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         path.write_text(
@@ -323,20 +332,45 @@ class TestLoadClaims:
         with pytest.raises(corpus.CorpusError, match="header: field larger than field limit"):
             corpus.load_claims(path)
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [("Ann Ax;ann ax;A. b", "ann ax"), ("x y;;X. Y", "x y"), ("a b;c d;A.  B", "a b")],
+    )
+    def test_repeated_name_names_row(self, tmp_path, field, name):
+        # A repeated name would split the fact and raise its pcf.
+        path = tmp_path / "claims.csv"
+        path.write_text(
+            "website_url,isbn,authors,publisher,price,quantity\n"
+            "http://a.com,1,x y,,,\n"
+            f"http://b.com,1,{field},,,\n"
+            f"http://c.com,1,{field},,,\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(corpus.CorpusError, match=f"row 2: duplicate author name {name!r}"):
+            corpus.load_claims(path)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_equals_a_per_row_reference(self, data):
         """Files whose authors fields repeat, or differ only in case, spacing or
         punctuation, with empty and whitespace-only names and blank rows, load
-        as the row-by-row reference does, and no two claims share a name list."""
+        as the row-by-row reference does, and no two claims share a name list.
+        A field that names one author twice is refused at its first row."""
         names = st.sampled_from(
             ["Ann Ax", "ann ax", "ANN  AX", " Ann\tAx ", "Ann. Ax,", "A. Ax", "Bob By", "bob\u3000by"]
         )
+        # Distinct names, blanks, and in one field of four one more name,
+        # which may repeat one of them.
         fields = st.tuples(
-            names, st.lists(names | st.sampled_from(["", " ", "\t "]), max_size=3)
-        ).flatmap(lambda t: st.permutations([t[0], *t[1]])).map(";".join)
+            st.lists(names, min_size=1, max_size=3, unique_by=reference_normalize_name),
+            st.lists(st.sampled_from(["", " ", "\t "]), max_size=2),
+            st.sampled_from([0, 0, 0, 1]),
+            names,
+        ).flatmap(
+            lambda t: st.permutations([*t[0], *t[1], *[t[3]][: t[2]]])
+        ).map(";".join)
         pool = data.draw(st.lists(fields, min_size=1, max_size=4), label="fields")
-        rows, expected = [], []
+        rows, expected, refused = [], [], None
         for site, isbn, field, blank in data.draw(st.lists(st.tuples(
             st.sampled_from(["http://w1.com", "http://w2.com", "http://w3.com"]),
             st.sampled_from(["i1", "i2"]),
@@ -350,12 +384,19 @@ class TestLoadClaims:
             csv.writer(line, lineterminator="").writerow([site, isbn, field, "", "", ""])
             rows.append(line.getvalue())
             authors = [n for n in map(reference_normalize_name, field.split(";")) if n]
+            repeated = [n for i, n in enumerate(authors) if n in authors[:i]]
+            if repeated and refused is None:
+                refused = f"row {len(rows)}: duplicate author name {repeated[0]!r}"
             expected.append(corpus.Claim(site, isbn, authors))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "claims.csv"
             path.write_text(
                 "\n".join([",".join(corpus.CLAIMS_HEADER), *rows]) + "\n", encoding="utf-8"
             )
+            if refused is not None:
+                with pytest.raises(corpus.CorpusError, match=re.escape(f"{path}: {refused}")):
+                    corpus.load_claims(path)
+                return
             claims = corpus.load_claims(path)
         assert claims == expected
         for i, claim in enumerate(claims):

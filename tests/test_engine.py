@@ -1,6 +1,7 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,53 @@ from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim, one_epoch
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 CLAMP = corpus.EngineConfig().confidence_clamp
+
+
+# The readable per-fact reference for the implication arithmetic, the oracle
+# of engine.adjust_group: one term per sibling, summed onto the fact's own
+# confidence, then damped.
+
+
+@dataclass(frozen=True)
+class ImplicationTerm:
+    """One sibling fact's contribution to a target fact's adjusted confidence."""
+
+    source_fact: int
+    target_fact: int
+    delta: float
+    factor: float
+    contribution: float
+
+
+def implication_terms(
+    fact: corpus.FactRecord, same_object_facts: Iterable[corpus.FactRecord], epsilon: float
+) -> list[ImplicationTerm]:
+    """Contributions of sibling facts to ``fact``, in ascending sibling id."""
+    terms = []
+    for sibling in sorted(same_object_facts, key=lambda f: f.fact_id):
+        if sibling.fact_id == fact.fact_id or sibling.object != fact.object:
+            continue
+        factor = engine.implication_factor(fact.pcf, sibling.pcf, epsilon)
+        terms.append(
+            ImplicationTerm(
+                source_fact=sibling.fact_id,
+                target_fact=fact.fact_id,
+                delta=fact.pcf - sibling.pcf,
+                factor=factor,
+                contribution=factor * sibling.confidence,
+            )
+        )
+    return terms
+
+
+def adjust_confidence(
+    fact: corpus.FactRecord, same_object_facts: Iterable[corpus.FactRecord], epsilon: float
+) -> float:
+    """Confidence plus accumulated sibling implication, damped into [0, 1]."""
+    total = fact.confidence
+    for term in implication_terms(fact, same_object_facts, epsilon):
+        total += term.contribution
+    return engine.damp(total)
 
 
 def exact_copy_state(n_sites=3, kb=None, config=None):
@@ -218,40 +266,43 @@ class TestImplicationFactor:
 
 
 class TestAdjustConfidence:
+    """Worked values of the implication stage, asserted on adjust_group."""
+
     def _fact(self, fact_id, pcf, confidence, obj="1"):
         return corpus.FactRecord(
-            fact_id=fact_id,
-            object=obj,
-            authors=[f"name {fact_id}"],
-            providers={1},
-            pcf=pcf,
-            confidence=confidence,
+            fact_id=fact_id, object=obj, authors=[f"name {fact_id}"], pcf=pcf, confidence=confidence
         )
 
+    def _adjusted(self, facts, epsilon=0.4):
+        """Each fact's adjusted confidence by fact id: adjust_group over build_index's groups."""
+        ix = engine.build_index(corpus.TrustState(facts={f.fact_id: f for f in facts}))
+        pcf = [f.pcf for f in ix.facts]
+        confidence = [f.confidence for f in ix.facts]
+        adjusted = [-1.0] * len(ix.facts)
+        for group in ix.groups:
+            engine.adjust_group(group, pcf, confidence, adjusted, epsilon, CLAMP)
+        return {f.fact_id: a for f, a in zip(ix.facts, adjusted)}
+
     def test_no_siblings(self):
-        fact = self._fact(1, 0.5, 0.5)
-        assert engine.adjust_confidence(fact, [], 0.4) == 0.5
+        assert self._adjusted([self._fact(1, 0.5, 0.5)])[1] == 0.5
 
     def test_single_sibling_contribution(self):
-        fact = self._fact(1, 0.7, 0.5)
-        sibling = self._fact(2, 0.2, 0.4)
-        assert engine.adjust_confidence(fact, [sibling], 0.4) == pytest.approx(0.54)
+        adjusted = self._adjusted([self._fact(1, 0.7, 0.5), self._fact(2, 0.2, 0.4)])
+        assert adjusted[1] == pytest.approx(0.54)
 
     def test_equal_pcf_siblings(self):
-        fact = self._fact(1, 0.5, 0.3)
-        siblings = [self._fact(i, 0.5, 0.3) for i in (2, 3, 4)]
-        s_prime = engine.adjust_confidence(fact, siblings, 0.4)
-        assert s_prime - fact.confidence == pytest.approx(0.36)
+        adjusted = self._adjusted([self._fact(i, 0.5, 0.3) for i in (1, 2, 3, 4)])
+        assert adjusted[1] - 0.3 == pytest.approx(0.36)
 
     def test_other_object_facts_are_ignored(self):
-        fact = self._fact(1, 0.7, 0.5)
-        stranger = self._fact(2, 0.2, 0.4, obj="2")
-        assert engine.adjust_confidence(fact, [stranger], 0.4) == 0.5
+        adjusted = self._adjusted([self._fact(1, 0.7, 0.5), self._fact(2, 0.2, 0.4, obj="2")])
+        assert adjusted == {1: 0.5, 2: 0.4}
 
     def test_implication_terms_report_contributions(self):
+        # The oracle's own worked value: the term behind the 0.54 above.
         fact = self._fact(1, 0.7, 0.5)
         sibling = self._fact(2, 0.2, 0.4)
-        (term,) = engine.implication_terms(fact, [sibling], 0.4)
+        (term,) = implication_terms(fact, [sibling], 0.4)
         assert term.source_fact == 2
         assert term.target_fact == 1
         assert term.delta == pytest.approx(0.5)
@@ -275,7 +326,7 @@ class TestAdjustGroup:
             for i, (p, s) in enumerate(scores, start=1)
         ]
         expected = [
-            min(engine.adjust_confidence(fact, group, epsilon), 1.0 - clamp)
+            min(adjust_confidence(fact, group, epsilon), 1.0 - clamp)
             for fact in group
         ]
         # The group takes every other position of the vectors, so that a
