@@ -24,7 +24,6 @@ from .engine import (
     adjust_group,
     assign_pcf,
     build_index,
-    confidence_score,
     damp,
     fact_confidence,
     implication_factor,

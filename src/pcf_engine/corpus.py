@@ -14,10 +14,10 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import lt
 from pathlib import Path
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 CLAIMS_HEADER = ["website_url", "isbn", "authors", "publisher", "price", "quantity"]
 
@@ -76,12 +76,9 @@ class FactRecord:
     object: ObjectId
     authors: list[str]
     providers: set[int] = field(default_factory=set)
-    unknown_object: bool = False
     pcf: float = 0.0
     confidence: float = 0.0
     adjusted_confidence: float = 0.0
-    confidence_score: float = 0.0
-    adjusted_score: float = 0.0
 
 
 @dataclass
@@ -89,7 +86,6 @@ class Website:
     id: int
     url: str
     trust: float = 0.0
-    fact_ids: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -283,7 +279,6 @@ def build_fact_table(
             facts[fact.fact_id] = fact
             by_key[key] = fact
         fact.providers.add(site.id)
-        site.fact_ids.add(fact.fact_id)
     return websites, facts
 
 
@@ -294,147 +289,55 @@ def build_state(
 ) -> TrustState:
     """Assemble a fresh state with all trust and confidence fields at zero."""
     websites, facts = build_fact_table(claims)
-    for fact in facts.values():
-        fact.unknown_object = fact.object not in kb
     return TrustState(
         websites=websites, facts=facts, kb=kb, config=config or EngineConfig()
     )
 
 
-# The C function behind json.dumps' default ``ensure_ascii=True``; it raises
-# TypeError on a value that is not a string.
-_json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_int(value: object) -> str:
-    if type(value) is int:
-        return int.__repr__(value)
-    raise TypeError(f"cannot save {value!r} as an integer")
-
-
-def _json_number(value: object) -> str:
-    if type(value) is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"cannot save the non-finite number {value!r}")
-    return _json_int(value)
-
-
-def _json_flag(value: object) -> str:
-    if type(value) is bool:
-        return "true" if value else "false"
-    raise TypeError(f"cannot save {value!r} as a flag")
-
-
-def _json_block(items, depth: int, brackets: str = "[]") -> str:
-    """Rendered ``items`` as an array (or, with ``"{}"``, object members) at nesting ``depth``."""
-    pad = "\n" + "  " * depth
-    body = ("," + pad).join(items)
-    if not body:
-        return brackets
-    return brackets[0] + pad + body + pad[:-2] + brackets[1]
-
-
-def _template(depth: int, *keys: str) -> str:
-    """An object whose members sit at nesting ``depth``, one ``%s`` slot per key.
-
-    The keys come sorted, as ``sort_keys=True`` writes them, and the slots
-    are filled in that order.
-    """
-    return _json_block([f'"{key}": %s' for key in keys], depth, "{}")
-
-
-_DOCUMENT = _template(
-    1, "config", "epoch", "facts", "kb", "method_trusts", "pcf_state_version", "websites"
-) + "\n"
-_CONFIG = _template(2, "confidence_clamp", "convergence_tol", "epsilon", "max_epochs", "seed")
-_KB_RECORD = _template(3, "authors", "isbn", "price", "publisher", "title")
-_WEBSITE = _template(3, "fact_ids", "id", "trust", "url")
-_FACT = _template(
-    3, "adjusted_confidence", "adjusted_score", "authors", "confidence", "confidence_score",
-    "fact_id", "isbn", "pcf", "providers", "unknown_object",
-)
-
-
-def _state_text(state: TrustState) -> str:
-    """The state document, byte for byte as ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\\n"`` writes it, filled into one template per record.
-
-    Ids, ``epoch``, ``max_epochs`` and ``seed`` must be ints, other numbers
-    finite floats or ints, flags bools and text strings: anything else raises
-    TypeError, and NaN or an infinity raises ValueError, so that no file is
-    written that :func:`load_state` would refuse.
-    """
-    config = state.config
-    kb = (
-        _KB_RECORD % (
-            _json_block(map(_json_string, tf.authors), 4),
-            _json_string(tf.object),
-            _json_number(tf.price),
-            _json_string(tf.publisher),
-            _json_string(tf.title),
-        )
-        for tf in (state.kb[k] for k in sorted(state.kb))
-    )
-    websites = (
-        _WEBSITE % (
-            _json_block(map(_json_int, sorted(w.fact_ids)), 4),
-            _json_int(w.id),
-            _json_number(w.trust),
-            _json_string(w.url),
-        )
-        for w in sorted(state.websites.values(), key=lambda w: w.id)
-    )
-    facts = (
-        _FACT % (
-            _json_number(f.adjusted_confidence),
-            _json_number(f.adjusted_score),
-            _json_block(map(_json_string, f.authors), 4),
-            _json_number(f.confidence),
-            _json_number(f.confidence_score),
-            _json_int(f.fact_id),
-            _json_string(f.object),
-            _json_number(f.pcf),
-            _json_block(map(_json_int, sorted(f.providers)), 4),
-            _json_flag(f.unknown_object),
-        )
-        for f in (state.facts[k] for k in sorted(state.facts))
-    )
-    method_trusts = (
-        _json_string(method) + ": " + _json_block(
-            (_json_string(url) + ": " + _json_number(t) for url, t in sorted(trusts.items())),
-            3,
-            "{}",
-        )
-        for method, trusts in sorted(state.method_trusts.items())
-    )
-    return _DOCUMENT % (
-        _CONFIG % (
-            _json_number(config.confidence_clamp),
-            _json_number(config.convergence_tol),
-            _json_number(config.epsilon),
-            _json_int(config.max_epochs),
-            _json_int(config.seed),
-        ),
-        _json_int(state.epoch),
-        _json_block(facts, 2),
-        _json_block(kb, 2),
-        _json_block(method_trusts, 2, "{}"),
-        STATE_SCHEMA_VERSION,
-        _json_block(websites, 2),
-    )
-
-
 def save_state(state: TrustState, path: str | Path) -> None:
-    """Serialize the state to a canonical JSON document.
+    """Serialize the state to one line of compact JSON with sorted keys.
 
-    Keys and id-ordered lists are sorted so saving the same state twice
-    yields byte-identical files; floats keep full round-trip precision.
-    The document goes to a temporary file next to ``path`` that then
-    replaces it, so a failure, or a process killed mid-write, leaves the
-    old file whole.
+    Records go in ascending id (the KB in ascending ISBN), so saving the same
+    state twice yields byte-identical files; floats keep full round-trip
+    precision. Nothing derivable is stored: a website's facts are the facts
+    that list it as a provider. NaN or an infinity raises ValueError. The
+    document goes to a temporary file next to ``path`` that then replaces
+    it, so a failure, or a process killed mid-write, leaves the old file
+    whole.
     """
-    text = _state_text(state)
+    doc = {
+        "pcf_state_version": STATE_SCHEMA_VERSION,
+        "config": vars(state.config),
+        "epoch": state.epoch,
+        "kb": [
+            {
+                "isbn": tf.object,
+                "title": tf.title,
+                "authors": tf.authors,
+                "publisher": tf.publisher,
+                "price": tf.price,
+            }
+            for tf in (state.kb[k] for k in sorted(state.kb))
+        ],
+        "websites": [
+            {"id": w.id, "url": w.url, "trust": w.trust}
+            for w in sorted(state.websites.values(), key=lambda w: w.id)
+        ],
+        "facts": [
+            {
+                "fact_id": f.fact_id,
+                "isbn": f.object,
+                "authors": f.authors,
+                "providers": sorted(f.providers),
+                "pcf": f.pcf,
+                "confidence": f.confidence,
+                "adjusted_confidence": f.adjusted_confidence,
+            }
+            for f in (state.facts[k] for k in sorted(state.facts))
+        ],
+        "method_trusts": state.method_trusts,
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -451,12 +354,15 @@ def load_state(path: str | Path) -> TrustState:
 
     Types are checked, not coerced: ids, ``epoch``, ``max_epochs`` and
     ``seed`` must be ints; other numbers ints or floats, not bools, and
-    never NaN or Infinity; ``unknown_object`` a bool; urls, ISBNs, titles,
-    publishers and author names strings. Trusts, method-table trusts
-    included, and probabilities lie in [0, 1]; KB prices and log scores are
-    finite and non-negative. Each method's trust table names exactly the
-    state's websites. A malformed document, a wrongly typed field, one out of
-    range or an inconsistent one raises :class:`StateError`.
+    never NaN or Infinity; urls, ISBNs, titles, publishers and author names
+    strings. Trusts, method-table trusts included, and probabilities lie in
+    [0, 1]; KB prices are finite and non-negative. Each method's trust table
+    names exactly the state's websites. Each fact is in the form
+    :func:`build_fact_table` gives it: its authors sorted and distinct, its
+    providers the ids of websites, ascending and distinct, and no other fact
+    on the same ISBN and authors. A malformed document, a wrongly typed
+    field, one out of range or an inconsistent one raises
+    :class:`StateError`.
     """
     try:
         doc = json.loads(
@@ -471,7 +377,8 @@ def load_state(path: str | Path) -> TrustState:
     version = doc.get("pcf_state_version")
     if version != STATE_SCHEMA_VERSION:
         raise StateError(
-            f"{path}: schema version {version!r}, expected {STATE_SCHEMA_VERSION}"
+            f"{path}: schema version {version!r}, expected {STATE_SCHEMA_VERSION};"
+            " run `pcf ingest` again to rebuild the state"
         )
     # One pass builds the records and checks each field's type. Positional
     # arguments, because keyword calls make building a FactRecord about 1.6
@@ -496,26 +403,19 @@ def load_state(path: str | Path) -> TrustState:
             for rec in doc["kb"]
         }
         site_list = [
-            Website(
-                _int(rec["id"]),
-                _text(rec["url"]),
-                _number(rec["trust"]),
-                set(rec["fact_ids"]),
-            )
+            Website(_int(rec["id"]), _text(rec["url"]), _number(rec["trust"]))
             for rec in doc["websites"]
         ]
+        site_ids = {site.id for site in site_list}
         fact_list = [
             FactRecord(
                 _int(rec["fact_id"]),
                 _text(rec["isbn"]),
                 _names(rec["authors"]),
-                set(rec["providers"]),
-                _flag(rec["unknown_object"]),
+                _providers(rec, site_ids),
                 _number(rec["pcf"]),
                 _number(rec["confidence"]),
                 _number(rec["adjusted_confidence"]),
-                _number(rec["confidence_score"]),
-                _number(rec["adjusted_score"]),
             )
             for rec in doc["facts"]
         ]
@@ -537,11 +437,10 @@ def load_state(path: str | Path) -> TrustState:
         if trusts.keys() != websites.keys():
             url = min(trusts.keys() ^ websites.keys())
             raise StateError(f"{path}: {method} trust table and websites disagree on url {url!r}")
-    facts = {fact.fact_id: fact for fact in fact_list}
-    _check_state(path, websites, facts, kb)
+    _check_state(path, site_list, fact_list)
     return TrustState(
         websites=websites,
-        facts=facts,
+        facts={fact.fact_id: fact for fact in fact_list},
         kb=kb,
         epoch=epoch,
         config=config,
@@ -582,10 +481,16 @@ def _trust(value: object) -> float:
     raise ValueError(f"method trust {value!r} outside [0, 1]")
 
 
-def _flag(value: object) -> bool:
-    if type(value) is bool:
-        return value
-    raise TypeError(f"expected true or false, got {value!r}")
+def _providers(rec: dict, site_ids: set[int]) -> set[int]:
+    """A fact's providers: stored as websites' int ids, ascending and distinct."""
+    ids = rec["providers"]
+    if type(ids) is not list or not ({int}.issuperset(map(type, ids)) and site_ids.issuperset(ids)):
+        raise ValueError(f"fact {rec['fact_id']!r}: a provider is not the integer id of a website")
+    if not ids:
+        raise ValueError(f"fact {rec['fact_id']!r}: no website provides it")
+    if not all(map(lt, ids, ids[1:])):
+        raise ValueError(f"fact {rec['fact_id']!r}: providers are not ascending and distinct")
+    return set(ids)
 
 
 def _text(value: object) -> str:
@@ -624,54 +529,27 @@ def _check_unique(path: str | Path, what: str, keys: list) -> None:
         raise StateError(f"{path}: duplicate {what} {duplicate!r}")
 
 
-def _check_state(
-    path: str | Path,
-    websites: dict[str, Website],
-    facts: dict[int, FactRecord],
-    kb: dict[ObjectId, TrueFact],
-) -> None:
-    """Reject values out of range (NaN too) and inconsistent records.
+def _check_state(path: str | Path, sites: list[Website], facts: list[FactRecord]) -> None:
+    """Reject values out of range (NaN too) and facts that are not canonical.
 
-    Out of range: a trust or probability outside [0, 1], a log score that is
-    negative or not finite. Inconsistent: a fact no website provides, an
-    unmirrored website-fact link, a link whose id is not an int, or an
-    ``unknown_object`` flag that disagrees with the knowledge base.
+    Out of range: a trust or probability outside [0, 1]. Not canonical: an
+    author list that is not sorted and distinct, or a second fact on the same
+    ISBN and authors, which :func:`build_fact_table` would have merged.
     """
-    fact_ids_of: dict[int, set[int]] = {}
-    links = 0
-    for site in websites.values():
+    for site in sites:
         if not 0.0 <= site.trust <= 1.0:
             raise StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
-        fact_ids_of[site.id] = site.fact_ids
-        links += len(site.fact_ids)
-    if not {int}.issuperset(map(type, chain.from_iterable(fact_ids_of.values()))):
-        raise StateError(f"{path}: a website's fact_ids holds an id that is not an integer")
-    for fact in facts.values():
+    first: dict[tuple[ObjectId, tuple[str, ...]], int] = {}
+    for fact in facts:
         if not (
             0.0 <= fact.pcf <= 1.0
             and 0.0 <= fact.confidence <= 1.0
             and 0.0 <= fact.adjusted_confidence <= 1.0
         ):
             raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
-        if not (
-            0.0 <= fact.confidence_score < math.inf and 0.0 <= fact.adjusted_score < math.inf
-        ):
-            raise StateError(f"{path}: fact {fact.fact_id}: a log score is negative or not finite")
-        if not fact.providers:
-            raise StateError(f"{path}: fact {fact.fact_id}: no website provides it")
-        if fact.unknown_object == (fact.object in kb):
-            raise StateError(
-                f"{path}: fact {fact.fact_id}: unknown_object {fact.unknown_object}"
-                f" disagrees with the KB for ISBN {fact.object!r}"
-            )
-        for site_id in fact.providers:
-            if type(site_id) is not int or fact.fact_id not in fact_ids_of.get(site_id, ()):
-                raise StateError(
-                    f"{path}: fact {fact.fact_id}: provider {site_id!r} is not the integer id"
-                    " of a website listing it"
-                )
-        links -= len(fact.providers)
-    # Every provider link has its mirror, so a surplus of fact_ids entries
-    # means one names a missing fact or a fact that does not list the site.
-    if links:
-        raise StateError(f"{path}: fact_ids and providers do not mirror each other")
+        authors = fact.authors
+        if not all(map(lt, authors, authors[1:])):
+            raise StateError(f"{path}: fact {fact.fact_id}: authors are not sorted and distinct")
+        other = first.setdefault((fact.object, tuple(authors)), fact.fact_id)
+        if other != fact.fact_id:
+            raise StateError(f"{path}: fact {fact.fact_id}: same ISBN and authors as fact {other}")

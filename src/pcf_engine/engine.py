@@ -29,7 +29,6 @@ hold a readable per-fact reference of it as the oracle, and check that
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
@@ -80,15 +79,19 @@ def build_index(state: TrustState) -> Index:
     sites = sorted(state.websites.values(), key=lambda w: w.id)
     facts = [state.facts[fid] for fid in sorted(state.facts)]
     site_at = {site.id: i for i, site in enumerate(sites)}
-    fact_at = {fact.fact_id: k for k, fact in enumerate(facts)}
+    fact_providers = tuple(tuple(sorted(map(site_at.__getitem__, f.providers))) for f in facts)
+    # Facts in ascending id: each site's list comes out ascending.
+    site_facts: list[list[int]] = [[] for _ in sites]
     groups: dict[str, list[int]] = {}
-    for k, fact in enumerate(facts):
+    for k, (fact, providers) in enumerate(zip(facts, fact_providers)):
+        for i in providers:
+            site_facts[i].append(k)
         groups.setdefault(fact.object, []).append(k)
     return Index(
         sites=tuple(sites),
         facts=tuple(facts),
-        site_facts=tuple(tuple(sorted(map(fact_at.__getitem__, s.fact_ids))) for s in sites),
-        fact_providers=tuple(tuple(sorted(map(site_at.__getitem__, f.providers))) for f in facts),
+        site_facts=tuple(map(tuple, site_facts)),
+        fact_providers=fact_providers,
         groups=tuple(map(tuple, groups.values())),
         known=tuple(fact.object in state.kb for fact in facts),
     )
@@ -97,13 +100,11 @@ def build_index(state: TrustState) -> Index:
 def assign_pcf(state: TrustState) -> TrustState:
     """Score every fact's probability of correctness against the KB.
 
-    Facts for objects missing from the knowledge base are flagged and get
-    probability 0. The scores depend only on the KB, so they stay fixed
-    across epochs.
+    Facts for objects missing from the knowledge base get probability 0.
+    The scores depend only on the KB, so they stay fixed across epochs.
     """
     for fact in state.facts.values():
         truth = state.kb.get(fact.object)
-        fact.unknown_object = truth is None
         fact.pcf = fact_pcf(fact.authors, truth.authors) if truth else 0.0
     return state
 
@@ -112,23 +113,13 @@ def fact_confidence(trusts: Iterable[float], clamp: float) -> float:
     """Confidence that a fact is correct given its providers' trusts.
 
     s(f) = 1 - prod(1 - t(w)) over ``trusts``, multiplied in the order
-    given (the index's ascending site id), clamped to 1 - ``clamp`` so a
-    fully trusted provider still yields a finite log score.
+    given (the index's ascending site id), clamped to 1 - ``clamp`` so that
+    no fact is certain, even with a fully trusted provider.
     """
     product = 1.0
     for trust in trusts:
         product *= 1.0 - trust
     return min(1.0 - product, 1.0 - clamp)
-
-
-def confidence_score(s: float) -> float:
-    """Log-domain confidence: -ln(1 - s), strictly increasing in s.
-
-    The score of both a fact's confidence and its adjusted confidence.
-    """
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"confidence must lie in [0, 1) after clamping, got {s}")
-    return -math.log(1.0 - s)
 
 
 def implication_factor(p1: float, p2: float, epsilon: float) -> float:
@@ -276,8 +267,8 @@ def run_epochs(
 def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
     """``run_epochs`` on vectors read from ``state``'s records, written back after the last epoch.
 
-    The write-back sets every trust, confidence and adjusted confidence, and
-    the two log scores; ``state.epoch`` counts the epochs.
+    The write-back sets every trust, confidence and adjusted confidence;
+    ``state.epoch`` counts the epochs.
     """
     ix = build_index(state)
     pcf = [fact.pcf for fact in ix.facts]
@@ -289,8 +280,6 @@ def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
         site.trust = t
     for fact, s, a in zip(ix.facts, confidence, adjusted):
         fact.confidence = s
-        fact.confidence_score = confidence_score(s)
         fact.adjusted_confidence = a
-        fact.adjusted_score = confidence_score(a)
     state.epoch += len(reports)
     return state, reports

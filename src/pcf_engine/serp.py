@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import TrustState, normalize_name
+from .corpus import FactRecord, TrustState, normalize_name
 
 
 class StaleMethodError(Exception):
@@ -53,12 +53,17 @@ def query(
     if not matched:
         return []
 
+    # Each site's facts on matched objects, in ascending fact id.
+    facts_of: dict[int, list[FactRecord]] = {}
+    for fact_id in sorted(state.facts):
+        fact = state.facts[fact_id]
+        if fact.object in matched:
+            for site_id in fact.providers:
+                facts_of.setdefault(site_id, []).append(fact)
+
     rows: list[SerpRow] = []
     for url, trust in rank_websites(state, method):
-        for fact_id in sorted(state.websites[url].fact_ids):
-            fact = state.facts[fact_id]
-            if fact.object not in matched:
-                continue
+        for fact in facts_of.get(state.websites[url].id, ()):
             rows.append(
                 SerpRow(
                     rank=len(rows) + 1,

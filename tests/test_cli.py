@@ -36,14 +36,6 @@ def gen_args(tmp_path, websites=6, objects=4, claims_per_site=2, corruption=0.5,
     ], kb, claims
 
 
-def _unknown_object_as_string(doc):
-    """Make every fact's ISBN unknown, and write one fact's true flag as "no"."""
-    doc["kb"].clear()
-    for fact in doc["facts"]:
-        fact["unknown_object"] = True
-    doc["facts"][0]["unknown_object"] = "no"
-
-
 def _ids_as_floats(record, key):
     record[key] = [float(i) for i in record[key]]
 
@@ -55,15 +47,17 @@ OVERFLOW = 1.25e300
 
 
 def _unprovided_object(doc):
-    """Take every fact of one ISBN off its providers and them off the websites."""
+    """Take every fact of one ISBN off its providers."""
     isbn = doc["facts"][0]["isbn"]
-    dropped = set()
     for fact in doc["facts"]:
         if fact["isbn"] == isbn:
             fact["providers"] = []
-            dropped.add(fact["fact_id"])
-    for site in doc["websites"]:
-        site["fact_ids"] = [fid for fid in site["fact_ids"] if fid not in dropped]
+
+
+def _second_fact_on_a_key(doc):
+    """Give fact 2 the ISBN and authors of fact 1 (the two merge in build_fact_table)."""
+    first, second = doc["facts"][:2]
+    second.update(isbn=first["isbn"], authors=list(first["authors"]))
 
 
 def ingest(tmp_path, kb, claims):
@@ -196,12 +190,21 @@ class TestRun:
         assert cli.main(["run", "--state", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_version_1_state_exits_2_and_says_to_ingest_again(self, tmp_path, capsys):
+        kb, claims = write_core_fixture(tmp_path)
+        state = ingest(tmp_path, kb, claims)
+        doc = json.loads(state.read_text(encoding="utf-8"))
+        doc["pcf_state_version"] = 1
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["run", "--state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "schema version 1" in err and "pcf ingest" in err
+
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda d: d["websites"][0]["fact_ids"].append(999999),
             lambda d: d["facts"][0]["providers"].append(999999),
-            lambda d: d["websites"][0]["fact_ids"].clear(),
             lambda d: d["facts"][0]["providers"].clear(),
             lambda d: d["websites"][0].update(trust="nan"),
             lambda d: d["websites"][0].update(trust=1.5),
@@ -212,10 +215,8 @@ class TestRun:
             lambda d: d.update(method_trusts=[]),
             # Each duplicate is placed so that the merged tables still pass
             # the link check.
-            lambda d: d["websites"].insert(
-                0, dict(d["websites"][0], url="http://dup.example.com", fact_ids=[])
-            ),
-            lambda d: d["websites"].insert(0, dict(d["websites"][0], id=99, fact_ids=[])),
+            lambda d: d["websites"].insert(0, dict(d["websites"][0], url="http://dup.example.com")),
+            lambda d: d["websites"].insert(0, dict(d["websites"][0], id=99)),
             lambda d: d["facts"].append(dict(d["facts"][0], authors=["someone else"])),
             lambda d: d["config"].update(epsilon="nan"),
             lambda d: d["config"].update(epsilon=1.5),
@@ -225,20 +226,16 @@ class TestRun:
             lambda d: d["config"].update(max_epochs=0),
             lambda d: d["config"].update(convergence_tol="inf"),
             lambda d: d["config"].update(convergence_tol="nan"),
-            # `run` would use the stored flag and `compare` would re-derive it.
-            lambda d: d["facts"][0].update(unknown_object=not d["facts"][0]["unknown_object"]),
             # Wrongly typed strings used to load and crash a later command.
             lambda d: d["websites"][0].update(url=5),
             lambda d: d["facts"][0].update(authors=[1, 2]),
             lambda d: d["kb"][0].update(title=7),
             lambda d: d["kb"][0].update(authors="abc"),
-            # Wrongly typed numbers and flags used to be coerced.
+            # Wrongly typed numbers used to be coerced.
             lambda d: d["websites"][0].update(id=1.5),
             lambda d: d["websites"][0].update(trust=True),
             lambda d: d.update(epoch="3"),
-            _unknown_object_as_string,
             lambda d: _ids_as_floats(d["facts"][0], "providers"),
-            lambda d: _ids_as_floats(d["websites"][0], "fact_ids"),
             lambda d: d["kb"][0].update(price=math.nan),
             # Out-of-range numbers used to load, and `query` printed them.
             lambda d: d["method_trusts"]["pcf"].update({W1: 5.0}),
@@ -246,28 +243,33 @@ class TestRun:
             lambda d: d["method_trusts"]["pcf"].update({W1: OVERFLOW}),
             lambda d: d["kb"][0].update(price=-3),
             lambda d: d["kb"][0].update(price=OVERFLOW),
-            lambda d: d["facts"][0].update(confidence_score=OVERFLOW),
-            lambda d: d["facts"][0].update(adjusted_score=-0.5),
-            # Passed the mirror check; `compare` then divided by zero.
+            # `compare` used to divide by zero on an object that no website provides.
             _unprovided_object,
             # `query` skipped urls it did not know and left out the missing site.
             lambda d: d["method_trusts"]["pcf"].pop(W1),
             lambda d: d["method_trusts"]["pcf"].update({"http://nobody.example": 0.9}),
+            # Not in the form build_fact_table writes; these used to load and run.
+            lambda d: d["facts"][0].update(authors=["ann ax", "ann ax"]),
+            lambda d: d["facts"][0].update(authors=d["facts"][0]["authors"][::-1]),
+            lambda d: d["facts"][0].update(providers=[1, 1]),
+            lambda d: d["facts"][0].update(providers=[2, 1]),
+            _second_fact_on_a_key,
         ],
         ids=[
-            "missing-fact", "missing-provider", "fact-ids-unmirrored",
-            "providers-unmirrored", "nan-trust", "trust-above-one", "negative-pcf",
+            "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
+            "negative-pcf",
             "nan-confidence", "adjusted-above-one", "no-epoch", "method-trusts-list",
             "duplicate-website-id", "duplicate-url", "duplicate-fact-id",
             "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
-            "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol",
-            "unknown-object-flipped", "integer-url", "integer-author-names",
+            "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol", "integer-url",
+            "integer-author-names",
             "integer-title", "string-author-list", "fractional-website-id",
-            "boolean-trust", "string-epoch", "string-unknown-object", "float-provider-ids",
-            "float-fact-ids", "nan-price", "method-trust-above-one", "negative-method-trust",
+            "boolean-trust", "string-epoch", "float-provider-ids", "nan-price",
+            "method-trust-above-one", "negative-method-trust",
             "overflowing-method-trust", "negative-price", "overflowing-price",
-            "overflowing-confidence-score", "negative-adjusted-score", "fact-without-providers",
-            "method-table-missing-site", "method-table-unknown-url",
+            "fact-without-providers", "method-table-missing-site", "method-table-unknown-url",
+            "repeated-author", "unsorted-authors", "repeated-provider", "descending-providers",
+            "second-fact-on-a-key",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

@@ -42,7 +42,6 @@ def state_document(state: corpus.TrustState) -> dict:
                 "id": w.id,
                 "url": w.url,
                 "trust": w.trust,
-                "fact_ids": sorted(w.fact_ids),
             }
             for w in sorted(state.websites.values(), key=lambda w: w.id)
         ],
@@ -52,12 +51,9 @@ def state_document(state: corpus.TrustState) -> dict:
                 "isbn": f.object,
                 "authors": f.authors,
                 "providers": sorted(f.providers),
-                "unknown_object": f.unknown_object,
                 "pcf": f.pcf,
                 "confidence": f.confidence,
                 "adjusted_confidence": f.adjusted_confidence,
-                "confidence_score": f.confidence_score,
-                "adjusted_score": f.adjusted_score,
             }
             for f in (state.facts[k] for k in sorted(state.facts))
         ],
@@ -112,7 +108,7 @@ def library_states(draw):
         for isbn in draw(st.lists(texts, max_size=3, unique=True))
     }
     websites = {
-        url: corpus.Website(draw(ids), url, draw(numbers), set(draw(st.lists(ids, max_size=3))))
+        url: corpus.Website(draw(ids), url, draw(numbers))
         for url in draw(st.lists(texts, max_size=3, unique=True))
     }
     facts = {
@@ -121,8 +117,7 @@ def library_states(draw):
             draw(texts),
             draw(st.lists(texts, max_size=3)),
             set(draw(st.lists(ids, max_size=3))),
-            draw(st.booleans()),
-            *(draw(numbers) for _ in range(5)),
+            *(draw(numbers) for _ in range(3)),
         )
         for fact_id in draw(st.lists(ids, max_size=3, unique=True))
     }
@@ -140,9 +135,9 @@ def _edge_state(method_trusts):
     return corpus.TrustState(
         websites={
             "http://é.example/\"q\"": corpus.Website(1, "http://é.example/\"q\"", 1),
-            "\\😀\x01": corpus.Website(2, "\\😀\x01", 0.1 + 0.2, {7}),
+            "\\😀\x01": corpus.Website(2, "\\😀\x01", 0.1 + 0.2),
         },
-        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, True, 5e-324, 1e-10, -0.0, 1e16)},
+        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, 5e-324, -0.0, 1e16)},
         method_trusts=method_trusts,
     )
 
@@ -429,8 +424,8 @@ class TestBuildFactTable:
         ]
         websites, facts = corpus.build_fact_table(claims)
         assert len(facts) == 2
-        assert websites["http://a.com"].fact_ids == {1}
-        assert websites["http://b.com"].fact_ids == {2}
+        assert facts[1].providers == {websites["http://a.com"].id}
+        assert facts[2].providers == {websites["http://b.com"].id}
 
     def test_exact_duplicate_rows_collapse_silently(self):
         claims = [
@@ -440,7 +435,7 @@ class TestBuildFactTable:
         websites, facts = corpus.build_fact_table(claims)
         assert len(facts) == 1
         assert facts[1].providers == {1}
-        assert websites["http://a.com"].fact_ids == {1}
+        assert list(websites) == ["http://a.com"]
 
     def test_fifty_sites_two_distinct_claims_each(self):
         claims = []
@@ -451,7 +446,8 @@ class TestBuildFactTable:
         websites, facts = corpus.build_fact_table(claims)
         assert len(facts) == 100
         assert len(websites) == 50
-        assert all(len(w.fact_ids) == 2 for w in websites.values())
+        ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts))
+        assert all(len(own) == 2 for own in ix.site_facts)
 
     def test_fields_initialized_to_zero(self):
         _, facts = corpus.build_fact_table([make_claim("http://a.com", "1", ["x y"])])
@@ -481,17 +477,18 @@ class TestBuildFactTable:
         distinct_pairs = {
             (c.website, c.object, corpus.canonical_authors(c.authors)) for c in claims
         }
-        assert sum(len(w.fact_ids) for w in websites.values()) == len(distinct_pairs)
         assert sum(len(f.providers) for f in facts.values()) == len(distinct_pairs)
+        ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts))
+        assert sum(map(len, ix.site_facts)) == len(distinct_pairs)
 
 
 class TestBuildState:
     def test_unknown_objects_flagged(self, core_java_kb):
         claims = core_java_claims() + [make_claim(W1, "no-such-isbn", ["q r"])]
-        state = corpus.build_state(core_java_kb, claims)
-        flags = {f.object: f.unknown_object for f in state.facts.values()}
-        assert flags["no-such-isbn"] is True
-        assert flags[CORE_ISBN] is False
+        ix = engine.build_index(corpus.build_state(core_java_kb, claims))
+        known = {f.object: flag for f, flag in zip(ix.facts, ix.known)}
+        assert known["no-such-isbn"] is False
+        assert known[CORE_ISBN] is True
 
 
 class TestPersistence:
@@ -530,7 +527,7 @@ class TestPersistence:
         assert path.read_bytes() == before
         # A failure while the text is being written out: a lone surrogate
         # cannot be encoded as UTF-8.
-        monkeypatch.setattr(corpus, "_state_text", lambda state: '{"x": "\ud800"}')
+        monkeypatch.setattr(corpus.json, "dumps", lambda *args, **kwargs: '{"x": "\ud800"}')
         with pytest.raises(UnicodeEncodeError):
             corpus.save_state(corpus.TrustState(), path)
         assert path.read_bytes() == before
@@ -543,7 +540,7 @@ class TestPersistence:
         corpus.save_state(state, path)
         before = path.read_bytes()
         state.websites[W1].trust = value
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="not JSON compliant"):
             corpus.save_state(state, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
@@ -553,7 +550,8 @@ class TestPersistence:
     @example(state=_edge_state({}))
     @example(state=_edge_state({"pcf": {}, "voting": {"\\😀\x01": 1, "é": 0.5}}))
     def test_file_is_byte_identical_to_json_dumps(self, state):
-        expected = json.dumps(state_document(state), sort_keys=True, indent=2) + "\n"
+        compact = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+        expected = json.dumps(state_document(state), **compact) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.json"
             corpus.save_state(state, path)
@@ -567,9 +565,11 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({"pcf_state_version": 99}), encoding="utf-8")
-        with pytest.raises(corpus.StateError, match="schema version"):
-            corpus.load_state(path)
+        # 1: the format that stored fact_ids, unknown_object and log scores.
+        for version in (1, 99):
+            path.write_text(json.dumps({"pcf_state_version": version}), encoding="utf-8")
+            with pytest.raises(corpus.StateError, match="schema version.*pcf ingest"):
+                corpus.load_state(path)
 
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "state.json"

@@ -1,5 +1,4 @@
 import copy
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -95,7 +94,7 @@ class TestAssignPcf:
         )
         state = engine.assign_pcf(state)
         assert state.facts[1].pcf == 0.0
-        assert state.facts[1].unknown_object
+        assert engine.build_index(state).known == (False,)
 
     def test_pcf_unchanged_by_epochs(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
@@ -128,7 +127,7 @@ class TestUpdateTrust:
         state = engine.assign_pcf(state)
         site = state.websites[W1]
         site.trust = 0.9
-        fact_ids = sorted(site.fact_ids)
+        fact_ids = sorted(state.facts)
         state.facts[fact_ids[0]].adjusted_confidence = 0.4
         state.facts[fact_ids[1]].adjusted_confidence = 0.8
         updated, _ = one_epoch(state)
@@ -170,7 +169,7 @@ class TestFactConfidence:
         """The trusts of one fact's providers, read through the index as an epoch reads them."""
         websites = {
             f"http://w{i}.com": corpus.Website(
-                id=i + 1, url=f"http://w{i}.com", trust=t, fact_ids={1}
+                id=i + 1, url=f"http://w{i}.com", trust=t
             )
             for i, t in enumerate(trusts)
         }
@@ -210,21 +209,6 @@ class TestFactConfidence:
         assert engine.fact_confidence(read, CLAMP) >= engine.fact_confidence(
             read[:-1], CLAMP
         )
-
-
-class TestConfidenceScore:
-    def test_zero(self):
-        assert engine.confidence_score(0.0) == 0.0
-
-    def test_three_quarters(self):
-        assert engine.confidence_score(0.75) == pytest.approx(-math.log(0.25))
-
-    def test_near_one(self):
-        assert engine.confidence_score(1 - 1e-10) == pytest.approx(23.0258509, abs=1e-6)
-
-    def test_unclamped_input_rejected(self):
-        with pytest.raises(ValueError):
-            engine.confidence_score(1.0)
 
 
 class TestImplicationFactor:
@@ -376,48 +360,6 @@ class TestDamp:
         assert engine.damp(value) == value
 
 
-class TestAdjustedScore:
-    """A fact's adjusted score is the log score of its adjusted confidence."""
-
-    def _adjusted_score(self, confidence):
-        # One site at trust `confidence` provides one fact, off the KB and
-        # with no sibling, whose adjusted confidence is `confidence` too: the
-        # epoch keeps that trust (zero takes the initial branch, which also
-        # gives zero), so the fact's confidence and adjusted confidence equal
-        # it, and `run` writes the adjusted score back.
-        url = "http://x.com"
-        state = corpus.TrustState(
-            websites={url: corpus.Website(id=1, url=url, trust=confidence, fact_ids={1})},
-            facts={
-                1: corpus.FactRecord(
-                    fact_id=1,
-                    object="1",
-                    authors=["a b"],
-                    providers={1},
-                    unknown_object=True,
-                    adjusted_confidence=confidence,
-                )
-            },
-        )
-        state, _ = one_epoch(state)
-        return state.facts[1].adjusted_score
-
-    def test_half(self):
-        assert self._adjusted_score(0.5) == pytest.approx(0.6931, abs=1e-4)
-
-    def test_zero(self):
-        assert self._adjusted_score(0.0) == 0.0
-
-    def test_point_nine(self):
-        assert self._adjusted_score(0.9) == pytest.approx(2.3026, abs=1e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            engine.confidence_score(1.0)
-        with pytest.raises(ValueError):
-            engine.confidence_score(-0.01)
-
-
 class TestRunEpoch:
     def test_exact_copy_epoch_one(self):
         state, report = one_epoch(exact_copy_state())
@@ -438,7 +380,7 @@ class TestRunEpoch:
         state = engine.assign_pcf(core_java_state)
         after, _ = one_epoch(state)
         for url, site in after.websites.items():
-            own = [state.facts[fid] for fid in site.fact_ids]
+            own = [fact for fact in state.facts.values() if site.id in fact.providers]
             ratios = []
             for fact in own:
                 per_name = []
@@ -457,7 +399,7 @@ class TestRunEpoch:
         adjusted = {fid: f.adjusted_confidence for fid, f in first.facts.items()}
         second, _ = one_epoch(first)
         for url, site in second.websites.items():
-            expected = [adjusted[fid] for fid in site.fact_ids]
+            expected = [adjusted[fid] for fid, f in second.facts.items() if site.id in f.providers]
             assert site.trust == pytest.approx(sum(expected) / len(expected))
 
     def test_updates_the_given_state(self, core_java_state):
@@ -532,8 +474,6 @@ class TestBuildIndex:
             facts[fid] = corpus.FactRecord(
                 fact_id=fid, object="1" if fid != 4 else "2", authors=[], providers=set(providers)
             )
-            for sid in providers:
-                websites[f"http://s{sid}.com"].fact_ids.add(fid)
         ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts, kb=kb))
         assert [w.id for w in ix.sites] == [1, 2, 3]
         assert [f.fact_id for f in ix.facts] == [4, 7, 10]
@@ -590,5 +530,3 @@ class TestEpochBounds:
         for fact in state.facts.values():
             assert 0.0 <= fact.confidence <= 1.0
             assert 0.0 <= fact.adjusted_confidence <= 1.0
-            assert fact.confidence_score >= 0.0
-            assert fact.adjusted_score >= 0.0

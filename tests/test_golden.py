@@ -1,27 +1,43 @@
-"""Pinned state-file bytes after ingest -> run --epochs 3 --tol 0 -> compare.
+"""Pinned outputs after ingest -> run --epochs 3 --tol 0 -> compare.
 
-Any change to the arithmetic, its order or the state format changes these
-hashes. Float sums add left to right, so the hashes hold on every supported
-Python version.
+Two hashes per shape. ``NUMBERS`` covers the numbers alone: the repr of
+every website trust, of every fact's pcf, confidence and adjusted
+confidence keyed by (ISBN, authors), and of every method table entry, read
+back through ``corpus.load_state``, plus the compare CSV. Any change to the
+arithmetic or its order changes it; a change to the state format does not.
+``STATE_BYTES`` covers the state file byte for byte, so it changes with the
+format too. Float sums add left to right, so the hashes hold on every
+supported Python version.
 """
 
 import hashlib
 
 import pytest
 
-from pcf_engine import cli
+from pcf_engine import cli, corpus
 
-GOLDEN = {
+# (websites, objects, claims per site, corruption)
+SHAPES = {
     # 40 sites x 4 claims over 12 objects: many facts per site and per object.
-    (40, 12, 4, 0.5): "23da09badc5c0f0a611dbf7afd96b156b6ed36182d0a94dc2b3c4cc798b3084e",
+    "gen-40x4": (40, 12, 4, 0.5),
     # One object, every claim corrupted: one large sibling group.
-    (60, 1, 1, 1.0): "923c5375684ba5883396503d94adc1db556fc2f328609f6e09697538bf5612f8",
+    "one-object": (60, 1, 1, 1.0),
+}
+
+NUMBERS = {
+    "gen-40x4": "9886569152b40f1b56ca852496fec92325f41067ebdd8e8ca578cacf1326a012",
+    "one-object": "e0cb93a778f862c39ff2bd55cfc248088d8f8746a1c39efca408af91f6dd20c7",
+}
+
+STATE_BYTES = {
+    "gen-40x4": "bb4cce7a9945af886a054f7655df7617f3ddbb1560b5d856a381a229f04d2c20",
+    "one-object": "fa2802e2e95edb5d7fb334d5d2153e24c073ad378e3f6a8a173b8eeec3070b2e",
 }
 
 
-@pytest.mark.parametrize("shape", list(GOLDEN), ids=["gen-40x4", "one-object"])
-def test_state_bytes_after_ingest_run_compare(tmp_path, capsys, shape):
-    websites, objects, claims_per_site, corruption = shape
+def ingest_run_compare(tmp_path, capsys, shape):
+    """Run the pipeline on a generated corpus; returns the state path and the compare CSV."""
+    websites, objects, claims_per_site, corruption = SHAPES[shape]
     kb, claims, state = tmp_path / "kb.jsonl", tmp_path / "claims.csv", tmp_path / "state.json"
     commands = [
         [
@@ -36,9 +52,39 @@ def test_state_bytes_after_ingest_run_compare(tmp_path, capsys, shape):
         ],
         ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)],
         ["run", "--state", str(state), "--epochs", "3", "--tol", "0"],
-        ["compare", "--state", str(state)],
     ]
     for argv in commands:
         assert cli.main(argv) == 0
     capsys.readouterr()
-    assert hashlib.sha256(state.read_bytes()).hexdigest() == GOLDEN[shape]
+    assert cli.main(["compare", "--state", str(state)]) == 0
+    return state, capsys.readouterr().out
+
+
+def numbers_text(state: corpus.TrustState, compare_csv: str) -> str:
+    """Every stored number as its repr, keyed by url or (ISBN, authors), then the CSV."""
+    r = float.__repr__
+    lines = [f"site {site.url} {r(site.trust)}" for site in state.websites.values()]
+    lines += [
+        f"fact {fact.object} {';'.join(fact.authors)}"
+        f" {r(fact.pcf)} {r(fact.confidence)} {r(fact.adjusted_confidence)}"
+        for fact in state.facts.values()
+    ]
+    lines += [
+        f"{method} {url} {r(trust)}"
+        for method, table in state.method_trusts.items()
+        for url, trust in table.items()
+    ]
+    return "\n".join(sorted(lines)) + "\n" + compare_csv
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_numbers_after_ingest_run_compare(tmp_path, capsys, shape):
+    state, compare_csv = ingest_run_compare(tmp_path, capsys, shape)
+    text = numbers_text(corpus.load_state(state), compare_csv)
+    assert hashlib.sha256(text.encode()).hexdigest() == NUMBERS[shape]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_state_bytes_after_ingest_run_compare(tmp_path, capsys, shape):
+    state, _ = ingest_run_compare(tmp_path, capsys, shape)
+    assert hashlib.sha256(state.read_bytes()).hexdigest() == STATE_BYTES[shape]

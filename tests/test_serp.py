@@ -1,6 +1,6 @@
 import pytest
 
-from pcf_engine import corpus, serp
+from pcf_engine import corpus, engine, generator, serp
 
 QUERY_ISBN = "8183330088"
 OTHER_ISBN = "8183330090"
@@ -47,7 +47,6 @@ def bookstore_state():
             adjusted_confidence=trust / 2,
         )
         state.facts[fact_id] = fact
-        site.fact_ids.add(fact_id)
     state.method_trusts["pcf"] = dict(SITE_TRUSTS)
     state.epoch = 1
     return state
@@ -115,6 +114,36 @@ class TestQuery:
         assert len(rows) == 1
         assert rows[0].url == "http://shop-aggarwal.example.com"
 
+    @pytest.mark.parametrize("needle", ["vol 1", "9780000000003", "no such title"])
+    def test_equals_a_per_site_reference(self, needle):
+        # Twelve sites with four claims each over twelve books: "vol 1"
+        # matches several books, so a site lists several facts.
+        spec = generator.GenSpec(
+            n_websites=12, n_objects=12, claims_per_site=4, corruption_rate=0.5, seed=3
+        )
+        books = generator.generate_kb(spec)
+        state = corpus.build_state(
+            {b.object: b for b in books}, generator.generate_claims(spec, books)
+        )
+        state, _ = engine.run(engine.assign_pcf(state))
+        state.method_trusts["pcf"] = {url: site.trust for url, site in state.websites.items()}
+        matched = {
+            b.object
+            for b in books
+            if needle == b.object or needle in corpus.normalize_name(b.title)
+        }
+        expected = [
+            (url, fact.fact_id)
+            for url, _ in serp.rank_websites(state, "pcf")
+            for fact in sorted(state.facts.values(), key=lambda f: f.fact_id)
+            if state.websites[url].id in fact.providers and fact.object in matched
+        ]
+        by_key = {(f.object, tuple(f.authors)): f.fact_id for f in state.facts.values()}
+        rows = serp.query(state, needle, top_k=1000)
+        assert [(r.url, by_key[r.object, r.claimed_authors]) for r in rows] == expected
+        if needle == "vol 1":
+            assert len(expected) > len({url for url, _ in expected}) > 1
+
     def test_repeat_query_is_identical(self):
         state = bookstore_state()
         assert serp.query(state, QUERY_ISBN) == serp.query(state, QUERY_ISBN)
@@ -123,7 +152,10 @@ class TestQuery:
         state = bookstore_state()
         for row in serp.query(state, QUERY_ISBN):
             site = state.websites[row.url]
-            assert any(state.facts[fid].object == QUERY_ISBN for fid in site.fact_ids)
+            assert any(
+                fact.object == QUERY_ISBN and site.id in fact.providers
+                for fact in state.facts.values()
+            )
 
 
 class TestSerpTsv:
