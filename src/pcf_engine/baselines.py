@@ -65,7 +65,7 @@ def _engine_run(
         for fact, known in zip(ix.facts, ix.known)
     ]
     config = state.config if config is None else config
-    trust, _, adjusted, _ = run_epochs(
+    trust, adjusted, _ = run_epochs(
         ix, config, 0, pcf, [0.0] * len(ix.sites), [0.0] * len(ix.facts)
     )
     return _result(method, ix, trust, adjusted)

@@ -163,9 +163,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if args.websites_list is not None:
         print("n_websites,n_facts,data_seconds,engine_seconds")
-        for n, facts, data_s, engine_s in bench.scaling_bench(
-            args.websites_list, seed=state.config.seed
-        ):
+        for n, facts, data_s, engine_s in bench.scaling_bench(args.websites_list):
             print(f"{n},{facts},{data_s:.6f},{engine_s:.6f}")
     if args.sweep_epsilon is not None:
         print("epsilon,mean_implication_factor")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import lt
 from pathlib import Path
 
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 CLAIMS_HEADER = ["website_url", "isbn", "authors", "publisher", "price", "quantity"]
 
@@ -77,7 +77,6 @@ class FactRecord:
     authors: list[str]
     providers: set[int] = field(default_factory=set)
     pcf: float = 0.0
-    confidence: float = 0.0
     adjusted_confidence: float = 0.0
 
 
@@ -88,13 +87,22 @@ class Website:
     trust: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
+    """The settings of ``pcf run``; a value the engine cannot run with raises ValueError."""
+
     epsilon: float = 0.4
     convergence_tol: float = 1e-6
     max_epochs: int = 10
-    confidence_clamp: float = 1e-10
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        # NaN fails every range.
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"config epsilon {self.epsilon} outside [0, 1]")
+        if self.max_epochs < 1:
+            raise ValueError(f"config max_epochs {self.max_epochs} below 1")
+        if not math.isfinite(self.convergence_tol):
+            raise ValueError(f"config convergence_tol {self.convergence_tol} is not finite")
 
 
 @dataclass
@@ -114,6 +122,24 @@ class TrustState:
 def canonical_authors(authors: list[str]) -> tuple[str, ...]:
     """Canonical fact key: normalized author names sorted lexicographically."""
     return tuple(sorted(authors))
+
+
+def check_authors(names: list[str]) -> None:
+    """Refuse an author list that no input file may give: ValueError if it is
+    empty or holds a blank name, a name containing ``;`` (the claims
+    separator) or a name twice, TypeError if it holds a name that is not a string.
+    """
+    if names and "" not in names and ";" not in "".join(names) and len(set(names)) == len(names):
+        return
+    if not names:
+        raise ValueError("empty author list")
+    for i, name in enumerate(names):
+        if not name:
+            raise ValueError("blank author name")
+        if ";" in name:
+            raise ValueError(f"author name {name!r} contains ';'")
+        if name in names[:i]:
+            raise ValueError(f"duplicate author name {name!r}")
 
 
 def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
@@ -146,22 +172,17 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
             if isbn in kb:
                 raise CorpusError(f"{path}: line {lineno}: duplicate isbn {isbn}")
             raw_authors = record.get("authors")
-            if not isinstance(raw_authors, list) or not raw_authors:
+            if not isinstance(raw_authors, list):
                 raise CorpusError(f"{path}: line {lineno}: empty author list")
             authors = []
             for raw in raw_authors:
                 if not isinstance(raw, str):
                     raise CorpusError(f"{path}: line {lineno}: an author name is not a string")
-                name = normalize_name(raw)
-                if not name:
-                    raise CorpusError(f"{path}: line {lineno}: blank author name")
-                if ";" in name:
-                    raise CorpusError(f"{path}: line {lineno}: author name {name!r} contains ';'")
-                if name in authors:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: duplicate author name {name!r}"
-                    )
-                authors.append(name)
+                authors.append(normalize_name(raw))
+            try:
+                check_authors(authors)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}")
             title = record.get("title", "")
             publisher = record.get("publisher", "")
             for key, value in (("title", title), ("publisher", publisher)):
@@ -222,15 +243,13 @@ def load_claims(path: str | Path) -> list[Claim]:
                     authors = []
                     for part in authors_field.split(";"):
                         name = normalize_name(part)
-                        if name in authors:
-                            raise CorpusError(
-                                f"{path}: row {row_num}: duplicate author name {name!r}"
-                            )
-                        if name:
+                        if name:  # blank names between separators are dropped
                             authors.append(name)
+                    try:
+                        check_authors(authors)
+                    except ValueError as exc:
+                        raise CorpusError(f"{path}: row {row_num}: {exc}")
                     names_of[authors_field] = authors
-                if not authors:
-                    raise CorpusError(f"{path}: row {row_num}: empty author list")
                 try:
                     price = float(price_field) if price_field.strip() else None
                 except ValueError:
@@ -300,10 +319,11 @@ def save_state(state: TrustState, path: str | Path) -> None:
     Records go in ascending id (the KB in ascending ISBN), so saving the same
     state twice yields byte-identical files; floats keep full round-trip
     precision. Nothing derivable is stored: a website's facts are the facts
-    that list it as a provider. NaN or an infinity raises ValueError. The
-    document goes to a temporary file next to ``path`` that then replaces
-    it, so a failure, or a process killed mid-write, leaves the old file
-    whole.
+    that list it as a provider, and a fact's confidence is
+    ``engine.fact_confidence`` over its providers' trusts. NaN or an
+    infinity raises ValueError. The document goes to a temporary file next
+    to ``path`` that then replaces it, so a failure, or a process killed
+    mid-write, leaves the old file whole.
     """
     doc = {
         "pcf_state_version": STATE_SCHEMA_VERSION,
@@ -330,7 +350,6 @@ def save_state(state: TrustState, path: str | Path) -> None:
                 "authors": f.authors,
                 "providers": sorted(f.providers),
                 "pcf": f.pcf,
-                "confidence": f.confidence,
                 "adjusted_confidence": f.adjusted_confidence,
             }
             for f in (state.facts[k] for k in sorted(state.facts))
@@ -352,17 +371,18 @@ def save_state(state: TrustState, path: str | Path) -> None:
 def load_state(path: str | Path) -> TrustState:
     """Rebuild a TrustState from a file written by :func:`save_state`.
 
-    Types are checked, not coerced: ids, ``epoch``, ``max_epochs`` and
-    ``seed`` must be ints; other numbers ints or floats, not bools, and
-    never NaN or Infinity; urls, ISBNs, titles, publishers and author names
-    strings. Trusts, method-table trusts included, and probabilities lie in
-    [0, 1]; KB prices are finite and non-negative. Each method's trust table
-    names exactly the state's websites. Each fact is in the form
-    :func:`build_fact_table` gives it: its authors sorted and distinct, its
-    providers the ids of websites, ascending and distinct, and no other fact
-    on the same ISBN and authors. A malformed document, a wrongly typed
-    field, one out of range or an inconsistent one raises
-    :class:`StateError`.
+    Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` must
+    be ints; other numbers ints or floats, not bools, and never NaN or
+    Infinity; urls, ISBNs, titles, publishers and author names strings.
+    Trusts, method-table trusts included, and probabilities lie in [0, 1];
+    KB prices are finite and non-negative. Each method's trust table names
+    exactly the state's websites. ISBNs are non-empty, KB ISBNs distinct,
+    and author lists pass :func:`check_authors`. Each fact is in the form
+    :func:`build_fact_table` gives it: its authors sorted, its providers the
+    ids of websites, ascending and distinct, and no other fact on the same
+    ISBN and authors. A malformed document, a wrongly typed field, one out
+    of range, an inconsistent one or a config :class:`EngineConfig` refuses
+    raises :class:`StateError`.
     """
     try:
         doc = json.loads(
@@ -389,19 +409,17 @@ def load_state(path: str | Path) -> TrustState:
             epsilon=_number(cfg["epsilon"]),
             convergence_tol=_number(cfg["convergence_tol"]),
             max_epochs=_int(cfg["max_epochs"]),
-            confidence_clamp=_number(cfg["confidence_clamp"]),
-            seed=_int(cfg["seed"]),
         )
-        kb = {
-            _text(rec["isbn"]): TrueFact(
-                rec["isbn"],
+        kb_list = [
+            TrueFact(
+                _isbn(rec["isbn"]),
                 _names(rec["authors"]),
                 _text(rec["title"]),
                 _text(rec["publisher"]),
                 _price(rec["price"]),
             )
             for rec in doc["kb"]
-        }
+        ]
         site_list = [
             Website(_int(rec["id"]), _text(rec["url"]), _number(rec["trust"]))
             for rec in doc["websites"]
@@ -410,11 +428,10 @@ def load_state(path: str | Path) -> TrustState:
         fact_list = [
             FactRecord(
                 _int(rec["fact_id"]),
-                _text(rec["isbn"]),
+                _isbn(rec["isbn"]),
                 _names(rec["authors"]),
                 _providers(rec, site_ids),
                 _number(rec["pcf"]),
-                _number(rec["confidence"]),
                 _number(rec["adjusted_confidence"]),
             )
             for rec in doc["facts"]
@@ -428,7 +445,7 @@ def load_state(path: str | Path) -> TrustState:
         raise StateError(f"{path}: malformed state document ({exc})")
     except ValueError as exc:
         raise StateError(f"{path}: {exc}")
-    _check_config(path, config)
+    _check_unique(path, "KB isbn", [tf.object for tf in kb_list])
     _check_unique(path, "website url", [site.url for site in site_list])
     _check_unique(path, "website id", [site.id for site in site_list])
     _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
@@ -441,7 +458,7 @@ def load_state(path: str | Path) -> TrustState:
     return TrustState(
         websites=websites,
         facts={fact.fact_id: fact for fact in fact_list},
-        kb=kb,
+        kb={tf.object: tf for tf in kb_list},
         epoch=epoch,
         config=config,
         method_trusts=method_trusts,
@@ -499,27 +516,17 @@ def _text(value: object) -> str:
     return value
 
 
+def _isbn(value: object) -> str:
+    if _text(value):
+        return value
+    raise ValueError("empty ISBN")
+
+
 def _names(value: object) -> list[str]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of names, got {value!r}")
-    "".join(value)  # raises TypeError on a name that is not a string
+    check_authors(value)
     return value
-
-
-def _check_config(path: str | Path, config: EngineConfig) -> None:
-    """Reject config values the engine cannot run with (NaN fails every range)."""
-    if not 0.0 <= config.epsilon <= 1.0:
-        raise StateError(f"{path}: config epsilon {config.epsilon} outside [0, 1]")
-    if not 0.0 < config.confidence_clamp < 1.0:
-        raise StateError(
-            f"{path}: config confidence_clamp {config.confidence_clamp} outside (0, 1)"
-        )
-    if config.max_epochs < 1:
-        raise StateError(f"{path}: config max_epochs {config.max_epochs} below 1")
-    if not math.isfinite(config.convergence_tol):
-        raise StateError(
-            f"{path}: config convergence_tol {config.convergence_tol} is not finite"
-        )
 
 
 def _check_unique(path: str | Path, what: str, keys: list) -> None:
@@ -541,11 +548,7 @@ def _check_state(path: str | Path, sites: list[Website], facts: list[FactRecord]
             raise StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
     first: dict[tuple[ObjectId, tuple[str, ...]], int] = {}
     for fact in facts:
-        if not (
-            0.0 <= fact.pcf <= 1.0
-            and 0.0 <= fact.confidence <= 1.0
-            and 0.0 <= fact.adjusted_confidence <= 1.0
-        ):
+        if not (0.0 <= fact.pcf <= 1.0 and 0.0 <= fact.adjusted_confidence <= 1.0):
             raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
         authors = fact.authors
         if not all(map(lt, authors, authors[1:])):

@@ -18,7 +18,8 @@ bit-identical run to run.
 id order and their links as positions. An epoch, ``run_epoch``, is a
 function over float vectors indexed by those positions and touches no
 record. ``run`` reads the records into vectors once, runs the epochs through
-``run_epochs`` and writes the results back once; the baselines call
+``run_epochs`` and writes the last trust and adjusted-confidence vectors back
+once; a stage-2 confidence lives for one epoch. The baselines call
 ``run_epochs`` on vectors of their own. The confidence stage calls
 ``fact_confidence`` on each fact's provider trusts, and the implication
 stage is ``adjust_group``, a flat loop over each group's (pcf, confidence)
@@ -39,6 +40,8 @@ from .similarity import fact_pcf
 
 # Absolute tolerance for detecting the delta == epsilon implication case.
 CASE2_TOL = 1e-9
+# Confidences are capped at 1 - CONFIDENCE_CLAMP, so that no fact is certain.
+CONFIDENCE_CLAMP = 1e-10
 
 # One float per site or per fact, in the order of an Index's sites or facts.
 Vector = list[float]
@@ -109,17 +112,17 @@ def assign_pcf(state: TrustState) -> TrustState:
     return state
 
 
-def fact_confidence(trusts: Iterable[float], clamp: float) -> float:
+def fact_confidence(trusts: Iterable[float]) -> float:
     """Confidence that a fact is correct given its providers' trusts.
 
     s(f) = 1 - prod(1 - t(w)) over ``trusts``, multiplied in the order
-    given (the index's ascending site id), clamped to 1 - ``clamp`` so that
-    no fact is certain, even with a fully trusted provider.
+    given (the index's ascending site id), capped at 1 - ``CONFIDENCE_CLAMP``
+    so that no fact is certain, even with a fully trusted provider.
     """
     product = 1.0
     for trust in trusts:
         product *= 1.0 - trust
-    return min(1.0 - product, 1.0 - clamp)
+    return min(1.0 - product, 1.0 - CONFIDENCE_CLAMP)
 
 
 def implication_factor(p1: float, p2: float, epsilon: float) -> float:
@@ -158,16 +161,15 @@ def adjust_group(
     confidence: Vector,
     adjusted: Vector,
     epsilon: float,
-    clamp: float,
 ) -> None:
     """Stage 3 for one object: set ``adjusted`` at each of its fact positions.
 
     ``group`` holds the positions in ascending fact id. Each fact's total
     starts at its own confidence and adds factor * confidence for every
     sibling in ascending id, with ``implication_factor`` inlined; then comes
-    ``damp`` and the clamp to 1 - ``clamp``.
+    ``damp`` and the cap at 1 - ``CONFIDENCE_CLAMP``.
     """
-    ceiling = 1.0 - clamp
+    ceiling = 1.0 - CONFIDENCE_CLAMP
     scores = [(pcf[k], confidence[k]) for k in group]
     for i, (p1, total) in enumerate(scores):
         for p2, s in chain(scores[:i], scores[i + 1 :]):
@@ -181,9 +183,9 @@ def adjust_group(
 
 def run_epoch(
     ix: Index, config: EngineConfig, epoch: int, pcf: Vector, trust: Vector, adjusted: Vector
-) -> tuple[tuple[Vector, Vector, Vector], EpochReport]:
-    """One three-stage pass; returns new (trust, confidence, adjusted) vectors
-    and the report of epoch number ``epoch``, leaving its inputs alone.
+) -> tuple[tuple[Vector, Vector], EpochReport]:
+    """One three-stage pass; returns new (trust, adjusted) vectors and the
+    report of epoch number ``epoch``, leaving its inputs alone.
 
     Trust stage: a website still at trust zero takes the initial branch, the
     mean probability of its facts on known objects (equal to its
@@ -222,14 +224,13 @@ def run_epoch(
         max_delta = max(max_delta, abs(new - old))
     t1 = perf_counter()
 
-    clamp = config.confidence_clamp
     at = new_trust.__getitem__
-    confidence = [fact_confidence(map(at, providers), clamp) for providers in ix.fact_providers]
+    confidence = [fact_confidence(map(at, providers)) for providers in ix.fact_providers]
     t2 = perf_counter()
 
     new_adjusted = [0.0] * len(confidence)
     for group in ix.groups:
-        adjust_group(group, pcf, confidence, new_adjusted, config.epsilon, clamp)
+        adjust_group(group, pcf, confidence, new_adjusted, config.epsilon)
     t3 = perf_counter()
 
     report = EpochReport(
@@ -241,45 +242,44 @@ def run_epoch(
         implication_seconds=t3 - t2,
         epoch_seconds=perf_counter() - t0,
     )
-    return (new_trust, confidence, new_adjusted), report
+    return (new_trust, new_adjusted), report
 
 
 def run_epochs(
     ix: Index, config: EngineConfig, epoch: int, pcf: Vector, trust: Vector, adjusted: Vector
-) -> tuple[Vector, Vector, Vector, list[EpochReport]]:
-    """Repeat ``run_epoch`` after epoch number ``epoch``; returns its last vectors and all reports.
+) -> tuple[Vector, Vector, list[EpochReport]]:
+    """Repeat ``run_epoch`` after epoch number ``epoch``; returns its last
+    (trust, adjusted) vectors and all reports.
 
     At most ``config.max_epochs`` epochs, stopping early after the first
     epoch whose report is ``converged`` (its largest trust change is below
     ``convergence_tol``). A tolerance of 0 runs exactly ``max_epochs`` epochs.
     """
-    if config.max_epochs < 1:
-        raise ValueError(f"max_epochs must be at least 1, got {config.max_epochs}")
     reports: list[EpochReport] = []
     for number in range(epoch + 1, epoch + 1 + config.max_epochs):
-        (trust, confidence, adjusted), report = run_epoch(ix, config, number, pcf, trust, adjusted)
+        (trust, adjusted), report = run_epoch(ix, config, number, pcf, trust, adjusted)
         reports.append(report)
         if report.converged:
             break
-    return trust, confidence, adjusted, reports
+    return trust, adjusted, reports
 
 
 def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
     """``run_epochs`` on vectors read from ``state``'s records, written back after the last epoch.
 
-    The write-back sets every trust, confidence and adjusted confidence;
-    ``state.epoch`` counts the epochs.
+    The write-back sets every trust and adjusted confidence; ``state.epoch``
+    counts the epochs. Fact confidences are not stored: each is
+    ``fact_confidence`` over its providers' trusts.
     """
     ix = build_index(state)
     pcf = [fact.pcf for fact in ix.facts]
     adjusted = [fact.adjusted_confidence for fact in ix.facts]
-    trust, confidence, adjusted, reports = run_epochs(
+    trust, adjusted, reports = run_epochs(
         ix, state.config, state.epoch, pcf, [site.trust for site in ix.sites], adjusted
     )
     for site, t in zip(ix.sites, trust):
         site.trust = t
-    for fact, s, a in zip(ix.facts, confidence, adjusted):
-        fact.confidence = s
+    for fact, a in zip(ix.facts, adjusted):
         fact.adjusted_confidence = a
     state.epoch += len(reports)
     return state, reports

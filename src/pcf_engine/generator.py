@@ -50,7 +50,7 @@ class GenSpec:
     corruption_rate: float
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_websites < 1:
             raise ValueError("n_websites must be at least 1")
         if self.n_objects < 1:
@@ -71,7 +71,6 @@ def random_author(rng: random.Random) -> str:
 
 def generate_kb(spec: GenSpec) -> list[TrueFact]:
     """Invent ``n_objects`` books with one to three distinct authors each."""
-    spec.validate()
     rng = random.Random(spec.seed)
     books = []
     for i in range(spec.n_objects):
@@ -158,7 +157,6 @@ def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[Claim]:
     Round-robin assignment keeps per-object provider counts uniform: with
     fewer objects than total claims, sites wrap around and overlap.
     """
-    spec.validate()
     rng = random.Random(spec.seed + 1)
     claims = []
     for site_index in range(spec.n_websites):

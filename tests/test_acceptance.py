@@ -115,8 +115,10 @@ def test_4_probability_bounds_suite(capsys):
             state, _ = engine.run(engine.assign_pcf(state))
             for site in state.websites.values():
                 assert 0.0 <= site.trust <= 1.0
-            for fact in state.facts.values():
-                assert 0.0 <= fact.confidence <= 1.0
+            ix = engine.build_index(state)
+            for fact, providers in zip(ix.facts, ix.fact_providers):
+                confidence = engine.fact_confidence(ix.sites[p].trust for p in providers)
+                assert 0.0 <= confidence <= 1.0
                 assert 0.0 <= fact.adjusted_confidence <= 1.0
 
             # damp is idempotent on arbitrary non-negative inputs.
@@ -125,14 +127,12 @@ def test_4_probability_bounds_suite(capsys):
             assert engine.damp(damped) == damped
 
             # Confidence is monotone in any single provider trust.
-            clamp = state.config.confidence_clamp
-            ix = engine.build_index(state)
             providers = ix.fact_providers[rng.randrange(len(ix.facts))]
             trusts = [ix.sites[p].trust for p in providers]
-            base = engine.fact_confidence(trusts, clamp)
+            base = engine.fact_confidence(trusts)
             bumped = rng.randrange(len(trusts))
             trusts[bumped] = min(1.0, trusts[bumped] + rng.random())
-            assert engine.fact_confidence(trusts, clamp) >= base
+            assert engine.fact_confidence(trusts) >= base
 
             # Pair-sum identity for |delta| <= epsilon, away from the
             # delta == epsilon carve-out which returns epsilon by design.

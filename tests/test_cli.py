@@ -191,15 +191,18 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
     def test_version_1_state_exits_2_and_says_to_ingest_again(self, tmp_path, capsys):
+        # Version 2 also stored each fact's confidence and a config clamp and seed.
         kb, claims = write_core_fixture(tmp_path)
         state = ingest(tmp_path, kb, claims)
         doc = json.loads(state.read_text(encoding="utf-8"))
-        doc["pcf_state_version"] = 1
-        state.write_text(json.dumps(doc), encoding="utf-8")
-        capsys.readouterr()
-        assert cli.main(["run", "--state", str(state)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "schema version 1" in err and "pcf ingest" in err
+        for version in (1, 2):
+            doc["pcf_state_version"] = version
+            state.write_text(json.dumps(doc), encoding="utf-8")
+            capsys.readouterr()
+            assert cli.main(["run", "--state", str(state)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"schema version {version}" in err
+            assert "pcf ingest" in err
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -209,7 +212,7 @@ class TestRun:
             lambda d: d["websites"][0].update(trust="nan"),
             lambda d: d["websites"][0].update(trust=1.5),
             lambda d: d["facts"][0].update(pcf=-0.1),
-            lambda d: d["facts"][0].update(confidence="nan"),
+            lambda d: d["facts"][0].update(adjusted_confidence="nan"),
             lambda d: d["facts"][0].update(adjusted_confidence=2.0),
             lambda d: d.pop("epoch"),
             lambda d: d.update(method_trusts=[]),
@@ -221,8 +224,6 @@ class TestRun:
             lambda d: d["config"].update(epsilon="nan"),
             lambda d: d["config"].update(epsilon=1.5),
             lambda d: d["config"].update(epsilon=-0.1),
-            lambda d: d["config"].update(confidence_clamp=0.0),
-            lambda d: d["config"].update(confidence_clamp=1.0),
             lambda d: d["config"].update(max_epochs=0),
             lambda d: d["config"].update(convergence_tol="inf"),
             lambda d: d["config"].update(convergence_tol="nan"),
@@ -254,14 +255,23 @@ class TestRun:
             lambda d: d["facts"][0].update(providers=[1, 1]),
             lambda d: d["facts"][0].update(providers=[2, 1]),
             _second_fact_on_a_key,
+            # Author lists and ISBNs that ingest refuses; these used to load and run.
+            lambda d: d["facts"][0].update(authors=[]),
+            lambda d: d["facts"][0].update(authors=[""]),
+            lambda d: d["facts"][0].update(authors=["a;b"]),
+            lambda d: d["kb"][0].update(authors=[]),
+            lambda d: d["kb"][0].update(authors=["x", "x"]),
+            lambda d: d["kb"][0].update(authors=["a;b"]),
+            lambda d: d["kb"][0].update(isbn=""),
+            lambda d: d["kb"].append(dict(d["kb"][0], title="another title")),
         ],
         ids=[
             "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
             "negative-pcf",
             "nan-confidence", "adjusted-above-one", "no-epoch", "method-trusts-list",
             "duplicate-website-id", "duplicate-url", "duplicate-fact-id",
-            "nan-epsilon", "epsilon-above-one", "negative-epsilon", "zero-clamp",
-            "clamp-one", "zero-max-epochs", "infinite-tol", "nan-tol", "integer-url",
+            "nan-epsilon", "epsilon-above-one", "negative-epsilon",
+            "zero-max-epochs", "infinite-tol", "nan-tol", "integer-url",
             "integer-author-names",
             "integer-title", "string-author-list", "fractional-website-id",
             "boolean-trust", "string-epoch", "float-provider-ids", "nan-price",
@@ -269,7 +279,9 @@ class TestRun:
             "overflowing-method-trust", "negative-price", "overflowing-price",
             "fact-without-providers", "method-table-missing-site", "method-table-unknown-url",
             "repeated-author", "unsorted-authors", "repeated-provider", "descending-providers",
-            "second-fact-on-a-key",
+            "second-fact-on-a-key", "empty-fact-authors", "blank-fact-author",
+            "fact-author-with-semicolon", "empty-kb-authors", "repeated-kb-author",
+            "kb-author-with-semicolon", "empty-kb-isbn", "repeated-kb-isbn",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
@@ -479,6 +491,15 @@ class TestGen:
             cli.main(args)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("n_websites", 0), ("n_objects", 0), ("claims_per_site", 0), ("corruption_rate", 1.5)],
+    )
+    def test_spec_refuses_a_bad_value_when_built(self, setting, value):
+        shape = {"n_websites": 2, "n_objects": 2, "claims_per_site": 1, "corruption_rate": 0.5}
+        with pytest.raises(ValueError, match=setting):
+            generator.GenSpec(**{**shape, setting: value})
+
 
 class TestBench:
     def _state(self, tmp_path, capsys):
@@ -590,10 +611,46 @@ def fuzz_base(tmp_path_factory):
     return doc, _paths(doc)
 
 
+def _list_mutations(doc):
+    """(table, index, key, op) for every list edit that leaves no state ingest could write.
+
+    A fact's authors or providers reversed (two or more), one entry repeated,
+    or emptied; a KB record's authors repeated or emptied.
+    """
+    found = []
+    for index, fact in enumerate(doc["facts"]):
+        for key in ("authors", "providers"):
+            ops = ["repeat", "empty"] + (["reverse"] if len(fact[key]) > 1 else [])
+            found += [("facts", index, key, op) for op in ops]
+    for index in range(len(doc["kb"])):
+        found += [("kb", index, "authors", op) for op in ("repeat", "empty")]
+    return found
+
+
+def _exit_codes(doc, isbn, method):
+    """Each command's exit code and stderr on a state file holding ``doc``."""
+    commands = {
+        "run": [],
+        "compare": [],
+        "query": ["--needle", isbn, "--method", method],
+    }
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        state_path = Path(tmp) / "state.json"
+        for command, extra in commands.items():
+            state_path.write_text(json.dumps(doc), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--state", str(state_path), *extra])
+            results[command] = (code, err.getvalue())
+    return results
+
+
 class TestStateFuzz:
     """A state document with one value of the wrong JSON type, or one key
     missing, makes `run`, `compare` and `query` exit 0 or 2 (3 for a stale
-    `query` method), never with a traceback."""
+    `query` method), never with a traceback. One list edited out of the form
+    ingest writes makes each exit 2."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -610,24 +667,30 @@ class TestStateFuzz:
                 st.sampled_from([v for v in REPLACEMENTS if type(v) is not type(old)]),
                 label="value",
             )
-        isbn = base["kb"][0]["isbn"]
         method = data.draw(st.sampled_from(["pcf", "truthfinder", "voting"]), label="method")
-        commands = {
-            "run": [],
-            "compare": [],
-            "query": ["--needle", isbn, "--method", method],
-        }
-        with tempfile.TemporaryDirectory() as tmp:
-            state_path = Path(tmp) / "state.json"
-            for command, extra in commands.items():
-                state_path.write_text(json.dumps(doc), encoding="utf-8")
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main([command, "--state", str(state_path), *extra])
-                allowed = {0, 2, 3} if command == "query" else {0, 2}
-                assert code in allowed, (command, code, err.getvalue())
-                if code:
-                    assert err.getvalue().startswith("error: ")
+        for command, (code, err) in _exit_codes(doc, base["kb"][0]["isbn"], method).items():
+            allowed = {0, 2, 3} if command == "query" else {0, 2}
+            assert code in allowed, (command, code, err)
+            if code:
+                assert err.startswith("error: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_list_out_of_ingest_form_exits_2(self, fuzz_base, data):
+        base, _ = fuzz_base
+        table, index, key, op = data.draw(st.sampled_from(_list_mutations(base)), label="edit")
+        doc = copy.deepcopy(base)
+        values = doc[table][index][key]
+        if op == "reverse":
+            values.reverse()
+        elif op == "empty":
+            values.clear()
+        else:
+            entry = data.draw(st.sampled_from(values), label="entry")
+            values.insert(data.draw(st.integers(0, len(values)), label="at"), entry)
+        for command, (code, err) in _exit_codes(doc, base["kb"][0]["isbn"], "pcf").items():
+            assert code == 2, (table, index, key, op, command, err)
+            assert err.startswith("error: ")
 
 
 # KB records and claims rows of `gen --websites 5 --objects 3

@@ -24,8 +24,6 @@ def state_document(state: corpus.TrustState) -> dict:
             "epsilon": state.config.epsilon,
             "convergence_tol": state.config.convergence_tol,
             "max_epochs": state.config.max_epochs,
-            "confidence_clamp": state.config.confidence_clamp,
-            "seed": state.config.seed,
         },
         "kb": [
             {
@@ -52,7 +50,6 @@ def state_document(state: corpus.TrustState) -> dict:
                 "authors": f.authors,
                 "providers": sorted(f.providers),
                 "pcf": f.pcf,
-                "confidence": f.confidence,
                 "adjusted_confidence": f.adjusted_confidence,
             }
             for f in (state.facts[k] for k in sorted(state.facts))
@@ -117,13 +114,13 @@ def library_states(draw):
             draw(texts),
             draw(st.lists(texts, max_size=3)),
             set(draw(st.lists(ids, max_size=3))),
-            *(draw(numbers) for _ in range(3)),
+            *(draw(numbers) for _ in range(2)),
         )
         for fact_id in draw(st.lists(ids, max_size=3, unique=True))
     }
-    config = corpus.EngineConfig(
-        draw(numbers), draw(numbers), draw(ids), draw(numbers), draw(ids)
-    )
+    # EngineConfig refuses values the engine cannot run with.
+    epsilon = st.sampled_from([5e-324, 1e-10, 0.1 + 0.2, -0.0, 0, 1]) | st.floats(0, 1)
+    config = corpus.EngineConfig(draw(epsilon), draw(numbers), draw(st.integers(1, 10**9)))
     method_trusts = draw(
         st.dictionaries(texts, st.dictionaries(texts, numbers, max_size=3), max_size=3)
     )
@@ -137,7 +134,7 @@ def _edge_state(method_trusts):
             "http://é.example/\"q\"": corpus.Website(1, "http://é.example/\"q\"", 1),
             "\\😀\x01": corpus.Website(2, "\\😀\x01", 0.1 + 0.2),
         },
-        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, 5e-324, -0.0, 1e16)},
+        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, 5e-324, 1e16)},
         method_trusts=method_trusts,
     )
 
@@ -453,7 +450,6 @@ class TestBuildFactTable:
         _, facts = corpus.build_fact_table([make_claim("http://a.com", "1", ["x y"])])
         fact = facts[1]
         assert fact.pcf == 0.0
-        assert fact.confidence == 0.0
         assert fact.adjusted_confidence == 0.0
 
     @given(
@@ -565,8 +561,9 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "state.json"
-        # 1: the format that stored fact_ids, unknown_object and log scores.
-        for version in (1, 99):
+        # 1: the format that stored fact_ids, unknown_object and log scores;
+        # 2: the one that stored fact confidences, a clamp and a seed.
+        for version in (1, 2, 99):
             path.write_text(json.dumps({"pcf_state_version": version}), encoding="utf-8")
             with pytest.raises(corpus.StateError, match="schema version.*pcf ingest"):
                 corpus.load_state(path)

@@ -1,5 +1,6 @@
 import copy
-from dataclasses import dataclass, replace
+import math
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from typing import Iterable
 
 import pytest
@@ -11,12 +12,21 @@ from pcf_engine import corpus, engine
 from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim, one_epoch
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-CLAMP = corpus.EngineConfig().confidence_clamp
 
 
 # The readable per-fact reference for the implication arithmetic, the oracle
 # of engine.adjust_group: one term per sibling, summed onto the fact's own
 # confidence, then damped.
+
+
+@dataclass(frozen=True)
+class ScoredFact:
+    """A fact with the pcf and the confidence that one epoch's implication stage reads."""
+
+    fact_id: int
+    object: str
+    pcf: float
+    confidence: float
 
 
 @dataclass(frozen=True)
@@ -31,7 +41,7 @@ class ImplicationTerm:
 
 
 def implication_terms(
-    fact: corpus.FactRecord, same_object_facts: Iterable[corpus.FactRecord], epsilon: float
+    fact: ScoredFact, same_object_facts: Iterable[ScoredFact], epsilon: float
 ) -> list[ImplicationTerm]:
     """Contributions of sibling facts to ``fact``, in ascending sibling id."""
     terms = []
@@ -52,7 +62,7 @@ def implication_terms(
 
 
 def adjust_confidence(
-    fact: corpus.FactRecord, same_object_facts: Iterable[corpus.FactRecord], epsilon: float
+    fact: ScoredFact, same_object_facts: Iterable[ScoredFact], epsilon: float
 ) -> float:
     """Confidence plus accumulated sibling implication, damped into [0, 1]."""
     total = fact.confidence
@@ -180,14 +190,14 @@ class TestFactConfidence:
         return [ix.sites[p].trust for p in ix.fact_providers[0]]
 
     def test_untrusted_providers(self):
-        assert engine.fact_confidence(self._trusts([0.0, 0.0]), CLAMP) == 0.0
+        assert engine.fact_confidence(self._trusts([0.0, 0.0])) == 0.0
 
     def test_two_half_trusted_providers(self):
-        s = engine.fact_confidence(self._trusts([0.5, 0.5]), CLAMP)
+        s = engine.fact_confidence(self._trusts([0.5, 0.5]))
         assert s == pytest.approx(0.75)
 
     def test_fully_trusted_provider_is_clamped(self):
-        s = engine.fact_confidence(self._trusts([1.0]), CLAMP)
+        s = engine.fact_confidence(self._trusts([1.0]))
         assert s == 1.0 - 1e-10
 
     @given(
@@ -199,16 +209,14 @@ class TestFactConfidence:
         bump_index %= len(trusts)
         raised = list(trusts)
         raised[bump_index] = min(1.0, raised[bump_index] + bump)
-        assert engine.fact_confidence(self._trusts(raised), CLAMP) >= engine.fact_confidence(
-            self._trusts(trusts), CLAMP
+        assert engine.fact_confidence(self._trusts(raised)) >= engine.fact_confidence(
+            self._trusts(trusts)
         )
 
     @given(trusts=st.lists(probabilities, min_size=1, max_size=5))
     def test_adding_a_provider_never_decreases_confidence(self, trusts):
         read = self._trusts(trusts + [0.5])
-        assert engine.fact_confidence(read, CLAMP) >= engine.fact_confidence(
-            read[:-1], CLAMP
-        )
+        assert engine.fact_confidence(read) >= engine.fact_confidence(read[:-1])
 
 
 class TestImplicationFactor:
@@ -253,18 +261,21 @@ class TestAdjustConfidence:
     """Worked values of the implication stage, asserted on adjust_group."""
 
     def _fact(self, fact_id, pcf, confidence, obj="1"):
-        return corpus.FactRecord(
-            fact_id=fact_id, object=obj, authors=[f"name {fact_id}"], pcf=pcf, confidence=confidence
-        )
+        return ScoredFact(fact_id, obj, pcf, confidence)
 
     def _adjusted(self, facts, epsilon=0.4):
         """Each fact's adjusted confidence by fact id: adjust_group over build_index's groups."""
-        ix = engine.build_index(corpus.TrustState(facts={f.fact_id: f for f in facts}))
+        records = {
+            f.fact_id: corpus.FactRecord(f.fact_id, f.object, [f"name {f.fact_id}"], pcf=f.pcf)
+            for f in facts
+        }
+        confidence_of = {f.fact_id: f.confidence for f in facts}
+        ix = engine.build_index(corpus.TrustState(facts=records))
         pcf = [f.pcf for f in ix.facts]
-        confidence = [f.confidence for f in ix.facts]
+        confidence = [confidence_of[f.fact_id] for f in ix.facts]
         adjusted = [-1.0] * len(ix.facts)
         for group in ix.groups:
-            engine.adjust_group(group, pcf, confidence, adjusted, epsilon, CLAMP)
+            engine.adjust_group(group, pcf, confidence, adjusted, epsilon)
         return {f.fact_id: a for f, a in zip(ix.facts, adjusted)}
 
     def test_no_siblings(self):
@@ -304,15 +315,8 @@ class TestAdjustGroup:
         epsilon=st.sampled_from([0.4, 0.0, 0.25, 1.0]),
     )
     def test_equals_the_reference_exactly(self, scores, epsilon):
-        clamp = 1e-10
-        group = [
-            corpus.FactRecord(fact_id=i, object="1", authors=[], pcf=p, confidence=s)
-            for i, (p, s) in enumerate(scores, start=1)
-        ]
-        expected = [
-            min(adjust_confidence(fact, group, epsilon), 1.0 - clamp)
-            for fact in group
-        ]
+        group = [ScoredFact(i, "1", p, s) for i, (p, s) in enumerate(scores, start=1)]
+        expected = [min(adjust_confidence(fact, group, epsilon), 1.0 - 1e-10) for fact in group]
         # The group takes every other position of the vectors, so that a
         # kernel reading or writing the wrong slots fails.
         size = 2 * len(scores) + 1
@@ -320,7 +324,7 @@ class TestAdjustGroup:
         pcf, confidence, adjusted = [0.7] * size, [0.3] * size, [-1.0] * size
         for k, (p, s) in zip(positions, scores):
             pcf[k], confidence[k] = p, s
-        engine.adjust_group(positions, pcf, confidence, adjusted, epsilon, clamp)
+        engine.adjust_group(positions, pcf, confidence, adjusted, epsilon)
         assert adjusted[1::2] == expected
         assert adjusted[::2] == [-1.0] * (len(scores) + 1)
 
@@ -448,7 +452,7 @@ class TestRunEpoch:
         ix = engine.build_index(state)
         pcf, trust, adjusted = [f.pcf for f in ix.facts], [0.0, 0.5], [0.25, 0.75]
         inputs = copy.deepcopy((pcf, trust, adjusted))
-        (new_trust, confidence, new_adjusted), report = engine.run_epoch(
+        (new_trust, new_adjusted), report = engine.run_epoch(
             ix, state.config, 7, pcf, trust, adjusted
         )
         assert (pcf, trust, adjusted) == inputs
@@ -456,10 +460,10 @@ class TestRunEpoch:
         assert report.epoch == 7
         assert new_trust[0] == pytest.approx(2 / 3)  # the mean pcf of W1's one fact
         assert new_trust[1] == 0.75  # the adjusted confidence of W2's one fact
-        assert len(confidence) == len(new_adjusted) == len(ix.facts)
+        assert len(new_adjusted) == len(ix.facts)
         # Called again on the same vectors, it returns equal ones.
         again, _ = engine.run_epoch(ix, state.config, 7, pcf, trust, adjusted)
-        assert again == (new_trust, confidence, new_adjusted)
+        assert again == (new_trust, new_adjusted)
 
 
 class TestBuildIndex:
@@ -502,9 +506,33 @@ class TestRun:
         assert len(reports) == 4
 
     def test_rejects_zero_epochs(self, core_java_state):
-        core_java_state.config = replace(core_java_state.config, max_epochs=0)
-        with pytest.raises(ValueError):
-            engine.run(core_java_state)
+        with pytest.raises(ValueError, match="max_epochs 0 below 1"):
+            replace(core_java_state.config, max_epochs=0)
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("epsilon", -0.1),
+            ("epsilon", 1.5),
+            ("epsilon", math.nan),
+            ("max_epochs", 0),
+            ("max_epochs", -3),
+            ("convergence_tol", math.inf),
+            ("convergence_tol", -math.inf),
+            ("convergence_tol", math.nan),
+        ],
+    )
+    def test_refuses_a_value_the_engine_cannot_run_with(self, setting, value):
+        with pytest.raises(ValueError, match=f"config {setting} "):
+            corpus.EngineConfig(**{setting: value})
+
+    def test_holds_the_three_run_settings_and_is_frozen(self):
+        config = corpus.EngineConfig(epsilon=0.0, convergence_tol=0.0, max_epochs=1)
+        assert [f.name for f in fields(config)] == ["epsilon", "convergence_tol", "max_epochs"]
+        with pytest.raises(FrozenInstanceError):
+            config.epsilon = 0.5
 
 
 class TestEpochBounds:
@@ -527,6 +555,7 @@ class TestEpochBounds:
         state, _ = engine.run(state)
         for site in state.websites.values():
             assert 0.0 <= site.trust <= 1.0
-        for fact in state.facts.values():
-            assert 0.0 <= fact.confidence <= 1.0
+        ix = engine.build_index(state)
+        for fact, providers in zip(ix.facts, ix.fact_providers):
+            assert 0.0 <= engine.fact_confidence(ix.sites[p].trust for p in providers) <= 1.0
             assert 0.0 <= fact.adjusted_confidence <= 1.0

@@ -3,8 +3,11 @@
 Two hashes per shape. ``NUMBERS`` covers the numbers alone: the repr of
 every website trust, of every fact's pcf, confidence and adjusted
 confidence keyed by (ISBN, authors), and of every method table entry, read
-back through ``corpus.load_state``, plus the compare CSV. Any change to the
-arithmetic or its order changes it; a change to the state format does not.
+back through ``corpus.load_state``, plus the compare CSV. A fact's
+confidence is not stored: it is ``engine.fact_confidence`` over its
+providers' loaded trusts in ascending site id, as the last epoch computed
+it. Any change to the arithmetic or its order changes the hash; a change to
+the state format does not.
 ``STATE_BYTES`` covers the state file byte for byte, so it changes with the
 format too. Float sums add left to right, so the hashes hold on every
 supported Python version.
@@ -14,7 +17,7 @@ import hashlib
 
 import pytest
 
-from pcf_engine import cli, corpus
+from pcf_engine import cli, corpus, engine
 
 # (websites, objects, claims per site, corruption)
 SHAPES = {
@@ -30,8 +33,8 @@ NUMBERS = {
 }
 
 STATE_BYTES = {
-    "gen-40x4": "bb4cce7a9945af886a054f7655df7617f3ddbb1560b5d856a381a229f04d2c20",
-    "one-object": "fa2802e2e95edb5d7fb334d5d2153e24c073ad378e3f6a8a173b8eeec3070b2e",
+    "gen-40x4": "dc40222eab9f29f9633822aa1cac9dc56d62aec02ce807a8129c474b167725ac",
+    "one-object": "1480855f5d8db3a78aa5ed67d67a44b81981987f092234814db6bbf1f2ffb453",
 }
 
 
@@ -63,10 +66,12 @@ def ingest_run_compare(tmp_path, capsys, shape):
 def numbers_text(state: corpus.TrustState, compare_csv: str) -> str:
     """Every stored number as its repr, keyed by url or (ISBN, authors), then the CSV."""
     r = float.__repr__
+    trust = {site.id: site.trust for site in state.websites.values()}
     lines = [f"site {site.url} {r(site.trust)}" for site in state.websites.values()]
     lines += [
-        f"fact {fact.object} {';'.join(fact.authors)}"
-        f" {r(fact.pcf)} {r(fact.confidence)} {r(fact.adjusted_confidence)}"
+        f"fact {fact.object} {';'.join(fact.authors)} {r(fact.pcf)}"
+        f" {r(engine.fact_confidence(trust[i] for i in sorted(fact.providers)))}"
+        f" {r(fact.adjusted_confidence)}"
         for fact in state.facts.values()
     ]
     lines += [
