@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pcf_engine import baselines, bench, corpus, engine, generator
 
 
-def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed):
+def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed, config=None):
     spec = generator.GenSpec(
         n_websites=n_websites,
         n_objects=n_objects,
@@ -28,7 +28,7 @@ def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed):
     kb_records = generator.generate_kb(spec)
     kb = {book.object: book for book in kb_records}
     claims = generator.generate_claims(spec, kb_records)
-    return engine.assign_pcf(corpus.build_state(kb, claims))
+    return engine.assign_pcf(corpus.build_state(kb, claims, config))
 
 
 def epsilon_experiment(out_dir, seed):
@@ -61,17 +61,14 @@ def methods_experiment(out_dir, seed):
         writer = csv.writer(fh)
         writer.writerow(["corruption_rate", "voting_mean", "truthfinder_mean", "pcf_mean"])
         for rate in (0.0, 0.3, 0.6):
-            state = build_corpus(40, 40, 6, rate, seed)
+            state = build_corpus(40, 40, 6, rate, seed, one_epoch)
             ix = engine.build_index(state)
-            results = {
+            tables = {
                 "voting": baselines.voting_run(state, ix),
-                "truthfinder": baselines.truthfinder_run(state, ix, one_epoch),
-                "pcf": baselines.pcf_run(state, ix, one_epoch),
+                "truthfinder": baselines.truthfinder_run(state, ix),
+                "pcf": baselines.pcf_run(state, ix),
             }
-            means = {
-                name: sum(r.trusts.values()) / len(r.trusts)
-                for name, r in results.items()
-            }
+            means = {name: sum(t.values()) / len(t) for name, t in tables.items()}
             writer.writerow(
                 [rate, f"{means['voting']:.6f}", f"{means['truthfinder']:.6f}", f"{means['pcf']:.6f}"]
             )

@@ -1,6 +1,6 @@
 """Trustworthiness ranking of fact-providing websites against a knowledge base."""
 
-from .baselines import BaselineResult, pcf_run, truthfinder_run, voting_run
+from .baselines import pcf_run, truthfinder_run, voting_run
 from .corpus import (
     Claim,
     CorpusError,
@@ -10,7 +10,6 @@ from .corpus import (
     TrueFact,
     TrustState,
     Website,
-    build_fact_table,
     build_state,
     load_claims,
     load_knowledge_base,

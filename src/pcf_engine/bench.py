@@ -23,8 +23,12 @@ def epsilon_sweep(
 ) -> list[tuple[float, float]]:
     """Mean implication factor over all same-object fact pairs per epsilon.
 
-    Each unordered pair is counted once, oriented by ascending fact id.
+    Each unordered pair is counted once, oriented by ascending fact id. An
+    epsilon that :class:`~pcf_engine.corpus.EngineConfig` refuses raises
+    ValueError before any row is computed.
     """
+    for eps in epsilons:
+        corpus.EngineConfig(epsilon=eps)
     ix = engine.build_index(state)
     pairs = [
         (ix.facts[low].pcf, ix.facts[high].pcf)

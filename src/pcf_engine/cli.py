@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -13,27 +12,6 @@ from . import baselines, bench, corpus, engine, generator, serp
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STALE = 3
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -119,9 +97,9 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     state = corpus.load_state(args.state)
     ix = engine.build_index(state)
-    for method_run in (baselines.voting_run, baselines.truthfinder_run, baselines.pcf_run):
-        result = method_run(state, ix)
-        state.method_trusts[result.method] = result.trusts
+    state.method_trusts[baselines.METHOD_VOTING] = baselines.voting_run(state, ix)
+    state.method_trusts[baselines.METHOD_TRUTHFINDER] = baselines.truthfinder_run(state, ix)
+    state.method_trusts[baselines.METHOD_PCF] = baselines.pcf_run(state, ix)
     corpus.save_state(state, args.state)
 
     tables = state.method_trusts
@@ -154,20 +132,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    state = corpus.load_state(args.state)
     if args.websites_list is None and args.sweep_epsilon is None:
         print(
             "error: bench needs --websites-list and/or --sweep-epsilon",
             file=sys.stderr,
         )
         return EXIT_INPUT
+    sweep = None
+    if args.sweep_epsilon is not None:
+        if args.state is None:
+            print("error: bench --sweep-epsilon needs --state", file=sys.stderr)
+            return EXIT_INPUT
+        sweep = bench.epsilon_sweep(corpus.load_state(args.state), args.sweep_epsilon)
     if args.websites_list is not None:
         print("n_websites,n_facts,data_seconds,engine_seconds")
         for n, facts, data_s, engine_s in bench.scaling_bench(args.websites_list):
             print(f"{n},{facts},{data_s:.6f},{engine_s:.6f}")
-    if args.sweep_epsilon is not None:
+    if sweep is not None:
         print("epsilon,mean_implication_factor")
-        for eps, mean in bench.epsilon_sweep(state, args.sweep_epsilon):
+        for eps, mean in sweep:
             print(f"{eps},{mean:.12f}")
     return EXIT_OK
 
@@ -187,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run trust epochs on a state file")
     p_run.add_argument("--state", required=True)
-    p_run.add_argument("--epochs", type=_positive_int, default=None)
-    p_run.add_argument("--epsilon", type=_rate, default=None)
-    p_run.add_argument("--tol", type=_finite, default=None)
+    p_run.add_argument("--epochs", type=int, default=None)
+    p_run.add_argument("--epsilon", type=float, default=None)
+    p_run.add_argument("--tol", type=float, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_query = sub.add_parser("query", help="rank provider websites for an ISBN or title")
@@ -200,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[baselines.METHOD_PCF, baselines.METHOD_TRUTHFINDER, baselines.METHOD_VOTING],
         default=baselines.METHOD_PCF,
     )
-    p_query.add_argument("--top", type=_positive_int, default=10)
+    p_query.add_argument("--top", type=int, default=10)
     p_query.set_defaults(func=cmd_query)
 
     p_compare = sub.add_parser("compare", help="trust table for all three methods")
@@ -208,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic KB and claims corpus")
-    p_gen.add_argument("--websites", type=_positive_int, required=True)
-    p_gen.add_argument("--objects", type=_positive_int, required=True)
-    p_gen.add_argument("--claims-per-site", type=_positive_int, required=True)
-    p_gen.add_argument("--corruption", type=_rate, required=True)
+    p_gen.add_argument("--websites", type=int, required=True)
+    p_gen.add_argument("--objects", type=int, required=True)
+    p_gen.add_argument("--claims-per-site", type=int, required=True)
+    p_gen.add_argument("--corruption", type=float, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-kb", required=True)
     p_gen.add_argument("--out-claims", required=True)
@@ -220,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="scaling timings and epsilon sweeps")
     p_bench.add_argument("--websites-list", type=_int_list, default=None)
     p_bench.add_argument("--sweep-epsilon", type=_epsilon_grid, default=None)
-    p_bench.add_argument("--state", required=True)
+    p_bench.add_argument("--state", default=None, help="needed only by --sweep-epsilon")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

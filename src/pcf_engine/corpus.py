@@ -173,7 +173,7 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 raise CorpusError(f"{path}: line {lineno}: duplicate isbn {isbn}")
             raw_authors = record.get("authors")
             if not isinstance(raw_authors, list):
-                raise CorpusError(f"{path}: line {lineno}: empty author list")
+                raise CorpusError(f"{path}: line {lineno}: authors is missing or not a list")
             authors = []
             for raw in raw_authors:
                 if not isinstance(raw, str):
@@ -271,10 +271,13 @@ def load_claims(path: str | Path) -> list[Claim]:
     return claims
 
 
-def build_fact_table(
+def build_state(
+    kb: dict[ObjectId, TrueFact],
     claims: list[Claim],
-) -> tuple[dict[str, Website], dict[int, FactRecord]]:
-    """Merge claims into distinct facts and provider websites.
+    config: EngineConfig | None = None,
+) -> TrustState:
+    """Merge claims into distinct facts and provider websites, in a fresh
+    state with all trust and confidence fields at zero.
 
     Claims with the same (object, canonical author list) collapse into one
     fact; exact duplicate claims from the same website collapse silently.
@@ -298,16 +301,6 @@ def build_fact_table(
             facts[fact.fact_id] = fact
             by_key[key] = fact
         fact.providers.add(site.id)
-    return websites, facts
-
-
-def build_state(
-    kb: dict[ObjectId, TrueFact],
-    claims: list[Claim],
-    config: EngineConfig | None = None,
-) -> TrustState:
-    """Assemble a fresh state with all trust and confidence fields at zero."""
-    websites, facts = build_fact_table(claims)
     return TrustState(
         websites=websites, facts=facts, kb=kb, config=config or EngineConfig()
     )
@@ -378,7 +371,7 @@ def load_state(path: str | Path) -> TrustState:
     KB prices are finite and non-negative. Each method's trust table names
     exactly the state's websites. ISBNs are non-empty, KB ISBNs distinct,
     and author lists pass :func:`check_authors`. Each fact is in the form
-    :func:`build_fact_table` gives it: its authors sorted, its providers the
+    :func:`build_state` gives it: its authors sorted, its providers the
     ids of websites, ascending and distinct, and no other fact on the same
     ISBN and authors. A malformed document, a wrongly typed field, one out
     of range, an inconsistent one or a config :class:`EngineConfig` refuses
@@ -541,7 +534,7 @@ def _check_state(path: str | Path, sites: list[Website], facts: list[FactRecord]
 
     Out of range: a trust or probability outside [0, 1]. Not canonical: an
     author list that is not sorted and distinct, or a second fact on the same
-    ISBN and authors, which :func:`build_fact_table` would have merged.
+    ISBN and authors, which :func:`build_state` would have merged.
     """
     for site in sites:
         if not 0.0 <= site.trust <= 1.0:

@@ -39,8 +39,11 @@ def query(
     An object matches when its ISBN equals the needle or its normalized
     title contains the normalized needle. One row is emitted per
     (website, fact) pair on a matched object, in ranking order, truncated
-    to ``top_k``. No matching object yields an empty list.
+    to ``top_k``; a ``top_k`` below 1 raises ValueError. No matching
+    object yields an empty list.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     needle = needle.strip()
     needle_norm = normalize_name(needle)
     matched = set()

@@ -216,7 +216,7 @@ def _per_site_corruption_corpus(seed, n_objects=50, claims_per_site=60, sites_pe
                         authors=generator.corrupt_authors(rng, book.authors, rate),
                     )
                 )
-    return corpus.build_state(kb, claims), rates
+    return corpus.build_state(kb, claims, ONE_EPOCH), rates
 
 
 def test_7_method_comparison_substitute(capsys):
@@ -225,10 +225,10 @@ def test_7_method_comparison_substitute(capsys):
         # sites, corruption rate and epoch-1 trust anticorrelate strongly.
         for seed in (0, 1, 2):
             state, rates = _per_site_corruption_corpus(seed)
-            result = baselines.pcf_run(state, engine.build_index(state), ONE_EPOCH)
+            trusts = baselines.pcf_run(state, engine.build_index(state))
             urls = sorted(rates)
             rho = stats.spearmanr(
-                [rates[u] for u in urls], [result.trusts[u] for u in urls]
+                [rates[u] for u in urls], [trusts[u] for u in urls]
             ).statistic
             assert rho <= -0.9
 
@@ -241,16 +241,16 @@ def test_7_method_comparison_substitute(capsys):
             make_claim("http://mangled-a.com", "100", ["graeme simsio"]),
             make_claim("http://mangled-b.com", "100", ["graeme simsio"]),
         ]
-        state = corpus.build_state(kb, claims)
+        state = corpus.build_state(kb, claims, ONE_EPOCH)
         ix = engine.build_index(state)
-        pcf = baselines.pcf_run(state, ix, ONE_EPOCH)
-        tf = baselines.truthfinder_run(state, ix, ONE_EPOCH)
+        pcf = baselines.pcf_run(state, ix)
+        tf = baselines.truthfinder_run(state, ix)
         voting = baselines.voting_run(state, ix)
         for url in ("http://mangled-a.com", "http://mangled-b.com"):
-            assert pcf.trusts[url] == 0.0
-            assert pcf.trusts[url] < tf.trusts[url]
-        assert voting.trusts["http://truthful.com"] == pytest.approx(1 / 3)
-        assert voting.trusts["http://truthful.com"] < 1.0
+            assert pcf[url] == 0.0
+            assert pcf[url] < tf[url]
+        assert voting["http://truthful.com"] == pytest.approx(1 / 3)
+        assert voting["http://truthful.com"] < 1.0
 
 
 def test_8_determinism(capsys, tmp_path):

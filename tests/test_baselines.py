@@ -12,20 +12,20 @@ from test_similarity import reference_tf_name_score
 ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
 
-def state_of(kb, claims):
-    return engine.assign_pcf(corpus.build_state(kb, claims))
+def state_of(kb, claims, config=None):
+    return engine.assign_pcf(corpus.build_state(kb, claims, config))
 
 
 def run_voting(state):
     return baselines.voting_run(state, engine.build_index(state))
 
 
-def run_truthfinder(state, config):
-    return baselines.truthfinder_run(state, engine.build_index(state), config)
+def run_truthfinder(state):
+    return baselines.truthfinder_run(state, engine.build_index(state))
 
 
-def run_pcf(state, config):
-    return baselines.pcf_run(state, engine.build_index(state), config)
+def run_pcf(state):
+    return baselines.pcf_run(state, engine.build_index(state))
 
 
 def simple_kb():
@@ -44,10 +44,9 @@ class TestVoting:
             make_claim("http://c.com", "100", ["ann example", "bo sample"]),
             make_claim("http://d.com", "100", ["someone else"]),
         ]
-        result = run_voting(state_of(kb, claims))
-        assert result.trusts["http://a.com"] == pytest.approx(0.75)
-        assert result.trusts["http://d.com"] == pytest.approx(0.25)
-        assert result.winners["100"] == 1
+        trusts = run_voting(state_of(kb, claims))
+        assert trusts["http://a.com"] == pytest.approx(0.75)
+        assert trusts["http://d.com"] == pytest.approx(0.25)
 
     def test_unanimous_corpus(self):
         kb = simple_kb()
@@ -56,24 +55,15 @@ class TestVoting:
             for url in ("http://a.com", "http://b.com")
             for isbn, truth in kb.items()
         ]
-        result = run_voting(state_of(kb, claims))
-        assert all(t == 1.0 for t in result.trusts.values())
+        trusts = run_voting(state_of(kb, claims))
+        assert all(t == 1.0 for t in trusts.values())
 
     def test_single_site_single_fact(self):
         kb = simple_kb()
-        result = run_voting(
+        trusts = run_voting(
             state_of(kb, [make_claim("http://a.com", "100", ["ann example"])])
         )
-        assert result.trusts["http://a.com"] == 1.0
-
-    def test_winner_tie_goes_to_smallest_fact_id(self):
-        kb = simple_kb()
-        claims = [
-            make_claim("http://a.com", "100", ["first variant"]),
-            make_claim("http://b.com", "100", ["second variant"]),
-        ]
-        result = run_voting(state_of(kb, claims))
-        assert result.winners["100"] == 1
+        assert trusts["http://a.com"] == 1.0
 
     def test_shares_per_object_sum_to_one(self):
         kb = simple_kb()
@@ -94,8 +84,9 @@ class TestVoting:
             assert sum(shares) == pytest.approx(1.0)
 
     def test_every_website_appears(self, core_java_state):
-        result = run_voting(core_java_state)
-        assert set(result.trusts) == set(core_java_state.websites)
+        trusts = run_voting(core_java_state)
+        assert list(trusts) == [site.url for site in engine.build_index(core_java_state).sites]
+        assert set(trusts) == set(core_java_state.websites)
 
 
 class TestTruthfinder:
@@ -106,38 +97,28 @@ class TestTruthfinder:
             for url in ("http://a.com", "http://b.com")
             for isbn, truth in kb.items()
         ]
-        state = state_of(kb, claims)
-        tf = run_truthfinder(state, ONE_EPOCH)
-        pcf = run_pcf(state, ONE_EPOCH)
-        assert all(t == 1.0 for t in tf.trusts.values())
-        assert tf.trusts == pcf.trusts
+        state = state_of(kb, claims, ONE_EPOCH)
+        tf = run_truthfinder(state)
+        pcf = run_pcf(state)
+        assert all(t == 1.0 for t in tf.values())
+        assert tf == pcf
 
     def test_dropped_middle_names_score_five_sixths_at_epoch_one(self):
         kb = {"100": corpus.TrueFact(object="100", authors=["graeme c simsion"])}
         claims = [make_claim("http://a.com", "100", ["graeme simsion"])]
-        result = run_truthfinder(state_of(kb, claims), ONE_EPOCH)
-        assert result.trusts["http://a.com"] == pytest.approx(5 / 6)
+        trusts = run_truthfinder(state_of(kb, claims, ONE_EPOCH))
+        assert trusts["http://a.com"] == pytest.approx(5 / 6)
 
     def test_substring_gate_failure_ranks_below_weighted_matching(self):
         # The claim is two edits from the truth but not contained in it, so
         # the substring scorer gives 0 while weighted parts earn half credit.
         kb = {"100": corpus.TrueFact(object="100", authors=["graeme c simsion"])}
         claims = [make_claim("http://a.com", "100", ["graeme simsio"])]
-        state = state_of(kb, claims)
-        pcf = run_pcf(state, ONE_EPOCH)
-        tf = run_truthfinder(state, ONE_EPOCH)
-        assert pcf.trusts["http://a.com"] == 0.0
-        assert tf.trusts["http://a.com"] > pcf.trusts["http://a.com"]
-
-    def test_winners_prefer_high_adjusted_confidence(self):
-        kb = simple_kb()
-        claims = [
-            make_claim("http://a.com", "100", ["ann example", "bo sample"]),
-            make_claim("http://b.com", "100", ["ann example", "bo sample"]),
-            make_claim("http://c.com", "100", ["wholly wrong"]),
-        ]
-        result = run_pcf(state_of(kb, claims), ONE_EPOCH)
-        assert result.winners["100"] == 1
+        state = state_of(kb, claims, ONE_EPOCH)
+        pcf = run_pcf(state)
+        tf = run_truthfinder(state)
+        assert pcf["http://a.com"] == 0.0
+        assert tf["http://a.com"] > pcf["http://a.com"]
 
 
 class TestThreeMethodComparison:
@@ -151,34 +132,32 @@ class TestThreeMethodComparison:
             make_claim("http://junk1.com", "100", ["xxxxxxxxx yyyyyyyyy"]),
             make_claim("http://junk2.com", "100", ["qqqqqqqqq wwwwwwwww"]),
         ]
-        return state_of(kb, claims)
+        return state_of(kb, claims, ONE_EPOCH)
 
     def test_truthful_site_ranks_first_under_all_methods(self):
         state = self._garbage_corpus()
         voting = run_voting(state)
-        tf = run_truthfinder(state, ONE_EPOCH)
-        pcf = run_pcf(state, ONE_EPOCH)
-        for result in (voting, tf, pcf):
-            ranked = sorted(result.trusts.items(), key=lambda kv: -kv[1])
+        tf = run_truthfinder(state)
+        pcf = run_pcf(state)
+        for trusts in (voting, tf, pcf):
+            ranked = sorted(trusts.items(), key=lambda kv: -kv[1])
             assert ranked[0][0] == "http://truthful.com"
 
     def test_only_similarity_methods_reach_trust_one(self):
         state = self._garbage_corpus()
         voting = run_voting(state)
-        tf = run_truthfinder(state, ONE_EPOCH)
-        pcf = run_pcf(state, ONE_EPOCH)
-        assert pcf.trusts["http://truthful.com"] == 1.0
-        assert tf.trusts["http://truthful.com"] == 1.0
+        tf = run_truthfinder(state)
+        pcf = run_pcf(state)
+        assert pcf["http://truthful.com"] == 1.0
+        assert tf["http://truthful.com"] == 1.0
         # Voting only grants the truthful site its mean vote share:
         # one third on the contested object, full share on the other.
-        assert voting.trusts["http://truthful.com"] == pytest.approx((1 / 3 + 1) / 2)
+        assert voting["http://truthful.com"] == pytest.approx((1 / 3 + 1) / 2)
 
     def test_deterministic(self):
         state = self._garbage_corpus()
         assert run_voting(state) == run_voting(state)
-        assert run_truthfinder(state, ONE_EPOCH) == run_truthfinder(
-            state, ONE_EPOCH
-        )
+        assert run_truthfinder(state) == run_truthfinder(state)
 
     def test_baseline_runs_leave_the_input_state_alone(self):
         # After a run every record field holds a value a baseline could
@@ -186,8 +165,8 @@ class TestThreeMethodComparison:
         state, _ = engine.run(self._garbage_corpus())
         before = copy.deepcopy(state)
         ix = engine.build_index(state)
-        baselines.pcf_run(state, ix, ONE_EPOCH)
-        baselines.truthfinder_run(state, ix, ONE_EPOCH)
+        baselines.pcf_run(state, ix)
+        baselines.truthfinder_run(state, ix)
         baselines.voting_run(state, ix)
         assert state == before
 
@@ -204,22 +183,15 @@ def generated_state(seed):
 
 def reference_truthfinder_run(state):
     """The baseline with every fact scored on its own by the reference scorer."""
-    return baselines._engine_run(
-        state,
-        engine.build_index(state),
-        None,
-        baselines.METHOD_TRUTHFINDER,
-        reference_tf_name_score,
-    )
+    return baselines._engine_run(state, engine.build_index(state), reference_tf_name_score)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 9])
 def test_truthfinder_run_equals_the_per_fact_reference(seed):
     state = generated_state(seed)
-    result = baselines.truthfinder_run(state, engine.build_index(state))
-    expected = reference_truthfinder_run(state)
-    assert result.trusts == expected.trusts
-    assert result.winners == expected.winners
+    assert baselines.truthfinder_run(state, engine.build_index(state)) == (
+        reference_truthfinder_run(state)
+    )
 
 
 def test_truthfinder_runs_carry_nothing_over():
@@ -251,20 +223,14 @@ def test_pcf_run_equals_engine_run_from_zero_trust(seed, epsilon, max_epochs, to
     # Every third seed drops a book from the KB, so some facts lie off it.
     kb = {b.object: b for b in (kb_records[1:] if seed % 3 == 0 else kb_records)}
     state, _ = engine.run(state_of(kb, claims))
-    config = corpus.EngineConfig(epsilon=epsilon, convergence_tol=tol, max_epochs=max_epochs)
+    state.config = corpus.EngineConfig(
+        epsilon=epsilon, convergence_tol=tol, max_epochs=max_epochs
+    )
 
-    result = baselines.pcf_run(state, engine.build_index(state), config)
+    trusts = baselines.pcf_run(state, engine.build_index(state))
 
     reference = copy.deepcopy(state)
-    reference.config = config
     for site in reference.websites.values():
         site.trust = 0.0
     engine.run(reference)
-    assert result.trusts == {url: site.trust for url, site in reference.websites.items()}
-    best = {}
-    for fact_id in sorted(reference.facts):
-        fact = reference.facts[fact_id]
-        leader = best.get(fact.object)
-        if leader is None or fact.adjusted_confidence > leader.adjusted_confidence:
-            best[fact.object] = fact
-    assert result.winners == {obj: fact.fact_id for obj, fact in best.items()}
+    assert trusts == {url: site.trust for url, site in reference.websites.items()}

@@ -55,7 +55,7 @@ def _unprovided_object(doc):
 
 
 def _second_fact_on_a_key(doc):
-    """Give fact 2 the ISBN and authors of fact 1 (the two merge in build_fact_table)."""
+    """Give fact 2 the ISBN and authors of fact 1 (the two merge in build_state)."""
     first, second = doc["facts"][:2]
     second.update(isbn=first["isbn"], authors=list(first["authors"]))
 
@@ -173,16 +173,32 @@ class TestRun:
         assert state.config.max_epochs == 2
         assert state.epoch == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-    def test_non_finite_tol_is_a_usage_error(self, tmp_path, tol):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["run", "--state", str(tmp_path / "s.json"), f"--tol={tol}"])
-        assert excinfo.value.code == 2
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, *argvs):
+        """Each command exits 2 with an error line and leaves the state file as it was."""
+        state_path = ingest(tmp_path, *write_core_fixture(tmp_path))
+        before = state_path.read_bytes()
+        capsys.readouterr()
+        for command, *flags in argvs:
+            assert cli.main([command, "--state", str(state_path), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert state_path.read_bytes() == before
 
-    def test_zero_epochs_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["run", "--state", str(tmp_path / "s.json"), "--epochs", "0"])
-        assert excinfo.value.code == 2
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_a_usage_error(self, tmp_path, capsys, tol):
+        self._assert_refused(tmp_path, capsys, ["run", f"--tol={tol}"])
+
+    def test_zero_epochs_is_a_usage_error(self, tmp_path, capsys):
+        # An epsilon outside [0, 1] and a zero --top are refused the same way.
+        self._assert_refused(
+            tmp_path,
+            capsys,
+            ["run", "--epochs", "0"],
+            ["run", "--epsilon", "1.5"],
+            ["query", "--needle", CORE_ISBN, "--top", "0"],
+        )
 
     def test_unreadable_state_exits_2(self, tmp_path, capsys):
         path = tmp_path / "state.json"
@@ -249,7 +265,7 @@ class TestRun:
             # `query` skipped urls it did not know and left out the missing site.
             lambda d: d["method_trusts"]["pcf"].pop(W1),
             lambda d: d["method_trusts"]["pcf"].update({"http://nobody.example": 0.9}),
-            # Not in the form build_fact_table writes; these used to load and run.
+            # Not in the form build_state gives; these used to load and run.
             lambda d: d["facts"][0].update(authors=["ann ax", "ann ax"]),
             lambda d: d["facts"][0].update(authors=d["facts"][0]["authors"][::-1]),
             lambda d: d["facts"][0].update(providers=[1, 1]),
@@ -484,12 +500,11 @@ class TestGen:
         op(random.Random(seed), out)
         assert len(set(out)) == len(out), (authors, out)
 
-    def test_corruption_rate_must_be_a_rate(self, tmp_path):
-        args, _, _ = gen_args(tmp_path, corruption=0.5)
-        args[args.index("--corruption") + 1] = "1.5"
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(args)
-        assert excinfo.value.code == 2
+    def test_corruption_rate_must_be_a_rate(self, tmp_path, capsys):
+        args, kb, claims = gen_args(tmp_path, corruption=1.5)
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith("error: corruption_rate")
+        assert not kb.exists() and not claims.exists()
 
     @pytest.mark.parametrize(
         "setting, value",
@@ -533,6 +548,26 @@ class TestBench:
     def test_requires_a_mode(self, tmp_path, capsys):
         state_path = self._state(tmp_path, capsys)
         assert cli.main(["bench", "--state", str(state_path)]) == 2
+
+    def test_websites_list_reads_no_state(self, capsys):
+        assert cli.main(["bench", "--websites-list", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n_websites,n_facts,data_seconds,engine_seconds"
+        assert len(lines) == 2
+
+    def test_sweep_needs_a_state(self, capsys):
+        assert cli.main(["bench", "--websites-list", "5", "--sweep-epsilon", "0:0.4:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_sweep_refuses_an_epsilon_the_engine_refuses(self, tmp_path, capsys):
+        state_path = self._state(tmp_path, capsys)
+        code = cli.main(["bench", "--sweep-epsilon", "0:5:1", "--state", str(state_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config epsilon 2.0 outside [0, 1]")
 
 
 class TestDeterminism:

@@ -187,7 +187,14 @@ class TestLoadKnowledgeBase:
     def test_empty_author_list_rejected(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         path.write_text(json.dumps({"isbn": "1", "authors": []}) + "\n", encoding="utf-8")
-        with pytest.raises(corpus.CorpusError, match="empty author list"):
+        with pytest.raises(corpus.CorpusError, match="line 1: empty author list"):
+            corpus.load_knowledge_base(path)
+
+    @pytest.mark.parametrize("record", [{"isbn": "1", "authors": "Ann Ax"}, {"isbn": "1"}])
+    def test_authors_not_a_list_rejected(self, tmp_path, record):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match="line 1: authors is missing or not a list"):
             corpus.load_knowledge_base(path)
 
     def test_parse_error_names_line(self, tmp_path):
@@ -402,7 +409,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://b.com", "1", ["x y"]),
         ]
-        websites, facts = corpus.build_fact_table(claims)
+        facts = corpus.build_state({}, claims).facts
         assert len(facts) == 1
         assert facts[1].providers == {1, 2}
 
@@ -411,7 +418,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y", "z w"]),
             make_claim("http://b.com", "1", ["z w", "x y"]),
         ]
-        _, facts = corpus.build_fact_table(claims)
+        facts = corpus.build_state({}, claims).facts
         assert len(facts) == 1
 
     def test_conflicting_claims_stay_apart(self):
@@ -419,7 +426,8 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://b.com", "1", ["z w"]),
         ]
-        websites, facts = corpus.build_fact_table(claims)
+        state = corpus.build_state({}, claims)
+        websites, facts = state.websites, state.facts
         assert len(facts) == 2
         assert facts[1].providers == {websites["http://a.com"].id}
         assert facts[2].providers == {websites["http://b.com"].id}
@@ -429,7 +437,8 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://a.com", "1", ["x y"]),
         ]
-        websites, facts = corpus.build_fact_table(claims)
+        state = corpus.build_state({}, claims)
+        websites, facts = state.websites, state.facts
         assert len(facts) == 1
         assert facts[1].providers == {1}
         assert list(websites) == ["http://a.com"]
@@ -440,14 +449,14 @@ class TestBuildFactTable:
             url = f"http://site{i:02d}.example.com"
             claims.append(make_claim(url, f"isbn{2 * i}", [f"author {i} one"]))
             claims.append(make_claim(url, f"isbn{2 * i + 1}", [f"author {i} two"]))
-        websites, facts = corpus.build_fact_table(claims)
-        assert len(facts) == 100
-        assert len(websites) == 50
-        ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts))
+        state = corpus.build_state({}, claims)
+        assert len(state.facts) == 100
+        assert len(state.websites) == 50
+        ix = engine.build_index(state)
         assert all(len(own) == 2 for own in ix.site_facts)
 
     def test_fields_initialized_to_zero(self):
-        _, facts = corpus.build_fact_table([make_claim("http://a.com", "1", ["x y"])])
+        facts = corpus.build_state({}, [make_claim("http://a.com", "1", ["x y"])]).facts
         fact = facts[1]
         assert fact.pcf == 0.0
         assert fact.adjusted_confidence == 0.0
@@ -469,12 +478,12 @@ class TestBuildFactTable:
     )
     def test_provider_pairs_count_deduped_rows(self, rows):
         claims = [make_claim(url, isbn, authors) for url, isbn, authors in rows]
-        websites, facts = corpus.build_fact_table(claims)
+        state = corpus.build_state({}, claims)
         distinct_pairs = {
             (c.website, c.object, corpus.canonical_authors(c.authors)) for c in claims
         }
-        assert sum(len(f.providers) for f in facts.values()) == len(distinct_pairs)
-        ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts))
+        assert sum(len(f.providers) for f in state.facts.values()) == len(distinct_pairs)
+        ix = engine.build_index(state)
         assert sum(map(len, ix.site_facts)) == len(distinct_pairs)
 
 
