@@ -20,12 +20,13 @@ from .corpus import (
 from .engine import (
     EpochReport,
     Index,
-    adjust_group,
+    adjust_confidences,
     assign_pcf,
     build_index,
     damp,
     fact_confidence,
     implication_factor,
+    implication_rows,
     run,
     run_epoch,
     run_epochs,

@@ -555,6 +555,12 @@ class TestBench:
         assert lines[0] == "n_websites,n_facts,data_seconds,engine_seconds"
         assert len(lines) == 2
 
+    def test_websites_list_size_is_refused_by_the_spec(self, capsys):
+        assert cli.main(["bench", "--websites-list", "5,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_websites must be at least 1")
+
     def test_sweep_needs_a_state(self, capsys):
         assert cli.main(["bench", "--websites-list", "5", "--sweep-epsilon", "0:0.4:0.1"]) == 2
         captured = capsys.readouterr()

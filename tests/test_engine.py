@@ -15,8 +15,8 @@ probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 # The readable per-fact reference for the implication arithmetic, the oracle
-# of engine.adjust_group: one term per sibling, summed onto the fact's own
-# confidence, then damped.
+# of engine.implication_rows and engine.adjust_confidences: one term per
+# sibling, summed onto the fact's own confidence, then damped.
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,13 @@ class TestImplicationFactor:
 
 
 class TestAdjustConfidence:
-    """Worked values of the implication stage, asserted on adjust_group."""
+    """Worked values of the implication stage, asserted on adjust_confidences."""
 
     def _fact(self, fact_id, pcf, confidence, obj="1"):
         return ScoredFact(fact_id, obj, pcf, confidence)
 
     def _adjusted(self, facts, epsilon=0.4):
-        """Each fact's adjusted confidence by fact id: adjust_group over build_index's groups."""
+        """Each fact's adjusted confidence by fact id: stage 3 over build_index's groups."""
         records = {
             f.fact_id: corpus.FactRecord(f.fact_id, f.object, [f"name {f.fact_id}"], pcf=f.pcf)
             for f in facts
@@ -274,8 +274,8 @@ class TestAdjustConfidence:
         pcf = [f.pcf for f in ix.facts]
         confidence = [confidence_of[f.fact_id] for f in ix.facts]
         adjusted = [-1.0] * len(ix.facts)
-        for group in ix.groups:
-            engine.adjust_group(group, pcf, confidence, adjusted, epsilon)
+        rows = engine.implication_rows(ix.groups, pcf, epsilon)
+        engine.adjust_confidences(rows, confidence, adjusted)
         return {f.fact_id: a for f, a in zip(ix.facts, adjusted)}
 
     def test_no_siblings(self):
@@ -310,6 +310,8 @@ pcf_grid = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0, 1 / 3])
 
 
 class TestAdjustGroup:
+    """The implication stage over one group, at every other vector position."""
+
     @given(
         scores=st.lists(st.tuples(pcf_grid, probabilities), min_size=1, max_size=40),
         epsilon=st.sampled_from([0.4, 0.0, 0.25, 1.0]),
@@ -324,7 +326,8 @@ class TestAdjustGroup:
         pcf, confidence, adjusted = [0.7] * size, [0.3] * size, [-1.0] * size
         for k, (p, s) in zip(positions, scores):
             pcf[k], confidence[k] = p, s
-        engine.adjust_group(positions, pcf, confidence, adjusted, epsilon)
+        rows = engine.implication_rows([positions], pcf, epsilon)
+        engine.adjust_confidences(rows, confidence, adjusted)
         assert adjusted[1::2] == expected
         assert adjusted[::2] == [-1.0] * (len(scores) + 1)
 
@@ -437,6 +440,36 @@ class TestRunEpoch:
             (r.epoch, r.max_trust_delta) for r in whole_reports
         ]
 
+    def test_factors_are_computed_once_per_run(self, monkeypatch):
+        from pcf_engine import generator
+
+        spec = generator.GenSpec(
+            n_websites=12, n_objects=2, claims_per_site=2, corruption_rate=0.8, seed=3
+        )
+        kb_records = generator.generate_kb(spec)
+        kb = {b.object: b for b in kb_records}
+        base = engine.assign_pcf(
+            corpus.build_state(kb, generator.generate_claims(spec, kb_records))
+        )
+        assert max(map(len, engine.build_index(base).groups)) > 2
+        factor = engine.implication_factor
+        calls = []
+
+        def counted(p1, p2, epsilon):
+            calls.append(None)
+            return factor(p1, p2, epsilon)
+
+        monkeypatch.setattr(engine, "implication_factor", counted)
+        counts = []
+        for epochs in (3, 1):
+            state = copy.deepcopy(base)
+            state.config = corpus.EngineConfig(max_epochs=epochs, convergence_tol=0.0)
+            calls.clear()
+            _, reports = engine.run(state)
+            assert len(reports) == epochs
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_deterministic_successor(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
         a, _ = one_epoch(copy.deepcopy(state))
@@ -451,18 +484,19 @@ class TestRunEpoch:
         before = copy.deepcopy(state)
         ix = engine.build_index(state)
         pcf, trust, adjusted = [f.pcf for f in ix.facts], [0.0, 0.5], [0.25, 0.75]
-        inputs = copy.deepcopy((pcf, trust, adjusted))
+        rows = engine.implication_rows(ix.groups, pcf, state.config.epsilon)
+        inputs = copy.deepcopy((pcf, rows, trust, adjusted))
         (new_trust, new_adjusted), report = engine.run_epoch(
-            ix, state.config, 7, pcf, trust, adjusted
+            ix, state.config, 7, pcf, rows, trust, adjusted
         )
-        assert (pcf, trust, adjusted) == inputs
+        assert (pcf, rows, trust, adjusted) == inputs
         assert state == before
         assert report.epoch == 7
         assert new_trust[0] == pytest.approx(2 / 3)  # the mean pcf of W1's one fact
         assert new_trust[1] == 0.75  # the adjusted confidence of W2's one fact
         assert len(new_adjusted) == len(ix.facts)
         # Called again on the same vectors, it returns equal ones.
-        again, _ = engine.run_epoch(ix, state.config, 7, pcf, trust, adjusted)
+        again, _ = engine.run_epoch(ix, state.config, 7, pcf, rows, trust, adjusted)
         assert again == (new_trust, new_adjusted)
 
 
