@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -32,6 +33,10 @@ def _epsilon_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric lo:hi:step, got {text!r}")
+    # NaN fails every comparison and no value passes infinity: the loop
+    # below would never end.
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise argparse.ArgumentTypeError(f"need finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need step > 0 and hi >= lo, got {text!r}")
     grid = []

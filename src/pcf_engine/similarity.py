@@ -8,7 +8,11 @@ baseline. Its near-miss test, edit distance at most 2, uses Myers'
 bit-parallel edit distance; the tests check it against the classic
 dynamic program. Sites copy the same author names, so the baseline scores
 through one :class:`WeightedNameScorer` per run: each distinct name is split
-once, and each distinct name pair and part pair is scored once.
+once, and each distinct name pair and part pair is scored once. Two exact
+shortcuts skip most of that work: a claimed name equal to a true author
+scores 1.0 without being paired, and two parts whose character sets differ
+in more than four characters are more than two edits apart, so they skip
+the edit distance.
 """
 
 from __future__ import annotations
@@ -123,6 +127,12 @@ def _part_credit(claim_part: str | None, true_part: str) -> float:
     # The distance is at least the length difference.
     if abs(len(claim_part) - len(true_part)) > 2:
         return 0.0
+    # It is also at least half the size of the character sets' symmetric
+    # difference: a substitution changes that size by at most 2, an
+    # insertion or a deletion by at most 1, so two edits change it by at
+    # most 4 from the 0 of equal strings.
+    if len(set(claim_part).symmetric_difference(true_part)) > 4:
+        return 0.0
     if levenshtein(claim_part, true_part) <= 2:
         return 0.5
     return 0.0
@@ -136,7 +146,9 @@ class WeightedNameScorer:
     part) credit. Names and parts have memos of their own: a middle part such
     as "b c" is also a two-token name, and the two map to different values.
     The memos grow with the distinct names scored and last as long as the
-    object, so make one per run.
+    object, so make one per run. A claimed name that is one of the true
+    authors and has a token scores 1.0 with no pair scored: that is its
+    score against itself, and no pair scores more.
     """
 
     def __init__(self) -> None:
@@ -149,7 +161,12 @@ class WeightedNameScorer:
             return 0.0
         total = 0.0
         for claim_name in claim_authors:
-            total += max(self._name_score(claim_name, true_name) for true_name in true_authors)
+            # Against itself every part earns credit 1.0, so the score is
+            # exactly 1.0; a name with no token, such as " ", scores 0.0.
+            if claim_name in true_authors and self._split(claim_name):
+                total += 1.0
+            else:
+                total += max(self._name_score(claim_name, true_name) for true_name in true_authors)
         return total / len(claim_authors)
 
     def _name_score(self, claim_name: str, true_name: str) -> float:

@@ -575,6 +575,23 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error: config epsilon 2.0 outside [0, 1]")
 
+    # NaN fails every comparison and no value passes infinity, so a grid
+    # that took them would grow without end; the child's short timeout
+    # turns that into a failure instead of a hang.
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "0:1:nan"])
+    def test_sweep_refuses_a_non_finite_grid(self, tmp_path, capsys, grid):
+        state_path = self._state(tmp_path, capsys)
+        done = subprocess.run(
+            [sys.executable, "-m", "pcf_engine.cli", "bench",
+             "--sweep-epsilon", grid, "--state", str(state_path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=5,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert b"need finite lo, hi and step" in done.stderr
+
 
 class TestDeterminism:
     def test_run_twice_from_same_state_is_byte_identical(self, tmp_path, capsys):

@@ -238,6 +238,33 @@ class TestLevenshteinFastPath:
         assert similarity.levenshtein(a, b) == levenshtein_dp(a, b)
 
 
+class TestPartCredit:
+    """A part's credit equals the reference, which always runs the dynamic
+    program; the character-set bound only skips distances above 2."""
+
+    @given(pair=text_pairs())
+    # Set difference 4 ({a, b, c, d}) at distance 2: still a near miss.
+    @example(pair=("ab", "cd"))
+    # Set difference 6 at distance 3: no credit.
+    @example(pair=("abc", "xyz"))
+    def test_equals_the_reference(self, pair):
+        a, b = pair
+        assert similarity._part_credit(a, b) == _reference_part_credit(a, b)
+
+    def test_bound_skips_the_edit_distance(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return levenshtein_dp(a, b)
+
+        monkeypatch.setattr(similarity, "levenshtein", counting)
+        assert similarity._part_credit("abc", "xyz") == 0.0
+        assert calls == []
+        assert similarity._part_credit("ab", "cd") == 0.5
+        assert calls == [("ab", "cd")]
+
+
 class TestTfNameScoreReference:
     """The scorer equals the per-pair formulation over the dynamic program."""
 
@@ -254,10 +281,11 @@ class TestTfNameScoreReference:
 # Names that share parts: "a b c z" has the middle part "b c", which is also
 # the two-token name "b c", and the pair ("b c", "b d") scores 0.7 as names
 # but 0.5 as middle parts; the middle "b" of "a b c" is the one-token name
-# "b". Near misses of "graeme c simsion" reach the edit distance.
+# "b". Near misses of "graeme c simsion" reach the edit distance. " " has
+# no token: it scores 0.0 even against itself.
 NAME_POOL = [
     "b", "b c", "b d", "a b c", "a b c z", "a b d z",
-    "graeme c simsion", "graeme simsion", "grame simsio", "simsion",
+    "graeme c simsion", "graeme simsion", "grame simsio", "simsion", " ",
 ]
 pooled_lists = st.lists(st.sampled_from(NAME_POOL), max_size=3)
 
@@ -272,10 +300,22 @@ class TestWeightedNameScorer:
     @example(batch=[(["a b c z", "a b c z"], ["b c", "a b c z"])])
     @example(batch=[(["b c"], ["b d"]), (["a b c z"], ["a b d z"])])
     @example(batch=[(["a b d z"], ["a b c z"]), (["b d"], ["b c"])])
+    @example(batch=[([" "], [" ", "b"])])
     def test_one_scorer_equals_the_reference_on_every_fact(self, batch):
         scorer = similarity.WeightedNameScorer()
         for claims, truth in batch:
             assert scorer(claims, truth) == reference_tf_name_score(claims, truth)
+
+    def test_a_true_name_scores_one_without_pairing(self, monkeypatch):
+        calls = []
+
+        def counting(claim_part, true_part):
+            calls.append((claim_part, true_part))
+            return _reference_part_credit(claim_part, true_part)
+
+        monkeypatch.setattr(similarity, "_part_credit", counting)
+        assert similarity.WeightedNameScorer()(["a b", "c"], ["c", "a b"]) == 1.0
+        assert calls == []
 
 
 class TestSplitNameParts:
