@@ -14,6 +14,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STALE = 3
 
+# The most steps an epsilon grid may take from lo to hi. A sweep folds every
+# sibling pair once per value, so a longer grid is no use, and a tiny step
+# would build a list until memory runs out.
+MAX_GRID_STEPS = 10_000
+
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -33,21 +38,26 @@ def _epsilon_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric lo:hi:step, got {text!r}")
-    # NaN fails every comparison and no value passes infinity: the loop
-    # below would never end.
+    # NaN fails every comparison and no value passes infinity, so neither
+    # bounds a grid.
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise argparse.ArgumentTypeError(f"need finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need step > 0 and hi >= lo, got {text!r}")
+    too_long = argparse.ArgumentTypeError(
+        f"need at most {MAX_GRID_STEPS} steps from lo to hi, got {text!r}"
+    )
+    if (hi - lo) / step > MAX_GRID_STEPS:
+        raise too_long
+    # A step below the spacing of floats near lo adds nothing to lo, so the
+    # loop is bounded too.
     grid = []
-    i = 0
-    while True:
+    for i in range(MAX_GRID_STEPS + 2):
         value = lo + i * step
         if value > hi + 1e-12:
-            break
+            return grid
         grid.append(round(value, 12))
-        i += 1
-    return grid
+    raise too_long
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

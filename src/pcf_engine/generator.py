@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CLAIMS_HEADER, Claim, TrueFact
+from .corpus import CLAIMS_HEADER, ObjectId, TrueFact
 
 FIRST_NAMES = [
     "alice", "bruno", "carla", "deepak", "elena", "farid", "grace", "henrik",
@@ -59,6 +59,22 @@ class GenSpec:
             raise ValueError("claims_per_site must be at least 1")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise ValueError("corruption_rate must lie in [0, 1]")
+
+
+@dataclass
+class ClaimRow:
+    """One generated claims row: a claim and the listing columns beside it.
+
+    ``authors`` is in claimed order, as written; ``corpus.build_state``
+    takes these rows as it takes loaded claims.
+    """
+
+    website: str
+    object: ObjectId
+    authors: list[str]
+    publisher: str
+    price: float
+    quantity: int
 
 
 def random_author(rng: random.Random) -> str:
@@ -151,7 +167,7 @@ def corrupt_authors(
     return out
 
 
-def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[Claim]:
+def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[ClaimRow]:
     """One claims row per (website, object) pair, objects assigned round-robin.
 
     Round-robin assignment keeps per-object provider counts uniform: with
@@ -164,7 +180,7 @@ def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[Claim]:
         for j in range(spec.claims_per_site):
             book = kb[(site_index * spec.claims_per_site + j) % spec.n_objects]
             claims.append(
-                Claim(
+                ClaimRow(
                     website=url,
                     object=book.object,
                     authors=corrupt_authors(rng, book.authors, spec.corruption_rate),
@@ -193,7 +209,7 @@ def write_kb_file(path: str | Path, books: list[TrueFact]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_claims_file(path: str | Path, claims: list[Claim]) -> None:
+def write_claims_file(path: str | Path, claims: list[ClaimRow]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CLAIMS_HEADER)
@@ -203,9 +219,9 @@ def write_claims_file(path: str | Path, claims: list[Claim]) -> None:
                 claim.website,
                 claim.object,
                 ";".join(claim.authors),
-                claim.publisher or "",
-                "" if claim.price is None else repr(claim.price),
-                "" if claim.quantity is None else str(claim.quantity),
+                claim.publisher,
+                repr(claim.price),
+                str(claim.quantity),
             ]
         )
     Path(path).write_text(buffer.getvalue(), encoding="utf-8")

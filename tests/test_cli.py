@@ -592,6 +592,28 @@ class TestBench:
         assert done.stdout == b""
         assert b"need finite lo, hi and step" in done.stderr
 
+    # Without the cap, the first two would build a trillion values and the
+    # third would repeat 0.5 until memory ran out; the child's short
+    # timeout fails the test long before.
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:0.00009999", "0.5:0.5:1e-300"])
+    def test_sweep_refuses_a_grid_over_the_cap(self, tmp_path, capsys, grid):
+        state_path = self._state(tmp_path, capsys)
+        done = subprocess.run(
+            [sys.executable, "-m", "pcf_engine.cli", "bench",
+             "--sweep-epsilon", grid, "--state", str(state_path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=5,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert f"need at most {cli.MAX_GRID_STEPS} steps from lo to hi".encode() in done.stderr
+
+    def test_grid_at_the_cap_is_taken(self):
+        grid = cli._epsilon_grid(f"0:1:{1 / cli.MAX_GRID_STEPS}")
+        assert len(grid) == cli.MAX_GRID_STEPS + 1
+        assert (grid[0], grid[-1]) == (0.0, 1.0)
+
 
 class TestDeterminism:
     def test_run_twice_from_same_state_is_byte_identical(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
 
-from conftest import CORE_ISBN, W1, core_java_claims, make_claim, one_epoch, write_core_fixture
+from conftest import CORE_ISBN, W1, W2, core_java_claims, make_claim, one_epoch, write_core_fixture
 
 
 def state_document(state: corpus.TrustState) -> dict:
@@ -76,7 +76,9 @@ SPACES = (
     + "".join(map(chr, range(0x2000, 0x200B)))
     + "\u2028\u2029\u202f\u205f\u3000"
 )
-name_texts = st.text(alphabet=st.sampled_from(list("aBz.,é" + SPACES)), max_size=30)
+# İ and ẞ change length when lowercased; the fullwidth ． and ， are not
+# the ASCII period and comma, so they stay.
+name_texts = st.text(alphabet=st.sampled_from(list("aBz.,éİẞ．，" + SPACES)), max_size=30)
 
 
 # Text with what JSON must escape or may spell two ways: quotes, backslashes,
@@ -266,13 +268,13 @@ class TestLoadKnowledgeBase:
 
 class TestLoadClaims:
     def test_names_normalized(self, tmp_path):
+        # Each claim carries its canonical key: normalized names, sorted.
         _, claims_path = write_core_fixture(tmp_path)
         claims = corpus.load_claims(claims_path)
-        assert len(claims) == 2
-        assert claims[0].website == W1
-        assert claims[0].authors == ["cay s horstmenn", "gary"]
-        assert claims[0].quantity == 3
-        assert claims[1].price is None
+        assert claims == [
+            corpus.Claim(W1, CORE_ISBN, ("cay s horstmenn", "gary")),
+            corpus.Claim(W2, CORE_ISBN, ("corne", "horstmenn")),
+        ]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "claims.csv"
@@ -313,6 +315,17 @@ class TestLoadClaims:
             with pytest.raises(corpus.CorpusError, match="row 2: bad price"):
                 corpus.load_claims(path)
 
+    @pytest.mark.parametrize("quantity", ["3.5", "x", "1e3"])
+    def test_bad_quantity_names_row(self, tmp_path, quantity):
+        path = tmp_path / "claims.csv"
+        path.write_text(
+            "website_url,isbn,authors,publisher,price,quantity\n"
+            "http://a.com,1,x y,,2.5,3\n"
+            f"http://a.com,2,x y,,2.5,{quantity}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(corpus.CorpusError, match=re.escape(f"row 2: bad quantity '{quantity}'")):
+            corpus.load_claims(path)
 
     def test_field_over_the_csv_limit_names_row(self, tmp_path):
         path = tmp_path / "claims.csv"
@@ -353,8 +366,10 @@ class TestLoadClaims:
     def test_equals_a_per_row_reference(self, data):
         """Files whose authors fields repeat, or differ only in case, spacing or
         punctuation, with empty and whitespace-only names and blank rows, load
-        as the row-by-row reference does, and no two claims share a name list.
-        A field that names one author twice is refused at its first row."""
+        as the row-by-row reference does: each claim carries its field's
+        names normalized and sorted, in one tuple that every claim of the
+        same field shares. A field that names one author twice is refused at
+        its first row."""
         names = st.sampled_from(
             ["Ann Ax", "ann ax", "ANN  AX", " Ann\tAx ", "Ann. Ax,", "A. Ax", "Bob By", "bob\u3000by"]
         )
@@ -369,7 +384,7 @@ class TestLoadClaims:
             lambda t: st.permutations([*t[0], *t[1], *[t[3]][: t[2]]])
         ).map(";".join)
         pool = data.draw(st.lists(fields, min_size=1, max_size=4), label="fields")
-        rows, expected, refused = [], [], None
+        rows, expected, fields_of, refused = [], [], [], None
         for site, isbn, field, blank in data.draw(st.lists(st.tuples(
             st.sampled_from(["http://w1.com", "http://w2.com", "http://w3.com"]),
             st.sampled_from(["i1", "i2"]),
@@ -386,7 +401,8 @@ class TestLoadClaims:
             repeated = [n for i, n in enumerate(authors) if n in authors[:i]]
             if repeated and refused is None:
                 refused = f"row {len(rows)}: duplicate author name {repeated[0]!r}"
-            expected.append(corpus.Claim(site, isbn, authors))
+            expected.append(corpus.Claim(site, isbn, tuple(sorted(authors))))
+            fields_of.append(field)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "claims.csv"
             path.write_text(
@@ -398,9 +414,10 @@ class TestLoadClaims:
                 return
             claims = corpus.load_claims(path)
         assert claims == expected
-        for i, claim in enumerate(claims):
-            claim.authors.append(f"zed {i}")
-        assert [c.authors for c in claims] == [e.authors + [f"zed {i}"] for i, e in enumerate(expected)]
+        shared = {}
+        for claim, field in zip(claims, fields_of):
+            assert type(claim.authors) is tuple
+            assert shared.setdefault(field, claim.authors) is claim.authors
 
 
 class TestBuildFactTable:
@@ -494,6 +511,44 @@ class TestBuildState:
         known = {f.object: flag for f, flag in zip(ix.facts, ix.known)}
         assert known["no-such-isbn"] is False
         assert known[CORE_ISBN] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_a_reference_fact_table(self, data):
+        """``build_state`` over loaded claims gives the fact table that sorting
+        every row's normalized names gives: rows that repeat one author set in
+        different orders, with blank names between separators and periods or
+        commas inside names, share a fact per ISBN."""
+        names = st.sampled_from(
+            ["Ann Ax", "A.nn, Ax", "ann.ax", "Bob  By", "b,ob by.", "Cy. Cz,", "cy,cz", ".", "Dee"]
+        )
+        author_sets = st.lists(
+            names, min_size=1, max_size=3, unique_by=reference_normalize_name
+        ).filter(lambda names: any(map(reference_normalize_name, names)))
+        pool = data.draw(st.lists(author_sets, min_size=1, max_size=3), label="author sets")
+        rows, sites, facts = [], {}, {}
+        for site, isbn, authors in data.draw(st.lists(st.tuples(
+            st.sampled_from(["http://w1.com", "http://w2.com", "http://w3.com"]),
+            st.sampled_from([CORE_ISBN, "i2"]),
+            st.sampled_from(pool),
+        ), min_size=1, max_size=20), label="rows"):
+            blanks = data.draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+            field = ";".join(data.draw(st.permutations([*authors, *blanks])))
+            rows.append([site, isbn, field, "", "", ""])
+            site_id = sites.setdefault(site, len(sites) + 1)
+            key = (isbn, tuple(sorted(filter(None, map(reference_normalize_name, field.split(";"))))))
+            facts.setdefault(key, (len(facts) + 1, isbn, list(key[1]), set()))[3].add(site_id)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "claims.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([corpus.CLAIMS_HEADER, *rows])
+            kb = {CORE_ISBN: corpus.TrueFact(CORE_ISBN, ["ann ax"])}
+            state = corpus.build_state(kb, corpus.load_claims(path))
+        assert state.kb is kb
+        assert {url: site.id for url, site in state.websites.items()} == sites
+        assert [
+            (f.fact_id, f.object, f.authors, f.providers) for f in state.facts.values()
+        ] == list(facts.values())
 
 
 class TestPersistence:

@@ -1,9 +1,10 @@
-"""Pinned outputs after ingest -> run --epochs 3 --tol 0 -> compare.
+"""Pinned outputs of gen, and after ingest -> run --epochs 3 --tol 0 -> compare.
 
-Two hashes per shape. ``NUMBERS`` covers the numbers alone: the repr of
-every website trust, of every fact's pcf, confidence and adjusted
-confidence keyed by (ISBN, authors), and of every method table entry, read
-back through ``corpus.load_state``, plus the compare CSV. A fact's
+Three pins per shape. ``GEN_BYTES`` covers the KB and claims files that
+``pcf gen`` writes at seed 0, byte for byte. ``NUMBERS`` covers the numbers
+alone: the repr of every website trust, of every fact's pcf, confidence and
+adjusted confidence keyed by (ISBN, authors), and of every method table
+entry, read back through ``corpus.load_state``, plus the compare CSV. A fact's
 confidence is not stored: it is ``engine.fact_confidence`` over its
 providers' loaded trusts in ascending site id, as the last epoch computed
 it. Any change to the arithmetic or its order changes the hash; a change to
@@ -27,6 +28,18 @@ SHAPES = {
     "one-object": (60, 1, 1, 1.0),
 }
 
+# sha256 of (KB file, claims file).
+GEN_BYTES = {
+    "gen-40x4": (
+        "307bc0d2559d8f4fe7a4ce7483d5fe618f3c724f1fb5af9015a3f40f3b967be9",
+        "cc4374ad3e99f733df59d36156cda9d3b97d1f63f108647069606104eee4b9c5",
+    ),
+    "one-object": (
+        "ef8253f1913d823996e9a84562239e48aca83f724eb68b4daf391a38d8d33f37",
+        "97ad6d63ce9fdad8a8c756801909f74e96fa6357e2fd0b6710c394c88a22bc5c",
+    ),
+}
+
 NUMBERS = {
     "gen-40x4": "9886569152b40f1b56ca852496fec92325f41067ebdd8e8ca578cacf1326a012",
     "one-object": "e0cb93a778f862c39ff2bd55cfc248088d8f8746a1c39efca408af91f6dd20c7",
@@ -38,21 +51,28 @@ STATE_BYTES = {
 }
 
 
+def gen(tmp_path, shape):
+    """Write the shape's corpus at seed 0; returns the KB and claims paths."""
+    websites, objects, claims_per_site, corruption = SHAPES[shape]
+    kb, claims = tmp_path / "kb.jsonl", tmp_path / "claims.csv"
+    assert cli.main([
+        "gen",
+        "--websites", str(websites),
+        "--objects", str(objects),
+        "--claims-per-site", str(claims_per_site),
+        "--corruption", str(corruption),
+        "--seed", "0",
+        "--out-kb", str(kb),
+        "--out-claims", str(claims),
+    ]) == 0
+    return kb, claims
+
+
 def ingest_run_compare(tmp_path, capsys, shape):
     """Run the pipeline on a generated corpus; returns the state path and the compare CSV."""
-    websites, objects, claims_per_site, corruption = SHAPES[shape]
-    kb, claims, state = tmp_path / "kb.jsonl", tmp_path / "claims.csv", tmp_path / "state.json"
+    kb, claims = gen(tmp_path, shape)
+    state = tmp_path / "state.json"
     commands = [
-        [
-            "gen",
-            "--websites", str(websites),
-            "--objects", str(objects),
-            "--claims-per-site", str(claims_per_site),
-            "--corruption", str(corruption),
-            "--seed", "0",
-            "--out-kb", str(kb),
-            "--out-claims", str(claims),
-        ],
         ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)],
         ["run", "--state", str(state), "--epochs", "3", "--tol", "0"],
     ]
@@ -80,6 +100,12 @@ def numbers_text(state: corpus.TrustState, compare_csv: str) -> str:
         for url, trust in table.items()
     ]
     return "\n".join(sorted(lines)) + "\n" + compare_csv
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_gen_bytes(tmp_path, shape):
+    files = gen(tmp_path, shape)
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == GEN_BYTES[shape]
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
