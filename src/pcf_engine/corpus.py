@@ -12,10 +12,12 @@ import csv
 import json
 import math
 import os
+import sys
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import lt
+from itertools import chain
+from operator import itemgetter, lt
 from pathlib import Path
 
 STATE_SCHEMA_VERSION = 3
@@ -190,9 +192,12 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
             for key, value in (("title", title), ("publisher", publisher)):
                 if not isinstance(value, str):
                     raise CorpusError(f"{path}: line {lineno}: {key} is not a string")
+            price = record.get("price", 0.0)
             try:
-                price = _price(record.get("price", 0.0))
-            except (OverflowError, TypeError, ValueError):
+                price = float(price) if type(price) in (int, float) else math.nan
+            except OverflowError:
+                price = math.nan
+            if not 0.0 <= price < math.inf:
                 raise CorpusError(
                     f"{path}: line {lineno}: price must be a finite number >= 0"
                 )
@@ -206,11 +211,11 @@ def load_claims(path: str | Path) -> list[Claim]:
     The authors column is semicolon-separated; names are normalized and
     rows whose author list comes out empty or names one author twice are
     rejected with their row number, as is a row with a non-numeric or
-    non-finite price, a non-integer quantity, or one the csv module cannot
-    read (a field over its size limit). Publisher, price and quantity are
-    checked, not kept. Each distinct authors field is normalized, checked
-    and sorted once per call, and every claim of that field shares the
-    resulting canonical key.
+    non-finite price, a non-integer quantity (each in ASCII digits, with
+    no ``_``), or one the csv module cannot read (a field over its size
+    limit). Publisher, price and quantity are checked, not kept. Each
+    distinct authors field is normalized, checked and sorted once per
+    call, and every claim of that field shares the resulting canonical key.
     """
     claims: list[Claim] = []
     key_of: dict[str, tuple[str, ...]] = {}
@@ -251,20 +256,21 @@ def load_claims(path: str | Path) -> list[Claim]:
                     except ValueError as exc:
                         raise CorpusError(f"{path}: row {row_num}: {exc}")
                     authors = key_of[authors_field] = tuple(sorted(names))
-                # A blank price or quantity is allowed.
+                # A blank price or quantity is allowed; float and int also
+                # take `_` and non-ASCII digits, which the format does not.
                 try:
-                    finite = math.isfinite(float(price_field))
+                    finite = math.isfinite(float(price_field)) and price_field.isascii()
                 except ValueError:
                     finite = not price_field.strip()
-                if not finite:
+                if not finite or "_" in price_field:
                     raise CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
                 try:
                     int(quantity_field)
+                    whole = quantity_field.isascii()
                 except ValueError:
-                    if quantity_field.strip():
-                        raise CorpusError(
-                            f"{path}: row {row_num}: bad quantity {quantity_field!r}"
-                        )
+                    whole = not quantity_field.strip()
+                if not whole or "_" in quantity_field:
+                    raise CorpusError(f"{path}: row {row_num}: bad quantity {quantity_field!r}")
                 claims.append(Claim(website, isbn, authors))
         except csv.Error as exc:
             # The reader fails on the row after the last one it returned.
@@ -370,18 +376,16 @@ def save_state(state: TrustState, path: str | Path) -> None:
 def load_state(path: str | Path) -> TrustState:
     """Rebuild a TrustState from a file written by :func:`save_state`.
 
-    Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` must
-    be ints; other numbers ints or floats, not bools, and never NaN or
-    Infinity; urls, ISBNs, titles, publishers and author names strings.
-    Trusts, method-table trusts included, and probabilities lie in [0, 1];
-    KB prices are finite and non-negative. Each method's trust table names
-    exactly the state's websites. ISBNs are non-empty, KB ISBNs distinct,
-    and author lists pass :func:`check_authors`. Each fact is in the form
-    :func:`build_state` gives it: its authors sorted, its providers the
-    ids of websites, ascending and distinct, and no other fact on the same
-    ISBN and authors. A malformed document, a wrongly typed field, one out
-    of range, an inconsistent one or a config :class:`EngineConfig` refuses
-    raises :class:`StateError`.
+    Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` are
+    ints; other numbers ints or floats, not bools, NaN or Infinity; texts
+    strings. Trusts (method tables too) and probabilities lie in [0, 1],
+    KB prices in [0, inf). Each method table names exactly the websites.
+    ISBNs are non-empty, KB ISBNs, urls and ids distinct, author lists
+    pass :func:`check_authors`, and facts are in :func:`build_state`'s
+    form: authors sorted, providers ids of websites, ascending, and no two
+    facts on one ISBN and authors. Anything else, or a config
+    :class:`EngineConfig` refuses, raises :class:`StateError`. Each rule is
+    one sweep over a column; a refusal names the first record that breaks it.
     """
     try:
         doc = json.loads(
@@ -399,65 +403,73 @@ def load_state(path: str | Path) -> TrustState:
             f"{path}: schema version {version!r}, expected {STATE_SCHEMA_VERSION};"
             " run `pcf ingest` again to rebuild the state"
         )
-    # One pass builds the records and checks each field's type. Positional
-    # arguments, because keyword calls make building a FactRecord about 1.6
-    # times as slow (CPython 3.11).
     try:
         cfg = doc["config"]
-        config = EngineConfig(
-            epsilon=_number(cfg["epsilon"]),
-            convergence_tol=_number(cfg["convergence_tol"]),
-            max_epochs=_int(cfg["max_epochs"]),
+        epsilon, tol = _numbers((cfg["epsilon"], cfg["convergence_tol"]))
+        max_epochs, epoch = cfg["max_epochs"], doc["epoch"]
+        isbns, kb_authors, titles, publishers, prices = _columns(
+            doc["kb"], "isbn", "authors", "title", "publisher", "price"
         )
-        kb_list = [
-            TrueFact(
-                _isbn(rec["isbn"]),
-                _names(rec["authors"]),
-                _text(rec["title"]),
-                _text(rec["publisher"]),
-                _price(rec["price"]),
-            )
-            for rec in doc["kb"]
-        ]
-        site_list = [
-            Website(_int(rec["id"]), _text(rec["url"]), _number(rec["trust"]))
-            for rec in doc["websites"]
-        ]
-        site_ids = {site.id for site in site_list}
-        fact_list = [
-            FactRecord(
-                _int(rec["fact_id"]),
-                _isbn(rec["isbn"]),
-                _names(rec["authors"]),
-                _providers(rec, site_ids),
-                _number(rec["pcf"]),
-                _number(rec["adjusted_confidence"]),
-            )
-            for rec in doc["facts"]
-        ]
-        method_trusts = {
-            method: {url: _trust(t) for url, t in trusts.items()}
-            for method, trusts in doc.get("method_trusts", {}).items()
-        }
-        epoch = _int(doc["epoch"])
+        ids, urls, trusts = _columns(doc["websites"], "id", "url", "trust")
+        fact_ids, objects, authors, providers, pcfs, adjusted = _columns(
+            doc["facts"], "fact_id", "isbn", "authors", "providers", "pcf", "adjusted_confidence"
+        )
+        # Types first: the sweeps below compare and hash the values.
+        _typed({int}, (max_epochs, epoch), ids, fact_ids)
+        config = EngineConfig(epsilon, tol, max_epochs)
+        _typed({str}, isbns, objects, urls, titles, publishers)
+        _typed({list}, kb_authors, authors, providers)
+        prices, trusts, pcfs, adjusted = map(_numbers, (prices, trusts, pcfs, adjusted))
+        for what, keys in (
+            ("KB isbn", isbns), ("website url", urls), ("website id", ids), ("fact id", fact_ids)
+        ):
+            if len(set(keys)) != len(keys):
+                duplicate = next(key for key, n in Counter(keys).items() if n > 1)
+                raise ValueError(f"duplicate {what} {duplicate!r}")
+        if not (all(isbns) and all(objects)):
+            raise ValueError("empty ISBN")
+        _in_range("KB isbn", isbns, prices, "price {} is negative or not finite", sys.float_info.max)
+        _in_range("website", urls, trusts, "trust {} outside [0, 1]")
+        _in_range("fact", fact_ids, pcfs, "pcf {} outside [0, 1]")
+        _in_range("fact", fact_ids, adjusted, "adjusted confidence {} outside [0, 1]")
+        _check_names("KB isbn", isbns, kb_authors,
+                     sum(map(len, map(set, kb_authors))) == sum(map(len, kb_authors)))
+        _check_names("fact", fact_ids, authors, _ascending(authors))
+        site_ids = set(ids)
+
+        def linked(values: Iterable) -> bool:
+            return {int}.issuperset(map(type, values)) and site_ids.issuperset(values)
+
+        _check(linked(tuple(chain.from_iterable(providers))), "fact", fact_ids, providers, linked,
+               "a provider is not the integer id of a website")
+        _check(all(providers), "fact", fact_ids, providers, bool, "no website provides it")
+        _check(_ascending(providers), "fact", fact_ids, providers, lambda p: _ascending((p,)),
+               "providers are not ascending and distinct")
+        keys = tuple(zip(objects, map(tuple, authors)))
+        first = dict(zip(reversed(keys), reversed(fact_ids)))  # each key's first fact
+        _check(len(first) == len(keys), "fact", fact_ids, zip(map(first.get, keys), fact_ids),
+               lambda pair: pair[0] == pair[1], "same ISBN and authors as fact {0[0]}")
+        websites = dict(zip(urls, map(Website, ids, urls, trusts)))
+        method_trusts = {}
+        for method, table in doc.get("method_trusts", {}).items():
+            values = tuple(table.values())
+            floats = _numbers(values)
+            _in_range(f"{method} trust of", tuple(table), floats, "{} outside [0, 1]")
+            if table.keys() != websites.keys():
+                url = min(table.keys() ^ websites.keys())
+                raise ValueError(f"{method} trust table and websites disagree on url {url!r}")
+            # A dict copies about 10 times as fast as it is built from pairs.
+            method_trusts[method] = dict(table) if floats is values else dict(zip(table, floats))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
     except ValueError as exc:
         raise StateError(f"{path}: {exc}")
-    _check_unique(path, "KB isbn", [tf.object for tf in kb_list])
-    _check_unique(path, "website url", [site.url for site in site_list])
-    _check_unique(path, "website id", [site.id for site in site_list])
-    _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
-    websites = {site.url: site for site in site_list}
-    for method, trusts in method_trusts.items():
-        if trusts.keys() != websites.keys():
-            url = min(trusts.keys() ^ websites.keys())
-            raise StateError(f"{path}: {method} trust table and websites disagree on url {url!r}")
-    _check_state(path, site_list, fact_list)
     return TrustState(
         websites=websites,
-        facts={fact.fact_id: fact for fact in fact_list},
-        kb={tf.object: tf for tf in kb_list},
+        facts=dict(zip(fact_ids, map(
+            FactRecord, fact_ids, objects, authors, map(set, providers), pcfs, adjusted
+        ))),
+        kb=dict(zip(isbns, map(TrueFact, isbns, kb_authors, titles, publishers, prices))),
         epoch=epoch,
         config=config,
         method_trusts=method_trusts,
@@ -469,89 +481,64 @@ def _no_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-def _int(value: object) -> int:
-    if type(value) is int:
-        return value
-    raise TypeError(f"expected an integer, got {value!r}")
+def _columns(records: Iterable, *keys: str) -> list[tuple]:
+    """Each key's values over ``records``, one tuple per key."""
+    # Not zip(*rows): its row tuples would stay on CPython's tuple free lists.
+    return [tuple(map(itemgetter(key), records)) for key in keys]
 
 
-def _number(value: object) -> float:
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        return float(value)
-    raise TypeError(f"expected a number, got {value!r}")
+def _typed(types: set[type], *columns: Sequence) -> None:
+    """TypeError at the first value whose type is not in ``types``; a bool is no int."""
+    for values in columns:
+        if not types.issuperset(map(type, values)):
+            bad = next(value for value in values if type(value) not in types)
+            names = " or ".join(sorted(t.__name__ for t in types))
+            raise TypeError(f"expected {names}, got {bad!r}")
 
 
-def _price(value: object) -> float:
-    number = _number(value)
-    if 0.0 <= number < math.inf:
-        return number
-    raise ValueError(f"KB price {value!r} is negative or not finite")
+def _numbers(values: tuple) -> Sequence[float]:
+    """Ints and floats as floats; OverflowError on an int too large for a float."""
+    if {float}.issuperset(map(type, values)):
+        return values
+    _typed({float, int}, values)
+    return list(map(float, values))
 
 
-def _trust(value: object) -> float:
-    number = _number(value)
-    if 0.0 <= number <= 1.0:
-        return number
-    raise ValueError(f"method trust {value!r} outside [0, 1]")
+def _check(swept: bool, what: str, keys: Sequence, values: Iterable, ok: Callable,
+           problem: str) -> None:
+    """If the sweep failed, raise ValueError naming the first record whose value fails ``ok``."""
+    if not swept:
+        i, value = next((i, value) for i, value in enumerate(values) if not ok(value))
+        raise ValueError(f"{what} {keys[i]}: " + problem.format(value))
 
 
-def _providers(rec: dict, site_ids: set[int]) -> set[int]:
-    """A fact's providers: stored as websites' int ids, ascending and distinct."""
-    ids = rec["providers"]
-    if type(ids) is not list or not ({int}.issuperset(map(type, ids)) and site_ids.issuperset(ids)):
-        raise ValueError(f"fact {rec['fact_id']!r}: a provider is not the integer id of a website")
-    if not ids:
-        raise ValueError(f"fact {rec['fact_id']!r}: no website provides it")
-    if not all(map(lt, ids, ids[1:])):
-        raise ValueError(f"fact {rec['fact_id']!r}: providers are not ascending and distinct")
-    return set(ids)
+def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str,
+              top: float = 1.0) -> None:
+    """Refuse a value outside [0, ``top``]; no NaN parses, so min and max decide."""
+    swept = not values or (0.0 <= min(values) and max(values) <= top)
+    _check(swept, what, keys, values, lambda value: 0.0 <= value <= top, problem)
 
 
-def _text(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool) -> None:
+    """:func:`check_authors` over a column; ``distinct`` sweeps for repeats (facts: order)."""
+    names = tuple(chain.from_iterable(lists))
+    # The join raises TypeError at a name that is not a string.
+    if distinct and all(lists) and all(names) and ";" not in "".join(names):
+        return
+    for key, value in zip(keys, lists):
+        try:
+            check_authors(value)
+        except ValueError as exc:
+            raise ValueError(f"{what} {key}: {exc}") from None
+    # All pass check_authors, so a fact's names are out of order.
+    _check(False, what, keys, lists, lambda names: _ascending((names,)),
+           "authors are not sorted and distinct")
 
 
-def _isbn(value: object) -> str:
-    if _text(value):
-        return value
-    raise ValueError("empty ISBN")
-
-
-def _names(value: object) -> list[str]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of names, got {value!r}")
-    check_authors(value)
-    return value
-
-
-def _check_unique(path: str | Path, what: str, keys: list) -> None:
-    """Reject a repeated key, which the id- and url-keyed tables would merge."""
-    if len(set(keys)) != len(keys):
-        duplicate = next(key for key, n in Counter(keys).items() if n > 1)
-        raise StateError(f"{path}: duplicate {what} {duplicate!r}")
-
-
-def _check_state(path: str | Path, sites: list[Website], facts: list[FactRecord]) -> None:
-    """Reject values out of range (NaN too) and facts that are not canonical.
-
-    Out of range: a trust or probability outside [0, 1]. Not canonical: an
-    author list that is not sorted and distinct, or a second fact on the same
-    ISBN and authors, which :func:`build_state` would have merged.
-    """
-    for site in sites:
-        if not 0.0 <= site.trust <= 1.0:
-            raise StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
-    first: dict[tuple[ObjectId, tuple[str, ...]], int] = {}
-    for fact in facts:
-        if not (0.0 <= fact.pcf <= 1.0 and 0.0 <= fact.adjusted_confidence <= 1.0):
-            raise StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
-        authors = fact.authors
-        if not all(map(lt, authors, authors[1:])):
-            raise StateError(f"{path}: fact {fact.fact_id}: authors are not sorted and distinct")
-        other = first.setdefault((fact.object, tuple(authors)), fact.fact_id)
-        if other != fact.fact_id:
-            raise StateError(f"{path}: fact {fact.fact_id}: same ISBN and authors as fact {other}")
+def _ascending(lists: tuple) -> bool:
+    """Whether each list is strictly ascending; no pair spans two lists."""
+    return all(map(
+        lt,
+        chain.from_iterable(map(itemgetter(slice(None, -1)), lists)),
+        chain.from_iterable(map(itemgetter(slice(1, None)), lists)),
+    ))

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -76,3 +77,42 @@ def one_epoch(state):
     finally:
         state.config = config
     return state, report
+
+
+# Values of every JSON type, NaN and infinity included; a mutation puts one
+# of another type in place of a value of the state document.
+REPLACEMENTS = [
+    None, True, 0, -1, 7, 0.5, -1.5, math.nan, math.inf, "", "x", "1", [], [1], {}, {"a": 1},
+]
+
+
+def json_paths(node, path=()):
+    """(path, is_key) for every leaf, and for every key of every object."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [(path, False)]
+    found = [] if node else [(path, False)]
+    for key, child in items:
+        if isinstance(node, dict):
+            found.append((path + (key,), True))
+        found += json_paths(child, path + (key,))
+    return found
+
+
+def list_mutations(doc):
+    """(table, index, key, op) for every list edit that leaves no state ingest could write.
+
+    A fact's authors or providers reversed (two or more), one entry repeated,
+    or emptied; a KB record's authors repeated or emptied.
+    """
+    found = []
+    for index, fact in enumerate(doc["facts"]):
+        for key in ("authors", "providers"):
+            ops = ["repeat", "empty"] + (["reverse"] if len(fact[key]) > 1 else [])
+            found += [("facts", index, key, op) for op in ops]
+    for index in range(len(doc["kb"])):
+        found += [("kb", index, "authors", op) for op in ("repeat", "empty")]
+    return found

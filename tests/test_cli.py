@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from pcf_engine import cli, corpus, generator
 
-from conftest import CORE_ISBN, W1, write_core_fixture
+from conftest import (
+    CORE_ISBN, REPLACEMENTS, W1, json_paths, list_mutations, write_core_fixture
+)
 
 
 def gen_args(tmp_path, websites=6, objects=4, claims_per_site=2, corruption=0.5, seed=11):
@@ -654,29 +656,6 @@ class TestClosedStdout:
         corpus.load_state(state_path)
 
 
-# Values of every JSON type, NaN and infinity included; a mutation puts one
-# of another type in place of a value of the state document.
-REPLACEMENTS = [
-    None, True, 0, -1, 7, 0.5, -1.5, math.nan, math.inf, "", "x", "1", [], [1], {}, {"a": 1},
-]
-
-
-def _paths(node, path=()):
-    """(path, is_key) for every leaf, and for every key of every object."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return [(path, False)]
-    found = [] if node else [(path, False)]
-    for key, child in items:
-        if isinstance(node, dict):
-            found.append((path + (key,), True))
-        found += _paths(child, path + (key,))
-    return found
-
-
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
     """A small `gen` state after ingest, run and compare, as a JSON document."""
@@ -688,23 +667,7 @@ def fuzz_base(tmp_path_factory):
         assert cli.main(["run", "--state", str(state_path)]) == 0
         assert cli.main(["compare", "--state", str(state_path)]) == 0
     doc = json.loads(state_path.read_text(encoding="utf-8"))
-    return doc, _paths(doc)
-
-
-def _list_mutations(doc):
-    """(table, index, key, op) for every list edit that leaves no state ingest could write.
-
-    A fact's authors or providers reversed (two or more), one entry repeated,
-    or emptied; a KB record's authors repeated or emptied.
-    """
-    found = []
-    for index, fact in enumerate(doc["facts"]):
-        for key in ("authors", "providers"):
-            ops = ["repeat", "empty"] + (["reverse"] if len(fact[key]) > 1 else [])
-            found += [("facts", index, key, op) for op in ops]
-    for index in range(len(doc["kb"])):
-        found += [("kb", index, "authors", op) for op in ("repeat", "empty")]
-    return found
+    return doc, json_paths(doc)
 
 
 def _exit_codes(doc, isbn, method):
@@ -758,7 +721,7 @@ class TestStateFuzz:
     @given(data=st.data())
     def test_list_out_of_ingest_form_exits_2(self, fuzz_base, data):
         base, _ = fuzz_base
-        table, index, key, op = data.draw(st.sampled_from(_list_mutations(base)), label="edit")
+        table, index, key, op = data.draw(st.sampled_from(list_mutations(base)), label="edit")
         doc = copy.deepcopy(base)
         values = doc[table][index][key]
         if op == "reverse":

@@ -1,18 +1,34 @@
+import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import re
 import tempfile
+from collections import Counter
+from functools import reduce
+from operator import lt
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcf_engine import corpus, engine
+from pcf_engine import cli, corpus, engine
 
-from conftest import CORE_ISBN, W1, W2, core_java_claims, make_claim, one_epoch, write_core_fixture
+from conftest import (
+    CORE_ISBN,
+    REPLACEMENTS,
+    W1,
+    W2,
+    core_java_claims,
+    json_paths,
+    list_mutations,
+    make_claim,
+    one_epoch,
+    write_core_fixture,
+)
 
 
 def state_document(state: corpus.TrustState) -> dict:
@@ -59,6 +75,179 @@ def state_document(state: corpus.TrustState) -> dict:
             for method, trusts in sorted(state.method_trusts.items())
         },
     }
+
+
+# The per-record loader that ``corpus.load_state`` replaced, kept as the
+# oracle of the column sweeps: what it refuses, they refuse, and what it
+# loads, they load bit for bit.
+def reference_load_state(path):
+    """Rebuild a TrustState field by field, each through its own check."""
+    try:
+        doc = json.loads(
+            Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant
+        )
+    except json.JSONDecodeError as exc:
+        raise corpus.StateError(f"{path}: not valid JSON ({exc.msg})")
+    except ValueError as exc:
+        raise corpus.StateError(f"{path}: {exc}")
+    if not isinstance(doc, dict):
+        raise corpus.StateError(f"{path}: not a state document")
+    version = doc.get("pcf_state_version")
+    if version != corpus.STATE_SCHEMA_VERSION:
+        raise corpus.StateError(
+            f"{path}: schema version {version!r}, expected {corpus.STATE_SCHEMA_VERSION};"
+            " run `pcf ingest` again to rebuild the state"
+        )
+    try:
+        cfg = doc["config"]
+        config = corpus.EngineConfig(
+            epsilon=_number(cfg["epsilon"]),
+            convergence_tol=_number(cfg["convergence_tol"]),
+            max_epochs=_int(cfg["max_epochs"]),
+        )
+        kb_list = [
+            corpus.TrueFact(
+                _isbn(rec["isbn"]),
+                _names(rec["authors"]),
+                _text(rec["title"]),
+                _text(rec["publisher"]),
+                _price(rec["price"]),
+            )
+            for rec in doc["kb"]
+        ]
+        site_list = [
+            corpus.Website(_int(rec["id"]), _text(rec["url"]), _number(rec["trust"]))
+            for rec in doc["websites"]
+        ]
+        site_ids = {site.id for site in site_list}
+        fact_list = [
+            corpus.FactRecord(
+                _int(rec["fact_id"]),
+                _isbn(rec["isbn"]),
+                _names(rec["authors"]),
+                _providers(rec, site_ids),
+                _number(rec["pcf"]),
+                _number(rec["adjusted_confidence"]),
+            )
+            for rec in doc["facts"]
+        ]
+        method_trusts = {
+            method: {url: _trust(t) for url, t in trusts.items()}
+            for method, trusts in doc.get("method_trusts", {}).items()
+        }
+        epoch = _int(doc["epoch"])
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise corpus.StateError(f"{path}: malformed state document ({exc})")
+    except ValueError as exc:
+        raise corpus.StateError(f"{path}: {exc}")
+    _check_unique(path, "KB isbn", [tf.object for tf in kb_list])
+    _check_unique(path, "website url", [site.url for site in site_list])
+    _check_unique(path, "website id", [site.id for site in site_list])
+    _check_unique(path, "fact id", [fact.fact_id for fact in fact_list])
+    websites = {site.url: site for site in site_list}
+    for method, trusts in method_trusts.items():
+        if trusts.keys() != websites.keys():
+            url = min(trusts.keys() ^ websites.keys())
+            raise corpus.StateError(
+                f"{path}: {method} trust table and websites disagree on url {url!r}"
+            )
+    _check_state(path, site_list, fact_list)
+    return corpus.TrustState(
+        websites=websites,
+        facts={fact.fact_id: fact for fact in fact_list},
+        kb={tf.object: tf for tf in kb_list},
+        epoch=epoch,
+        config=config,
+        method_trusts=method_trusts,
+    )
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _int(value):
+    if type(value) is int:
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _number(value):
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _price(value):
+    number = _number(value)
+    if 0.0 <= number < math.inf:
+        return number
+    raise ValueError(f"KB price {value!r} is negative or not finite")
+
+
+def _trust(value):
+    number = _number(value)
+    if 0.0 <= number <= 1.0:
+        return number
+    raise ValueError(f"method trust {value!r} outside [0, 1]")
+
+
+def _providers(rec, site_ids):
+    ids = rec["providers"]
+    if type(ids) is not list or not ({int}.issuperset(map(type, ids)) and site_ids.issuperset(ids)):
+        raise ValueError(f"fact {rec['fact_id']!r}: a provider is not the integer id of a website")
+    if not ids:
+        raise ValueError(f"fact {rec['fact_id']!r}: no website provides it")
+    if not all(map(lt, ids, ids[1:])):
+        raise ValueError(f"fact {rec['fact_id']!r}: providers are not ascending and distinct")
+    return set(ids)
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _isbn(value):
+    if _text(value):
+        return value
+    raise ValueError("empty ISBN")
+
+
+def _names(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    corpus.check_authors(value)
+    return value
+
+
+def _check_unique(path, what, keys):
+    if len(set(keys)) != len(keys):
+        duplicate = next(key for key, n in Counter(keys).items() if n > 1)
+        raise corpus.StateError(f"{path}: duplicate {what} {duplicate!r}")
+
+
+def _check_state(path, sites, facts):
+    for site in sites:
+        if not 0.0 <= site.trust <= 1.0:
+            raise corpus.StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
+    first = {}
+    for fact in facts:
+        if not (0.0 <= fact.pcf <= 1.0 and 0.0 <= fact.adjusted_confidence <= 1.0):
+            raise corpus.StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
+        authors = fact.authors
+        if not all(map(lt, authors, authors[1:])):
+            raise corpus.StateError(
+                f"{path}: fact {fact.fact_id}: authors are not sorted and distinct"
+            )
+        other = first.setdefault((fact.object, tuple(authors)), fact.fact_id)
+        if other != fact.fact_id:
+            raise corpus.StateError(
+                f"{path}: fact {fact.fact_id}: same ISBN and authors as fact {other}"
+            )
 
 
 _DROPPED_PUNCT = str.maketrans("", "", ".,")
@@ -305,7 +494,8 @@ class TestLoadClaims:
 
     def test_bad_price_names_row(self, tmp_path):
         path = tmp_path / "claims.csv"
-        for price in ("cheap", "nan", "inf", "-Infinity"):
+        # float() also takes `_` and non-ASCII digits, which the format does not.
+        for price in ("cheap", "nan", "inf", "-Infinity", "1_0.5", "١٢", "１.5"):
             path.write_text(
                 "website_url,isbn,authors,publisher,price,quantity\n"
                 "http://a.com,1,x y,,2.5,\n"
@@ -315,7 +505,18 @@ class TestLoadClaims:
             with pytest.raises(corpus.CorpusError, match="row 2: bad price"):
                 corpus.load_claims(path)
 
-    @pytest.mark.parametrize("quantity", ["3.5", "x", "1e3"])
+    @pytest.mark.parametrize("blank", ["", " ", "\u3000"])
+    def test_blank_price_and_quantity_are_allowed(self, tmp_path, blank):
+        path = tmp_path / "claims.csv"
+        path.write_text(
+            "website_url,isbn,authors,publisher,price,quantity\n"
+            f"http://a.com,1,x y,,{blank},{blank}\n"
+            "http://a.com,2,x y,, 2.5 , 3 \n",
+            encoding="utf-8",
+        )
+        assert len(corpus.load_claims(path)) == 2
+
+    @pytest.mark.parametrize("quantity", ["3.5", "x", "1e3", "1_000", "٣", "１"])
     def test_bad_quantity_names_row(self, tmp_path, quantity):
         path = tmp_path / "claims.csv"
         path.write_text(
@@ -637,3 +838,220 @@ class TestPersistence:
         path.write_text(json.dumps({"epoch": 0}), encoding="utf-8")
         with pytest.raises(corpus.StateError, match="schema version"):
             corpus.load_state(path)
+
+
+def _exact(state):
+    """The state as plain data in table order, each float as ``float.hex``,
+    so that 1 and 1.0, or 0.0 and -0.0, differ."""
+
+    def x(value):
+        return value.hex() if type(value) is float else value
+
+    config = state.config
+    return (
+        [(url, w.id, w.url, x(w.trust)) for url, w in state.websites.items()],
+        [
+            (k, f.fact_id, f.object, f.authors, f.providers, x(f.pcf), x(f.adjusted_confidence))
+            for k, f in state.facts.items()
+        ],
+        [(k, t.object, t.authors, t.title, t.publisher, x(t.price)) for k, t in state.kb.items()],
+        (state.epoch, x(config.epsilon), x(config.convergence_tol), config.max_epochs),
+        [(m, [(u, x(t)) for u, t in table.items()]) for m, table in state.method_trusts.items()],
+    )
+
+
+def assert_loads_as_the_reference(text):
+    """``load_state`` refuses the file holding ``text`` exactly when the
+    reference does, with a StateError that starts with the path, and
+    otherwise loads the same state, float for float."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = _exact(reference_load_state(path))
+        except corpus.StateError:
+            with pytest.raises(corpus.StateError, match=f"^{re.escape(str(path))}: "):
+                corpus.load_state(path)
+            return None
+        state = corpus.load_state(path)
+        assert _exact(state) == expected
+        return state
+
+
+# json.dumps writes an infinity as `Infinity`, which both loaders refuse as
+# a token; this marker is written as the literal 1e400, which overflows to
+# an infinity as it is read.
+OVERFLOW = 1.25e300
+# Numbers of the right type that the checks must still tell apart.
+NUMBERS = [0, 1, 2, 1.0, -0.0, 1.5, 5e-324, 10**400, OVERFLOW]
+
+
+def _dumps(doc):
+    return json.dumps(doc).replace(repr(OVERFLOW), "1e400")
+
+
+@pytest.fixture(scope="module")
+def ranked_doc(tmp_path_factory):
+    """A `gen` state after ingest, run and compare, as a JSON document."""
+    tmp = tmp_path_factory.mktemp("ranked")
+    kb, claims, state = tmp / "kb.jsonl", tmp / "claims.csv", tmp / "state.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["gen", "--websites", "8", "--objects", "3", "--claims-per-site", "2",
+             "--corruption", "0.4", "--seed", "4", "--out-kb", str(kb), "--out-claims", str(claims)],
+            ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)],
+            ["run", "--state", str(state)],
+            ["compare", "--state", str(state)],
+        ):
+            assert cli.main(argv) == 0
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    assert any(len(fact["providers"]) > 1 for fact in doc["facts"])
+    return doc
+
+
+def _small_doc():
+    """Three websites and three facts in ingest's form. From fact 1 to fact 2
+    the authors and the providers descend, as they may across records."""
+    urls = ["http://a.example", "http://b.example", "http://c.example"]
+    fact = {"pcf": 0.5, "adjusted_confidence": 0.5}
+    return {
+        "pcf_state_version": corpus.STATE_SCHEMA_VERSION,
+        "config": {"epsilon": 0.4, "convergence_tol": 1e-6, "max_epochs": 10},
+        "epoch": 1,
+        "kb": [{"isbn": "1", "title": "t", "authors": ["b"], "publisher": "", "price": 9.5}],
+        "websites": [{"id": i, "url": url, "trust": 0.5} for i, url in enumerate(urls, 1)],
+        "facts": [
+            {"fact_id": 1, "isbn": "1", "authors": ["b"], "providers": [3], **fact},
+            {"fact_id": 2, "isbn": "1", "authors": ["a"], "providers": [1, 2], **fact},
+            {"fact_id": 3, "isbn": "2", "authors": ["a", "c"], "providers": [2], **fact},
+        ],
+        "method_trusts": {"pcf": dict.fromkeys(urls, 0.5), "voting": dict.fromkeys(urls, 1.0)},
+    }
+
+
+class TestLoadState:
+    """The column sweeps of ``load_state`` against ``reference_load_state``."""
+
+    @settings(deadline=None)
+    @given(state=library_states())
+    @example(state=_edge_state({"pcf": {}, "voting": {"\\😀\x01": 1, "é": 0.5}}))
+    def test_library_states_load_as_the_reference(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            corpus.save_state(state, path)
+            text = path.read_text(encoding="utf-8")
+        assert_loads_as_the_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_load_as_the_reference(self, ranked_doc, data):
+        """Edits as ``TestStateFuzz`` makes them: a list out of ingest's form,
+        then up to two values of any JSON type, or numbers, at any leaf, or
+        keys dropped. A table's records may also come in reverse order."""
+        doc = copy.deepcopy(ranked_doc)
+        if data.draw(st.booleans(), label="list edit"):
+            table, index, key, op = data.draw(st.sampled_from(list_mutations(doc)), label="edit")
+            values = doc[table][index][key]
+            if op == "reverse":
+                values.reverse()
+            elif op == "empty":
+                values.clear()
+            else:
+                values.insert(data.draw(st.integers(0, len(values)), label="at"), values[-1])
+        for table in data.draw(st.sets(st.sampled_from(["kb", "websites", "facts"])), label="reverse"):
+            doc[table].reverse()
+        for _ in range(data.draw(st.integers(0, 2), label="edits")):
+            path, is_key = data.draw(st.sampled_from(json_paths(doc)), label="path")
+            if not path:
+                continue
+            parent = reduce(lambda node, key: node[key], path[:-1], doc)
+            if is_key and data.draw(st.booleans(), label="drop"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(REPLACEMENTS + NUMBERS), label="value")
+        assert_loads_as_the_reference(_dumps(doc))
+
+    def test_unchanged_documents_load(self, ranked_doc):
+        assert assert_loads_as_the_reference(json.dumps(ranked_doc)) is not None
+        assert assert_loads_as_the_reference(json.dumps(_small_doc())) is not None
+
+    def test_lists_may_descend_from_one_fact_to_the_next(self):
+        state = assert_loads_as_the_reference(json.dumps(_small_doc()))
+        assert [(f.authors, f.providers) for f in state.facts.values()] == [
+            (["b"], {3}), (["a"], {1, 2}), (["a", "c"], {2})
+        ]
+
+    def test_integer_numbers_load_as_floats(self):
+        doc = _small_doc()
+        doc["config"].update(epsilon=0, convergence_tol=1)
+        doc["kb"][0]["price"] = 3
+        doc["websites"][0]["trust"] = 1
+        doc["websites"][1]["trust"] = 0
+        doc["facts"][0].update(pcf=1, adjusted_confidence=0)
+        doc["method_trusts"]["pcf"]["http://a.example"] = 1
+        doc["method_trusts"]["voting"] = dict.fromkeys(doc["method_trusts"]["voting"], 0)
+        state = assert_loads_as_the_reference(json.dumps(doc))
+        numbers = [
+            state.config.epsilon, state.config.convergence_tol, state.kb["1"].price,
+            *(w.trust for w in state.websites.values()),
+            *(x for f in state.facts.values() for x in (f.pcf, f.adjusted_confidence)),
+            *(t for table in state.method_trusts.values() for t in table.values()),
+        ]
+        assert {type(x) for x in numbers} == {float}
+        assert state.websites["http://a.example"].trust == 1.0
+        assert state.method_trusts["voting"]["http://c.example"] == 0.0
+
+    @pytest.mark.parametrize("trust", ["true", "1e400", "-1e400", "1.0000000000000002", "-5e-324"])
+    @pytest.mark.parametrize("table", ["websites", "method_trusts"])
+    def test_trust_that_is_no_probability_is_refused(self, tmp_path, trust, table):
+        doc = _small_doc()
+        if table == "websites":
+            doc["websites"][1]["trust"] = OVERFLOW
+        else:
+            doc["method_trusts"]["voting"]["http://b.example"] = OVERFLOW
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc).replace(repr(OVERFLOW), trust), encoding="utf-8")
+        # A range names the site; a type check names the value.
+        named = "got True" if trust == "true" else "http://b.example"
+        with pytest.raises(corpus.StateError, match=named):
+            corpus.load_state(path)
+        assert assert_loads_as_the_reference(path.read_text(encoding="utf-8")) is None
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([("facts", 1, {"providers": []}), ("facts", 2, {"providers": []})],
+             "fact 2: no website provides it"),
+            ([("facts", 1, {"providers": [2, 1]}), ("facts", 2, {"providers": [2, 2]})],
+             "fact 2: providers are not ascending and distinct"),
+            ([("facts", 1, {"providers": [1, 1]})],
+             "fact 2: providers are not ascending and distinct"),
+            ([("facts", 1, {"providers": [1, 4]}), ("facts", 2, {"providers": [0]})],
+             "fact 2: a provider is not the integer id of a website"),
+            ([("facts", 1, {"authors": ["b", "a"]}), ("facts", 2, {"authors": ["c", "a"]})],
+             "fact 2: authors are not sorted and distinct"),
+            ([("facts", 2, {"authors": ["a", "a"]})], "fact 3: duplicate author name 'a'"),
+            ([("facts", 2, {"isbn": "1", "authors": ["b"]})],
+             "fact 3: same ISBN and authors as fact 1"),
+            ([("facts", 1, {"pcf": -0.5}), ("facts", 2, {"pcf": 1.5})], "fact 2: pcf -0.5 outside"),
+            ([("facts", 2, {"adjusted_confidence": 1.5})], "fact 3: adjusted confidence 1.5 outside"),
+            ([("kb", 0, {"authors": ["b", "b"]})], "KB isbn 1: duplicate author name 'b'"),
+            ([("kb", 0, {"price": -1})], "KB isbn 1: price -1.0 is negative"),
+            ([("websites", 1, {"trust": 2}), ("websites", 2, {"trust": 3})],
+             "website http://b.example: trust 2.0 outside"),
+            ([("method_trusts", "pcf", {"http://b.example": 7, "http://c.example": 8})],
+             "pcf trust of http://b.example: 7.0 outside"),
+            ([("method_trusts", "voting", {"http://d.example": 0.5})],
+             "voting trust table and websites disagree on url 'http://d.example'"),
+        ],
+    )
+    def test_refusal_names_the_first_record_that_breaks_a_rule(self, tmp_path, edits, message):
+        """Where two records break a rule, the first is named."""
+        doc = _small_doc()
+        for table, key, fields in edits:
+            doc[table][key].update(fields)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(corpus.StateError, match=re.escape(f"{path}: {message}")):
+            corpus.load_state(path)
+        assert assert_loads_as_the_reference(json.dumps(doc)) is None
