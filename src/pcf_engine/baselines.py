@@ -2,10 +2,13 @@
 
 The voting baseline scores by provider counts alone. The weighted-name
 baseline runs the engine's epochs but scores facts with the 2:1:3
-first/middle/last matcher instead of the substring-ratio function. Each run
-returns its url -> trust table in the index's site order; the engine runs
-read ``state.config``. All baselines work on vectors over an index of the
-state and write no record.
+first/middle/last matcher instead of the substring-ratio function; the pcf
+run reads the substring-ratio scores that ``ingest`` stored in ``fact.pcf``,
+as ``pcf run`` does. Each run returns its url -> trust table in the index's
+site order; the engine runs read ``state.config`` and keep only the last
+trust vector, so their last epoch runs the trust stage alone
+(``run_epochs(..., trust_only=True)``). All baselines work on vectors over
+an index of the state and write no record.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from operator import add
 
 from .corpus import TrustState
 from .engine import Index, run_epochs
-from .similarity import Scorer, WeightedNameScorer, fact_pcf
+from .similarity import WeightedNameScorer
 
 METHOD_PCF = "pcf"
 METHOD_TRUTHFINDER = "truthfinder"
@@ -39,14 +42,10 @@ def voting_run(state: TrustState, ix: Index) -> dict[str, float]:
     }
 
 
-def _engine_run(state: TrustState, ix: Index, score: Scorer) -> dict[str, float]:
+def _engine_run(state: TrustState, ix: Index, pcf: list[float]) -> dict[str, float]:
     # From zero trust, epoch 1 reads only pcf, so the adjusted input is zeros.
-    pcf = [
-        score(fact.authors, state.kb[fact.object].authors) if known else 0.0
-        for fact, known in zip(ix.facts, ix.known)
-    ]
     trust, _, _ = run_epochs(
-        ix, state.config, 0, pcf, [0.0] * len(ix.sites), [0.0] * len(ix.facts)
+        ix, state.config, 0, pcf, [0.0] * len(ix.sites), [0.0] * len(ix.facts), trust_only=True
     )
     return {site.url: t for site, t in zip(ix.sites, trust)}
 
@@ -56,9 +55,18 @@ def truthfinder_run(state: TrustState, ix: Index) -> dict[str, float]:
 
     One scorer serves the whole run, so each distinct name pair is scored once.
     """
-    return _engine_run(state, ix, WeightedNameScorer())
+    score = WeightedNameScorer()
+    pcf = [
+        score(fact.authors, state.kb[fact.object].authors) if known else 0.0
+        for fact, known in zip(ix.facts, ix.known)
+    ]
+    return _engine_run(state, ix, pcf)
 
 
 def pcf_run(state: TrustState, ix: Index) -> dict[str, float]:
-    """Run the engine's epochs from zero trust with the substring-ratio fact scorer."""
-    return _engine_run(state, ix, fact_pcf)
+    """Run the engine's epochs from zero trust on the stored substring-ratio scores.
+
+    The scores are each fact's ``pcf``, as ``assign_pcf`` stored them at
+    ingest, so the table equals ``engine.run`` from zero trust on the state.
+    """
+    return _engine_run(state, ix, [fact.pcf for fact in ix.facts])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 from functools import reduce
 from itertools import combinations
 from operator import add
@@ -47,18 +48,41 @@ def epsilon_sweep(
     return rows
 
 
+def _reference_seconds() -> float:
+    """Time a fixed stdlib job of the kinds the engine does: JSON, dicts, strings, floats, sorts."""
+    started = perf_counter()
+    items = {f"http://site-{i}.example/{i % 7}": i * 0.37 for i in range(2000)}
+    back = json.loads(json.dumps(items))
+    total = 0.0
+    for url, value in back.items():
+        total += value * value if "1" in url else value
+    sorted(back, key=back.get)
+    return perf_counter() - started
+
+
 def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float, float]]:
     """Time corpus preparation and the scoring+epoch pipeline per corpus size.
 
     Returns (n_websites, n_facts, data_seconds, engine_seconds) rows; the
-    engine column is the best of ``BENCH_REPEATS`` timed runs and excludes
-    all data generation and table building. The repeats run in rounds that
-    visit every size in turn, so that a slow spell of the host lands in one
-    repeat of several sizes, not in every repeat of one size. As in
-    ``timeit``, the garbage collector is off while a repeat is timed, so a
-    collection triggered by an earlier allocation does not land in one
-    size's timing.
+    engine column excludes all data generation and table building. The host
+    may run the same code at speeds far apart, changing within milliseconds,
+    so each of the ``BENCH_REPEATS`` timed runs is divided by the mean time
+    of a fixed stdlib reference job run just before and just after it. The
+    column is a size's median ratio times the median reference time of the
+    whole call, which keeps it in seconds. The median, not the best ratio:
+    a reference job that a host stall slowed makes its repeat's ratio too
+    small, and the best ratio would pick exactly that repeat. The repeats
+    run in rounds that visit every size in turn, so that a slow spell of the
+    host lands in one repeat of several sizes, not in every repeat of one
+    size. As in ``timeit``, the garbage collector is off while a repeat and
+    its reference jobs are timed, so a collection triggered by an earlier
+    allocation does not land in one size's timing.
     """
+    # Imported here: `statistics` pulls in `decimal`, `fractions` and
+    # `random`, about 0.6 MB of memory that every other command would pay,
+    # since the CLI imports this module.
+    from statistics import median
+
     config = corpus.EngineConfig(max_epochs=BENCH_EPOCHS, convergence_tol=0.0)
     corpora = []
     for n in sizes:
@@ -76,7 +100,8 @@ def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float
         n_facts = len(corpus.build_state(kb, claims).facts)
         corpora.append((n, n_facts, perf_counter() - t0, kb, claims))
 
-    best = [float("inf")] * len(corpora)
+    ratios: list[list[float]] = [[] for _ in corpora]
+    references = []
     for _ in range(BENCH_REPEATS):
         for i, (_, _, _, kb, claims) in enumerate(corpora):
             # The engine updates the state it runs on, so each repeat
@@ -85,13 +110,18 @@ def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float
             gc_was_enabled = gc.isenabled()
             gc.disable()
             try:
+                before = _reference_seconds()
                 t1 = perf_counter()
                 engine.run(engine.assign_pcf(state))
-                best[i] = min(best[i], perf_counter() - t1)
+                took = perf_counter() - t1
+                reference = (before + _reference_seconds()) / 2
             finally:
                 if gc_was_enabled:
                     gc.enable()
+            references.append(reference)
+            ratios[i].append(took / reference)
+    scale = median(references) if references else 0.0
     return [
-        (n, n_facts, data_seconds, engine_seconds)
-        for (n, n_facts, data_seconds, _, _), engine_seconds in zip(corpora, best)
+        (n, n_facts, data_seconds, median(size_ratios) * scale)
+        for (n, n_facts, data_seconds, _, _), size_ratios in zip(corpora, ratios)
     ]

@@ -110,20 +110,24 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Store the three methods' trust tables in the state, then print them as CSV.
+
+    The rows go out through one ``writelines`` over a generator, so no
+    ``print`` runs per site and no string of the whole CSV is built.
+    """
     state = corpus.load_state(args.state)
     ix = engine.build_index(state)
-    state.method_trusts[baselines.METHOD_VOTING] = baselines.voting_run(state, ix)
-    state.method_trusts[baselines.METHOD_TRUTHFINDER] = baselines.truthfinder_run(state, ix)
-    state.method_trusts[baselines.METHOD_PCF] = baselines.pcf_run(state, ix)
+    tables = state.method_trusts
+    tables[baselines.METHOD_VOTING] = voting = baselines.voting_run(state, ix)
+    tables[baselines.METHOD_TRUTHFINDER] = truthfinder = baselines.truthfinder_run(state, ix)
+    tables[baselines.METHOD_PCF] = pcf = baselines.pcf_run(state, ix)
     corpus.save_state(state, args.state)
 
-    tables = state.method_trusts
-    print("url,voting,truthfinder,pcf")
-    for url in sorted(state.websites):
-        print(
-            f"{url},{tables['voting'][url]:.6f},"
-            f"{tables['truthfinder'][url]:.6f},{tables['pcf'][url]:.6f}"
-        )
+    sys.stdout.write("url,voting,truthfinder,pcf\n")
+    sys.stdout.writelines(
+        f"{url},{voting[url]:.6f},{truthfinder[url]:.6f},{pcf[url]:.6f}\n"
+        for url in sorted(state.websites)
+    )
     return EXIT_OK
 
 

@@ -378,12 +378,13 @@ def load_state(path: str | Path) -> TrustState:
 
     Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` are
     ints; other numbers ints or floats, not bools, NaN or Infinity; texts
-    strings. Trusts (method tables too) and probabilities lie in [0, 1],
-    KB prices in [0, inf). Each method table names exactly the websites.
-    ISBNs are non-empty, KB ISBNs, urls and ids distinct, author lists
-    pass :func:`check_authors`, and facts are in :func:`build_state`'s
-    form: authors sorted, providers ids of websites, ascending, and no two
-    facts on one ISBN and authors. Anything else, or a config
+    strings; ``kb``, ``websites`` and ``facts`` lists; ``method_trusts``
+    and each of its tables objects. Trusts (method tables too) and
+    probabilities lie in [0, 1], KB prices in [0, inf). Each method table
+    names exactly the websites. ISBNs are non-empty, KB ISBNs, urls and ids
+    distinct, author lists pass :func:`check_authors`, and facts are in
+    :func:`build_state`'s form: authors sorted, providers ids of websites,
+    ascending, and no two facts on one ISBN and authors. Anything else, or a config
     :class:`EngineConfig` refuses, raises :class:`StateError`. Each rule is
     one sweep over a column; a refusal names the first record that breaks it.
     """
@@ -407,6 +408,13 @@ def load_state(path: str | Path) -> TrustState:
         cfg = doc["config"]
         epsilon, tol = _numbers((cfg["epsilon"], cfg["convergence_tol"]))
         max_epochs, epoch = cfg["max_epochs"], doc["epoch"]
+        # An empty string or object would iterate as an empty table.
+        for key in ("kb", "websites", "facts"):
+            if not isinstance(doc[key], list):
+                raise TypeError(f"{key} is not a list")
+        tables = doc.get("method_trusts", {})
+        if not isinstance(tables, dict):
+            raise TypeError("method_trusts is not an object")
         isbns, kb_authors, titles, publishers, prices = _columns(
             doc["kb"], "isbn", "authors", "title", "publisher", "price"
         )
@@ -451,7 +459,9 @@ def load_state(path: str | Path) -> TrustState:
                lambda pair: pair[0] == pair[1], "same ISBN and authors as fact {0[0]}")
         websites = dict(zip(urls, map(Website, ids, urls, trusts)))
         method_trusts = {}
-        for method, table in doc.get("method_trusts", {}).items():
+        for method, table in tables.items():
+            if not isinstance(table, dict):
+                raise TypeError(f"method_trusts {method!r} is not an object")
             values = tuple(table.values())
             floats = _numbers(values)
             _in_range(f"{method} trust of", tuple(table), floats, "{} outside [0, 1]")

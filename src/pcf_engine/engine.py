@@ -19,9 +19,11 @@ id order and their links as positions. An epoch, ``run_epoch``, is a
 function over float vectors indexed by those positions and touches no
 record. ``run`` reads the records into vectors once, runs the epochs through
 ``run_epochs`` and writes the last trust and adjusted-confidence vectors back
-once; a stage-2 confidence lives for one epoch. The baselines call
-``run_epochs`` on vectors of their own. The confidence stage calls
-``fact_confidence`` on each fact's provider trusts.
+once; a stage-2 confidence lives for one epoch. The stages are the
+functions ``trust_stage``, ``confidences`` (which calls ``fact_confidence``
+on each fact's provider trusts) and ``adjust_confidences``. The baselines
+call ``run_epochs`` on vectors of their own with ``trust_only``: they keep
+only the last trust vector, so their last epoch runs stage 1 alone.
 
 A sibling's implication factor depends only on the two facts' pcf and on
 epsilon, which stay fixed for a whole run. So ``run_epochs`` builds the
@@ -206,27 +208,15 @@ def adjust_confidences(rows: ImplicationRows, confidence: Vector, adjusted: Vect
         adjusted[k] = min(damp(total), ceiling)
 
 
-def run_epoch(
-    ix: Index,
-    config: EngineConfig,
-    epoch: int,
-    pcf: Vector,
-    rows: ImplicationRows,
-    trust: Vector,
-    adjusted: Vector,
-) -> tuple[tuple[Vector, Vector], EpochReport]:
-    """One three-stage pass; returns new (trust, adjusted) vectors and the
-    report of epoch number ``epoch``, leaving its inputs alone.
+def trust_stage(ix: Index, pcf: Vector, trust: Vector, adjusted: Vector) -> tuple[Vector, float]:
+    """Stage 1: the new trust vector and the largest trust change, leaving the inputs alone.
 
-    ``rows`` is ``implication_rows`` over ``ix.groups``, ``pcf`` and
-    ``config.epsilon``.
-
-    Trust stage: a website still at trust zero takes the initial branch, the
-    mean probability of its facts on known objects (equal to its
-    claim-to-truth similarity); otherwise trust is the mean adjusted
-    confidence of all its facts from the previous epoch. Websites with no
-    facts keep their trust. Means add left to right from 0.0, so they do not
-    depend on the Python version's ``sum``.
+    A website still at trust zero takes the initial branch, the mean
+    probability of its facts on known objects (equal to its claim-to-truth
+    similarity); otherwise trust is the mean adjusted confidence of all its
+    facts from the previous epoch. Websites with no facts keep their trust.
+    Means add left to right from 0.0, so they do not depend on the Python
+    version's ``sum``.
 
     Zero trust is the "first epoch" sentinel, following PAPER.md's method
     literally: a website whose facts all lie on objects outside the knowledge
@@ -234,7 +224,6 @@ def run_epoch(
     epoch, staying at 0 however confident its shared facts become. Changing
     that is a separate decision about the method, not about this code.
     """
-    t0 = perf_counter()
     known = ix.known
     new_trust = []
     max_delta = 0.0
@@ -256,10 +245,36 @@ def run_epoch(
             new = total / len(own)
         new_trust.append(new)
         max_delta = max(max_delta, abs(new - old))
+    return new_trust, max_delta
+
+
+def confidences(ix: Index, trust: Vector) -> Vector:
+    """Stage 2: ``fact_confidence`` over each fact's providers' trusts."""
+    at = trust.__getitem__
+    return [fact_confidence(map(at, providers)) for providers in ix.fact_providers]
+
+
+def run_epoch(
+    ix: Index,
+    config: EngineConfig,
+    epoch: int,
+    pcf: Vector,
+    rows: ImplicationRows,
+    trust: Vector,
+    adjusted: Vector,
+) -> tuple[tuple[Vector, Vector], EpochReport]:
+    """One three-stage pass; returns new (trust, adjusted) vectors and the
+    report of epoch number ``epoch``, leaving its inputs alone.
+
+    ``rows`` is ``implication_rows`` over ``ix.groups``, ``pcf`` and
+    ``config.epsilon``. The stages are ``trust_stage``, ``confidences`` and
+    ``adjust_confidences``, each timed.
+    """
+    t0 = perf_counter()
+    new_trust, max_delta = trust_stage(ix, pcf, trust, adjusted)
     t1 = perf_counter()
 
-    at = new_trust.__getitem__
-    confidence = [fact_confidence(map(at, providers)) for providers in ix.fact_providers]
+    confidence = confidences(ix, new_trust)
     t2 = perf_counter()
 
     new_adjusted = [0.0] * len(confidence)
@@ -279,7 +294,14 @@ def run_epoch(
 
 
 def run_epochs(
-    ix: Index, config: EngineConfig, epoch: int, pcf: Vector, trust: Vector, adjusted: Vector
+    ix: Index,
+    config: EngineConfig,
+    epoch: int,
+    pcf: Vector,
+    trust: Vector,
+    adjusted: Vector,
+    *,
+    trust_only: bool = False,
 ) -> tuple[Vector, Vector, list[EpochReport]]:
     """Repeat ``run_epoch`` after epoch number ``epoch``; returns its last
     (trust, adjusted) vectors and all reports.
@@ -288,10 +310,25 @@ def run_epochs(
     epoch whose report is ``converged`` (its largest trust change is below
     ``convergence_tol``). A tolerance of 0 runs exactly ``max_epochs`` epochs.
     The implication rows are built once, before the first epoch.
+
+    ``trust_only`` is for a caller that keeps only the last trust vector.
+    Whether an epoch is the last is known after its trust stage, so the last
+    epoch stops there and its stages 2 and 3, whose results nobody reads, do
+    not run. The epochs are the same; the returned trust is equal bit for
+    bit, the adjusted vector is the one that last trust stage read, and no
+    reports are made.
     """
     rows = implication_rows(ix.groups, pcf, config.epsilon)
     reports: list[EpochReport] = []
-    for number in range(epoch + 1, epoch + 1 + config.max_epochs):
+    last = epoch + config.max_epochs
+    for number in range(epoch + 1, last + 1):
+        if trust_only:
+            trust, max_delta = trust_stage(ix, pcf, trust, adjusted)
+            if number == last or max_delta < config.convergence_tol:
+                break
+            adjusted = [0.0] * len(ix.facts)
+            adjust_confidences(rows, confidences(ix, trust), adjusted)
+            continue
         (trust, adjusted), report = run_epoch(ix, config, number, pcf, rows, trust, adjusted)
         reports.append(report)
         if report.converged:

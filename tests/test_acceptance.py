@@ -216,7 +216,8 @@ def _per_site_corruption_corpus(seed, n_objects=50, claims_per_site=60, sites_pe
                         authors=generator.corrupt_authors(rng, book.authors, rate),
                     )
                 )
-    return corpus.build_state(kb, claims, ONE_EPOCH), rates
+    # As ingest stores it: the pcf baseline reads each fact's stored pcf.
+    return engine.assign_pcf(corpus.build_state(kb, claims, ONE_EPOCH)), rates
 
 
 def test_7_method_comparison_substitute(capsys):
@@ -241,7 +242,7 @@ def test_7_method_comparison_substitute(capsys):
             make_claim("http://mangled-a.com", "100", ["graeme simsio"]),
             make_claim("http://mangled-b.com", "100", ["graeme simsio"]),
         ]
-        state = corpus.build_state(kb, claims, ONE_EPOCH)
+        state = engine.assign_pcf(corpus.build_state(kb, claims, ONE_EPOCH))
         ix = engine.build_index(state)
         pcf = baselines.pcf_run(state, ix)
         tf = baselines.truthfinder_run(state, ix)

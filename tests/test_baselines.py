@@ -1,10 +1,10 @@
 import copy
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pcf_engine import baselines, corpus, engine, generator
+from pcf_engine import baselines, corpus, engine, generator, similarity
 
 from conftest import make_claim
 from test_similarity import reference_tf_name_score
@@ -181,9 +181,23 @@ def generated_state(seed):
     return state_of({b.object: b for b in kb_records}, claims)
 
 
+def full_epoch_run(state, score):
+    """The engine's epochs from zero trust, all three stages in every epoch,
+    with every fact on a known object scored on its own by ``score``."""
+    ix = engine.build_index(state)
+    pcf = [
+        score(fact.authors, state.kb[fact.object].authors) if known else 0.0
+        for fact, known in zip(ix.facts, ix.known)
+    ]
+    trust, _, _ = engine.run_epochs(
+        ix, state.config, 0, pcf, [0.0] * len(ix.sites), [0.0] * len(ix.facts)
+    )
+    return {site.url: t for site, t in zip(ix.sites, trust)}
+
+
 def reference_truthfinder_run(state):
     """The baseline with every fact scored on its own by the reference scorer."""
-    return baselines._engine_run(state, engine.build_index(state), reference_tf_name_score)
+    return full_epoch_run(state, reference_tf_name_score)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 9])
@@ -204,13 +218,9 @@ def test_truthfinder_runs_carry_nothing_over():
     )
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=40),
-    epsilon=st.sampled_from([0.0, 0.25, 0.4, 1.0]),
-    max_epochs=st.integers(min_value=1, max_value=4),
-    tol=st.sampled_from([0.0, 1e-6, 0.05]),
-)
-def test_pcf_run_equals_engine_run_from_zero_trust(seed, epsilon, max_epochs, tol):
+def varied_state(seed):
+    """A small generator corpus whose corruption rate steps with ``seed``; every
+    third seed drops a book from the KB, so some facts lie off it."""
     spec = generator.GenSpec(
         n_websites=3 + seed % 5,
         n_objects=1 + seed % 3,
@@ -220,12 +230,35 @@ def test_pcf_run_equals_engine_run_from_zero_trust(seed, epsilon, max_epochs, to
     )
     kb_records = generator.generate_kb(spec)
     claims = generator.generate_claims(spec, kb_records)
-    # Every third seed drops a book from the KB, so some facts lie off it.
     kb = {b.object: b for b in (kb_records[1:] if seed % 3 == 0 else kb_records)}
-    state, _ = engine.run(state_of(kb, claims))
-    state.config = corpus.EngineConfig(
-        epsilon=epsilon, convergence_tol=tol, max_epochs=max_epochs
-    )
+    return state_of(kb, claims)
+
+
+run_configs = st.builds(
+    corpus.EngineConfig,
+    epsilon=st.sampled_from([0.0, 0.25, 0.4, 1.0]),
+    convergence_tol=st.sampled_from([0.0, 1e-6, 0.05]),
+    max_epochs=st.integers(min_value=1, max_value=4),
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=40), config=run_configs)
+# Converges at epoch 3 with trusts that a fourth epoch would still move.
+@example(seed=1, config=corpus.EngineConfig(convergence_tol=0.05, max_epochs=4))
+def test_baselines_equal_the_full_epoch_reference(seed, config):
+    # The baselines' last epoch stops after the trust stage; the reference
+    # runs all three stages in every epoch and scores each fact on its own.
+    state = varied_state(seed)
+    state.config = config
+    ix = engine.build_index(state)
+    assert baselines.truthfinder_run(state, ix) == full_epoch_run(state, reference_tf_name_score)
+    assert baselines.pcf_run(state, ix) == full_epoch_run(state, similarity.fact_pcf)
+
+
+@given(seed=st.integers(min_value=0, max_value=40), config=run_configs)
+def test_pcf_run_equals_engine_run_from_zero_trust(seed, config):
+    state, _ = engine.run(varied_state(seed))
+    state.config = config
 
     trusts = baselines.pcf_run(state, engine.build_index(state))
 

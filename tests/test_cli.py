@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcf_engine import cli, corpus, generator
+from pcf_engine import cli, corpus, engine, generator
 
 from conftest import (
     CORE_ISBN, REPLACEMENTS, W1, json_paths, list_mutations, write_core_fixture
@@ -175,6 +175,24 @@ class TestRun:
         assert state.config.max_epochs == 2
         assert state.epoch == 2
 
+    def test_each_epoch_is_one_module_level_run_epoch_call(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's traced pass wraps engine.run_epoch to time each epoch.
+        args, kb, claims = gen_args(tmp_path)
+        assert cli.main(args) == 0
+        state_path = ingest(tmp_path, kb, claims)
+        epochs = []
+        run_epoch = engine.run_epoch
+
+        def counted(ix, config, epoch, *rest):
+            epochs.append(epoch)
+            return run_epoch(ix, config, epoch, *rest)
+
+        monkeypatch.setattr(engine, "run_epoch", counted)
+        assert cli.main(["run", "--state", str(state_path), "--epochs", "3", "--tol", "0"]) == 0
+        assert epochs == [1, 2, 3]
+        assert cli.main(["run", "--state", str(state_path), "--epochs", "2", "--tol", "0"]) == 0
+        assert epochs == [1, 2, 3, 4, 5]
+
     @staticmethod
     def _assert_refused(tmp_path, capsys, *argvs):
         """Each command exits 2 with an error line and leaves the state file as it was."""
@@ -282,6 +300,11 @@ class TestRun:
             lambda d: d["kb"][0].update(authors=["a;b"]),
             lambda d: d["kb"][0].update(isbn=""),
             lambda d: d["kb"].append(dict(d["kb"][0], title="another title")),
+            # An empty string or object used to load as an empty table.
+            lambda d: d.update(facts=""),
+            lambda d: d.update(facts={}),
+            lambda d: d.update(kb=""),
+            lambda d: d.update(kb={}),
         ],
         ids=[
             "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
@@ -300,6 +323,7 @@ class TestRun:
             "second-fact-on-a-key", "empty-fact-authors", "blank-fact-author",
             "fact-author-with-semicolon", "empty-kb-authors", "repeated-kb-author",
             "kb-author-with-semicolon", "empty-kb-isbn", "repeated-kb-isbn",
+            "facts-as-string", "facts-as-object", "kb-as-string", "kb-as-object",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
@@ -432,6 +456,34 @@ class TestCompare:
         capsys.readouterr()
         assert cli.main(["compare", "--state", str(state_path)]) == 0
         assert capsys.readouterr().out.splitlines() == ["url,voting,truthfinder,pcf"]
+
+    def test_pcf_column_reads_the_stored_pcf(self, tmp_path, capsys):
+        # Hand-edited pcf values that no scorer gives, one on a fact whose
+        # book is gone from the KB: the column follows them, as `pcf run` does.
+        args, kb, claims = gen_args(tmp_path)
+        assert cli.main(args) == 0
+        state_path = ingest(tmp_path, kb, claims)
+        assert cli.main(["run", "--state", str(state_path), "--epochs", "3"]) == 0
+        doc = json.loads(state_path.read_text(encoding="utf-8"))
+        doc["kb"] = [rec for rec in doc["kb"] if rec["isbn"] != doc["facts"][0]["isbn"]]
+        for i, fact in enumerate(doc["facts"]):
+            fact["pcf"] = (0.137 * (i + 1)) % 1.0
+        state_path.write_text(json.dumps(doc), encoding="utf-8")
+        zero_trust = corpus.load_state(state_path)
+        for site in zero_trust.websites.values():
+            site.trust = 0.0
+        capsys.readouterr()
+
+        assert cli.main(["compare", "--state", str(state_path)]) == 0
+
+        def trusts(state):
+            return {url: w.trust for url, w in engine.run(state)[0].websites.items()}
+
+        expected = trusts(copy.deepcopy(zero_trust))
+        assert expected != trusts(engine.assign_pcf(zero_trust))
+        assert corpus.load_state(state_path).method_trusts["pcf"] == expected
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["pcf"] for row in rows] == [f"{expected[row['url']]:.6f}" for row in rows]
 
 
 class TestGen:

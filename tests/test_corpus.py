@@ -105,6 +105,12 @@ def reference_load_state(path):
             convergence_tol=_number(cfg["convergence_tol"]),
             max_epochs=_int(cfg["max_epochs"]),
         )
+        for key in ("kb", "websites", "facts"):
+            if not isinstance(doc[key], list):
+                raise TypeError(f"{key} is not a list")
+        method_tables = doc.get("method_trusts", {})
+        if not isinstance(method_tables, dict):
+            raise TypeError("method_trusts is not an object")
         kb_list = [
             corpus.TrueFact(
                 _isbn(rec["isbn"]),
@@ -131,10 +137,11 @@ def reference_load_state(path):
             )
             for rec in doc["facts"]
         ]
-        method_trusts = {
-            method: {url: _trust(t) for url, t in trusts.items()}
-            for method, trusts in doc.get("method_trusts", {}).items()
-        }
+        method_trusts = {}
+        for method, trusts in method_tables.items():
+            if not isinstance(trusts, dict):
+                raise TypeError(f"method_trusts {method!r} is not an object")
+            method_trusts[method] = {url: _trust(t) for url, t in trusts.items()}
         epoch = _int(doc["epoch"])
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise corpus.StateError(f"{path}: malformed state document ({exc})")
@@ -1000,6 +1007,28 @@ class TestLoadState:
         assert {type(x) for x in numbers} == {float}
         assert state.websites["http://a.example"].trust == 1.0
         assert state.method_trusts["voting"]["http://c.example"] == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("facts", "", "facts is not a list"),
+            ("facts", {}, "facts is not a list"),
+            ("kb", "", "kb is not a list"),
+            ("kb", {}, "kb is not a list"),
+            ("websites", {}, "websites is not a list"),
+            ("method_trusts", [], "method_trusts is not an object"),
+            ("method_trusts", {"pcf": []}, "method_trusts 'pcf' is not an object"),
+        ],
+    )
+    def test_a_table_of_another_type_is_refused_by_its_key(self, tmp_path, key, value, message):
+        # An empty string or object iterates as an empty table.
+        doc = _small_doc()
+        doc[key] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(corpus.StateError, match=re.escape(message)):
+            corpus.load_state(path)
+        assert assert_loads_as_the_reference(path.read_text(encoding="utf-8")) is None
 
     @pytest.mark.parametrize("trust", ["true", "1e400", "-1e400", "1.0000000000000002", "-5e-324"])
     @pytest.mark.parametrize("table", ["websites", "method_trusts"])

@@ -500,6 +500,28 @@ class TestRunEpoch:
         assert again == (new_trust, new_adjusted)
 
 
+class TestRunEpochsTrustOnly:
+    @pytest.mark.parametrize("max_epochs", [1, 2, 3])
+    def test_last_epoch_stops_after_the_trust_stage(self, core_java_state, max_epochs):
+        state = engine.assign_pcf(core_java_state)
+        config = corpus.EngineConfig(max_epochs=max_epochs, convergence_tol=0.0)
+        ix = engine.build_index(state)
+        pcf = [f.pcf for f in ix.facts]
+        start = ([0.0] * len(ix.sites), [0.0] * len(ix.facts))
+        trust, _, reports = engine.run_epochs(ix, config, 0, pcf, *start)
+        assert len(reports) == max_epochs
+
+        got = engine.run_epochs(ix, config, 0, pcf, *start, trust_only=True)
+
+        # The adjusted vector is the one the last trust stage read: the
+        # previous epoch's, or the input before epoch 1.
+        if max_epochs == 1:
+            read = start[1]
+        else:
+            read = engine.run_epochs(ix, replace(config, max_epochs=max_epochs - 1), 0, pcf, *start)[1]
+        assert got == (trust, read, [])
+
+
 class TestBuildIndex:
     def test_orders_by_id_whatever_the_insertion_order(self):
         kb = {"1": corpus.TrueFact(object="1", authors=["a b"])}
