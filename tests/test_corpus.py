@@ -975,7 +975,10 @@ class TestLoadState:
             if is_key and data.draw(st.booleans(), label="drop"):
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = data.draw(st.sampled_from(REPLACEMENTS + NUMBERS), label="value")
+                # A copy: a second edit inside a shared [1] or {"a": 1} would
+                # change REPLACEMENTS for every later example.
+                value = data.draw(st.sampled_from(REPLACEMENTS + NUMBERS), label="value")
+                parent[path[-1]] = copy.deepcopy(value)
         assert_loads_as_the_reference(_dumps(doc))
 
     def test_unchanged_documents_load(self, ranked_doc):
