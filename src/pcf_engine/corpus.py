@@ -16,8 +16,8 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter, lt
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 
 STATE_SCHEMA_VERSION = 3
@@ -317,60 +317,135 @@ def build_state(
 def save_state(state: TrustState, path: str | Path) -> None:
     """Serialize the state to one line of compact JSON with sorted keys.
 
-    Records go in ascending id (the KB in ascending ISBN), so saving the same
-    state twice yields byte-identical files; floats keep full round-trip
-    precision. Nothing derivable is stored: a website's facts are the facts
-    that list it as a provider, and a fact's confidence is
-    ``engine.fact_confidence`` over its providers' trusts. NaN or an
-    infinity raises ValueError. The document goes to a temporary file next
-    to ``path`` that then replaces it, so a failure, or a process killed
-    mid-write, leaves the old file whole.
+    The file holds exactly the bytes of ``json.dumps(document,
+    sort_keys=True, separators=(",", ":"), allow_nan=False)`` plus a
+    newline, built by :func:`_state_text`. Records go in ascending id (the
+    KB in ascending ISBN), so saving the same state twice yields
+    byte-identical files; floats keep full round-trip precision. Nothing
+    derivable is stored: a website's facts are the facts that list it as a
+    provider, and a fact's confidence is ``engine.fact_confidence`` over its
+    providers' trusts. A NaN or an infinity raises ValueError, and a value
+    of a type the format does not hold (a number that is not an int or a
+    float, a text that is not a string) TypeError, before any file is
+    opened. The text goes to a temporary file next to ``path`` that then
+    replaces it, so a failure, or a process killed mid-write, leaves the old
+    file whole.
     """
-    doc = {
-        "pcf_state_version": STATE_SCHEMA_VERSION,
-        "config": vars(state.config),
-        "epoch": state.epoch,
-        "kb": [
-            {
-                "isbn": tf.object,
-                "title": tf.title,
-                "authors": tf.authors,
-                "publisher": tf.publisher,
-                "price": tf.price,
-            }
-            for tf in (state.kb[k] for k in sorted(state.kb))
-        ],
-        "websites": [
-            {"id": w.id, "url": w.url, "trust": w.trust}
-            for w in sorted(state.websites.values(), key=lambda w: w.id)
-        ],
-        "facts": [
-            {
-                "fact_id": f.fact_id,
-                "isbn": f.object,
-                "authors": f.authors,
-                "providers": sorted(f.providers),
-                "pcf": f.pcf,
-                "adjusted_confidence": f.adjusted_confidence,
-            }
-            for f in (state.facts[k] for k in sorted(state.facts))
-        ],
-        "method_trusts": state.method_trusts,
-    }
-    # The document is built fresh from records above, so it holds no cycle
-    # and the encoder need not look for one.
-    text = json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
-    ) + "\n"
+    parts = _state_text(state)
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class _NumberTexts(dict):
+    """An int's or a float's JSON text on lookup; a non-integral float's
+    text is kept, so each distinct one is formatted once.
+
+    Zeros, integral floats and ints are formatted afresh on every lookup:
+    0.0 and -0.0, or 1 and 1.0, are equal keys with different texts.
+    """
+
+    def __missing__(self, number: float) -> str:
+        text = repr(number)
+        if number % 1:  # a non-integral float, NaN or an infinity
+            if not math.isfinite(number):
+                raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+            self[number] = text
+        return text
+
+
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _state_text(state: TrustState) -> list[str]:
+    """The text of :func:`save_state`, in parts to write in order.
+
+    Each record kind has one template with its keys in sorted order, and a
+    table's records start with the comma that its first record drops.
+    Strings go through ``json.dumps``' own ASCII escaper, ids through
+    ``int.__repr__``, and every other number through one
+    :class:`_NumberTexts`. A string field that holds no string, an id that
+    is not an int, or a number that is neither an int nor a float raises
+    TypeError.
+    """
+    texts = _NumberTexts()
+
+    def numbers(values: tuple) -> Iterable[str]:
+        # The type sweep keeps an equal number of another type out of the memo.
+        _typed({float, int}, values)
+        return map(texts.__getitem__, values)
+
+    def lists(column: Iterable[Iterable], text: Callable) -> Iterable[str]:
+        return map(",".join, map(map, repeat(text), column))
+
+    config = state.config
+    tol, epsilon, max_epochs, epoch = numbers(
+        (config.convergence_tol, config.epsilon, config.max_epochs, state.epoch)
+    )
+    parts = [
+        f'{{"config":{{"convergence_tol":{tol},"epsilon":{epsilon},"max_epochs":{max_epochs}}},'
+        f'"epoch":{epoch},"facts":['
+    ]
+    facts = tuple(map(state.facts.__getitem__, sorted(state.facts)))
+    fact_ids, providers = _columns(facts, "fact_id", "providers", get=attrgetter)
+    providers = tuple(map(sorted, providers))
+    _typed({int}, fact_ids, tuple(chain.from_iterable(providers)))
+    objects, authors, pcfs, adjusted = _columns(
+        facts, "object", "authors", "pcf", "adjusted_confidence", get=attrgetter
+    )
+    parts += _table([
+        f',{{"adjusted_confidence":{adj},"authors":[{names}],"fact_id":{i},"isbn":{isbn},"pcf":{pcf},'
+        f'"providers":[{ids}]}}'
+        for adj, names, i, isbn, pcf, ids in zip(
+            numbers(adjusted), lists(authors, _encode), map(int.__repr__, fact_ids),
+            map(_encode, objects), numbers(pcfs), lists(providers, int.__repr__),
+        )
+    ])
+    parts.append('],"kb":[')
+    books = tuple(map(state.kb.__getitem__, sorted(state.kb)))
+    authors, isbns, prices, publishers, titles = _columns(
+        books, "authors", "object", "price", "publisher", "title", get=attrgetter
+    )
+    parts += _table([
+        f',{{"authors":[{names}],"isbn":{isbn},"price":{price},'
+        f'"publisher":{publisher},"title":{title}}}'
+        for names, isbn, price, publisher, title in zip(
+            lists(authors, _encode), map(_encode, isbns), numbers(prices),
+            map(_encode, publishers), map(_encode, titles),
+        )
+    ])
+    tables = []
+    for method, table in sorted(state.method_trusts.items()):
+        urls = sorted(table)
+        trusts = numbers(tuple(map(table.__getitem__, urls)))
+        entries = ",".join(map(":".join, zip(map(_encode, urls), trusts)))
+        tables.append(f"{_encode(method)}:{{{entries}}}")
+    parts.append(
+        f'],"method_trusts":{{{",".join(tables)}}},'
+        f'"pcf_state_version":{STATE_SCHEMA_VERSION},"websites":['
+    )
+    sites = sorted(state.websites.values(), key=attrgetter("id"))
+    ids, trusts, urls = _columns(sites, "id", "trust", "url", get=attrgetter)
+    _typed({int}, ids)
+    parts += _table([
+        f',{{"id":{i},"trust":{trust},"url":{url}}}'
+        for i, trust, url in zip(map(int.__repr__, ids), numbers(trusts), map(_encode, urls))
+    ])
+    parts.append("]}\n")
+    return parts
+
+
+def _table(rows: list[str]) -> list[str]:
+    """A table's records, each written with a leading comma, the first without it."""
+    if rows:
+        rows[0] = rows[0][1:]
+    return rows
 
 
 def load_state(path: str | Path) -> TrustState:
@@ -378,13 +453,14 @@ def load_state(path: str | Path) -> TrustState:
 
     Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` are
     ints; other numbers ints or floats, not bools, NaN or Infinity; texts
-    strings; ``kb``, ``websites`` and ``facts`` lists; ``method_trusts``
-    and each of its tables objects. Trusts (method tables too) and
-    probabilities lie in [0, 1], KB prices in [0, inf). Each method table
-    names exactly the websites. ISBNs are non-empty, KB ISBNs, urls and ids
-    distinct, author lists pass :func:`check_authors`, and facts are in
-    :func:`build_state`'s form: authors sorted, providers ids of websites,
-    ascending, and no two facts on one ISBN and authors. Anything else, or a config
+    strings; ``kb``, ``websites`` and ``facts`` lists of objects;
+    ``config``, ``method_trusts`` and each of its tables objects. Trusts
+    (method tables too) and probabilities lie in [0, 1], KB prices in
+    [0, inf). Each method table names exactly the websites. ISBNs are
+    non-empty, KB ISBNs, urls and ids distinct, author lists pass
+    :func:`check_authors`, and facts are in :func:`build_state`'s form:
+    authors sorted, providers ids of websites, ascending, and no two facts
+    on one ISBN and authors. Anything else, or a config
     :class:`EngineConfig` refuses, raises :class:`StateError`. Each rule is
     one sweep over a column; a refusal names the first record that breaks it.
     """
@@ -406,12 +482,18 @@ def load_state(path: str | Path) -> TrustState:
         )
     try:
         cfg = doc["config"]
+        if type(cfg) is not dict:
+            raise TypeError("config is not an object")
         epsilon, tol = _numbers((cfg["epsilon"], cfg["convergence_tol"]))
         max_epochs, epoch = cfg["max_epochs"], doc["epoch"]
-        # An empty string or object would iterate as an empty table.
         for key in ("kb", "websites", "facts"):
-            if not isinstance(doc[key], list):
+            records = doc[key]
+            # An empty string or object would iterate as an empty table.
+            if not isinstance(records, list):
                 raise TypeError(f"{key} is not a list")
+            if not {dict}.issuperset(map(type, records)):
+                i = next(i for i, record in enumerate(records) if type(record) is not dict)
+                raise TypeError(f"{key}[{i}] is not an object")
         tables = doc.get("method_trusts", {})
         if not isinstance(tables, dict):
             raise TypeError("method_trusts is not an object")
@@ -491,10 +573,11 @@ def _no_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-def _columns(records: Iterable, *keys: str) -> list[tuple]:
-    """Each key's values over ``records``, one tuple per key."""
+def _columns(records: Iterable, *keys: str, get: Callable = itemgetter) -> list[tuple]:
+    """Each key's values over ``records`` (items, or attributes with
+    ``get=attrgetter``), one tuple per key."""
     # Not zip(*rows): its row tuples would stay on CPython's tuple free lists.
-    return [tuple(map(itemgetter(key), records)) for key in keys]
+    return [tuple(map(get(key), records)) for key in keys]
 
 
 def _typed(types: set[type], *columns: Sequence) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .corpus import FactRecord, TrustState, normalize_name
 
@@ -28,7 +29,11 @@ def rank_websites(state: TrustState, method: str = "pcf") -> list[tuple[str, flo
         raise StaleMethodError(
             f"method {method!r} has not been run on this state"
         )
-    return sorted(trusts.items(), key=lambda item: (-item[1], item[0]))
+    # Two C-level sorts instead of a Python key per site: the second is
+    # stable, so sites of equal trust (0.0 and -0.0 too) keep url order.
+    ranking = sorted(trusts.items(), key=itemgetter(0))
+    ranking.sort(key=itemgetter(1), reverse=True)
+    return ranking
 
 
 def query(

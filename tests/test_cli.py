@@ -305,6 +305,12 @@ class TestRun:
             lambda d: d.update(facts={}),
             lambda d: d.update(kb=""),
             lambda d: d.update(kb={}),
+            # A record or config of another type used to be refused with
+            # Python's indexing error, naming neither table nor record.
+            lambda d: d.update(facts=["x"]),
+            lambda d: d.update(websites=[[1]]),
+            lambda d: d.update(config=[]),
+            lambda d: d.update(kb=[None]),
         ],
         ids=[
             "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
@@ -324,6 +330,7 @@ class TestRun:
             "fact-author-with-semicolon", "empty-kb-authors", "repeated-kb-author",
             "kb-author-with-semicolon", "empty-kb-isbn", "repeated-kb-isbn",
             "facts-as-string", "facts-as-object", "kb-as-string", "kb-as-object",
+            "string-fact", "list-website", "config-as-list", "null-kb-book",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine, generator, serp
 
@@ -80,6 +82,18 @@ class TestRankWebsites:
     def test_uncomputed_method_is_stale(self):
         with pytest.raises(serp.StaleMethodError):
             serp.rank_websites(bookstore_state(), "voting")
+
+    # A few trusts, 0.0 and -0.0 among them, shared by many urls.
+    @given(table=st.dictionaries(
+        st.text(alphabet="ab/:.é", max_size=6),
+        st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1.0]) | st.floats(0, 1),
+        max_size=30,
+    ))
+    def test_equals_the_key_function_reference(self, table):
+        state = corpus.TrustState(method_trusts={"pcf": table})
+        expected = sorted(table.items(), key=lambda item: (-item[1], item[0]))
+        ranking = serp.rank_websites(state, "pcf")
+        assert [(url, repr(t)) for url, t in ranking] == [(url, repr(t)) for url, t in expected]
 
     def test_positive_scaling_preserves_the_permutation(self):
         state = bookstore_state()
