@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from itertools import chain, repeat
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 
-STATE_SCHEMA_VERSION = 3
+STATE_SCHEMA_VERSION = 4
 
 CLAIMS_HEADER = ["website_url", "isbn", "authors", "publisher", "price", "quantity"]
 
@@ -45,13 +44,11 @@ def normalize_name(raw: str) -> str:
 
 @dataclass
 class TrueFact:
-    """Ground-truth attribute values for one object."""
+    """Ground-truth attribute values for one object: what SIM and ``query`` read."""
 
     object: ObjectId
     authors: list[str]
     title: str = ""
-    publisher: str = ""
-    price: float = 0.0
 
 
 @dataclass
@@ -154,7 +151,8 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     an int or float (not a bool) that converts to a finite float >= 0.
     Duplicate ISBNs, empty author lists, duplicate author names within a
     record, and author names containing ``;`` (which no claim could name,
-    since claims separate names with it) are rejected.
+    since claims separate names with it) are rejected. Publisher and price
+    are checked, not kept.
     """
     kb: dict[ObjectId, TrueFact] = {}
     with open(path, encoding="utf-8") as fh:
@@ -201,7 +199,7 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 raise CorpusError(
                     f"{path}: line {lineno}: price must be a finite number >= 0"
                 )
-            kb[isbn] = TrueFact(isbn, authors, title, publisher, price)
+            kb[isbn] = TrueFact(isbn, authors, title)
     return kb
 
 
@@ -409,15 +407,11 @@ def _state_text(state: TrustState) -> list[str]:
     ])
     parts.append('],"kb":[')
     books = tuple(map(state.kb.__getitem__, sorted(state.kb)))
-    authors, isbns, prices, publishers, titles = _columns(
-        books, "authors", "object", "price", "publisher", "title", get=attrgetter
-    )
+    authors, isbns, titles = _columns(books, "authors", "object", "title", get=attrgetter)
     parts += _table([
-        f',{{"authors":[{names}],"isbn":{isbn},"price":{price},'
-        f'"publisher":{publisher},"title":{title}}}'
-        for names, isbn, price, publisher, title in zip(
-            lists(authors, _encode), map(_encode, isbns), numbers(prices),
-            map(_encode, publishers), map(_encode, titles),
+        f',{{"authors":[{names}],"isbn":{isbn},"title":{title}}}'
+        for names, isbn, title in zip(
+            lists(authors, _encode), map(_encode, isbns), map(_encode, titles)
         )
     ])
     tables = []
@@ -455,12 +449,11 @@ def load_state(path: str | Path) -> TrustState:
     ints; other numbers ints or floats, not bools, NaN or Infinity; texts
     strings; ``kb``, ``websites`` and ``facts`` lists of objects;
     ``config``, ``method_trusts`` and each of its tables objects. Trusts
-    (method tables too) and probabilities lie in [0, 1], KB prices in
-    [0, inf). Each method table names exactly the websites. ISBNs are
-    non-empty, KB ISBNs, urls and ids distinct, author lists pass
-    :func:`check_authors`, and facts are in :func:`build_state`'s form:
-    authors sorted, providers ids of websites, ascending, and no two facts
-    on one ISBN and authors. Anything else, or a config
+    (method tables too) and probabilities lie in [0, 1]. Each method table
+    names exactly the websites. ISBNs are non-empty, KB ISBNs, urls and ids
+    distinct, author lists pass :func:`check_authors`, and facts are in
+    :func:`build_state`'s form: authors sorted, providers ids of websites,
+    ascending, and no two facts on one ISBN and authors. Anything else, or a config
     :class:`EngineConfig` refuses, raises :class:`StateError`. Each rule is
     one sweep over a column; a refusal names the first record that breaks it.
     """
@@ -497,9 +490,7 @@ def load_state(path: str | Path) -> TrustState:
         tables = doc.get("method_trusts", {})
         if not isinstance(tables, dict):
             raise TypeError("method_trusts is not an object")
-        isbns, kb_authors, titles, publishers, prices = _columns(
-            doc["kb"], "isbn", "authors", "title", "publisher", "price"
-        )
+        isbns, kb_authors, titles = _columns(doc["kb"], "isbn", "authors", "title")
         ids, urls, trusts = _columns(doc["websites"], "id", "url", "trust")
         fact_ids, objects, authors, providers, pcfs, adjusted = _columns(
             doc["facts"], "fact_id", "isbn", "authors", "providers", "pcf", "adjusted_confidence"
@@ -507,9 +498,9 @@ def load_state(path: str | Path) -> TrustState:
         # Types first: the sweeps below compare and hash the values.
         _typed({int}, (max_epochs, epoch), ids, fact_ids)
         config = EngineConfig(epsilon, tol, max_epochs)
-        _typed({str}, isbns, objects, urls, titles, publishers)
+        _typed({str}, isbns, objects, urls, titles)
         _typed({list}, kb_authors, authors, providers)
-        prices, trusts, pcfs, adjusted = map(_numbers, (prices, trusts, pcfs, adjusted))
+        trusts, pcfs, adjusted = map(_numbers, (trusts, pcfs, adjusted))
         for what, keys in (
             ("KB isbn", isbns), ("website url", urls), ("website id", ids), ("fact id", fact_ids)
         ):
@@ -518,7 +509,6 @@ def load_state(path: str | Path) -> TrustState:
                 raise ValueError(f"duplicate {what} {duplicate!r}")
         if not (all(isbns) and all(objects)):
             raise ValueError("empty ISBN")
-        _in_range("KB isbn", isbns, prices, "price {} is negative or not finite", sys.float_info.max)
         _in_range("website", urls, trusts, "trust {} outside [0, 1]")
         _in_range("fact", fact_ids, pcfs, "pcf {} outside [0, 1]")
         _in_range("fact", fact_ids, adjusted, "adjusted confidence {} outside [0, 1]")
@@ -561,7 +551,7 @@ def load_state(path: str | Path) -> TrustState:
         facts=dict(zip(fact_ids, map(
             FactRecord, fact_ids, objects, authors, map(set, providers), pcfs, adjusted
         ))),
-        kb=dict(zip(isbns, map(TrueFact, isbns, kb_authors, titles, publishers, prices))),
+        kb=dict(zip(isbns, map(TrueFact, isbns, kb_authors, titles))),
         epoch=epoch,
         config=config,
         method_trusts=method_trusts,
@@ -605,11 +595,10 @@ def _check(swept: bool, what: str, keys: Sequence, values: Iterable, ok: Callabl
         raise ValueError(f"{what} {keys[i]}: " + problem.format(value))
 
 
-def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str,
-              top: float = 1.0) -> None:
-    """Refuse a value outside [0, ``top``]; no NaN parses, so min and max decide."""
-    swept = not values or (0.0 <= min(values) and max(values) <= top)
-    _check(swept, what, keys, values, lambda value: 0.0 <= value <= top, problem)
+def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str) -> None:
+    """Refuse a value outside [0, 1]; no NaN parses, so min and max decide."""
+    swept = not values or (0.0 <= min(values) and max(values) <= 1.0)
+    _check(swept, what, keys, values, lambda value: 0.0 <= value <= 1.0, problem)
 
 
 def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool) -> None:

@@ -62,6 +62,14 @@ class GenSpec:
 
 
 @dataclass
+class BookRow(TrueFact):
+    """One generated KB record: a true fact and the listing columns its files carry."""
+
+    publisher: str = ""
+    price: float = 0.0
+
+
+@dataclass
 class ClaimRow:
     """One generated claims row: a claim and the listing columns beside it.
 
@@ -85,7 +93,7 @@ def random_author(rng: random.Random) -> str:
     return " ".join(parts)
 
 
-def generate_kb(spec: GenSpec) -> list[TrueFact]:
+def generate_kb(spec: GenSpec) -> list[BookRow]:
     """Invent ``n_objects`` books with one to three distinct authors each."""
     rng = random.Random(spec.seed)
     books = []
@@ -100,7 +108,7 @@ def generate_kb(spec: GenSpec) -> list[TrueFact]:
             rng.choice(TITLE_WORDS) for _ in range(rng.randint(2, 4))
         ) + f" vol {i + 1}"
         books.append(
-            TrueFact(
+            BookRow(
                 object=str(9780000000000 + i),
                 authors=authors,
                 title=title,
@@ -167,7 +175,7 @@ def corrupt_authors(
     return out
 
 
-def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[ClaimRow]:
+def generate_claims(spec: GenSpec, kb: list[BookRow]) -> list[ClaimRow]:
     """One claims row per (website, object) pair, objects assigned round-robin.
 
     Round-robin assignment keeps per-object provider counts uniform: with
@@ -192,7 +200,7 @@ def generate_claims(spec: GenSpec, kb: list[TrueFact]) -> list[ClaimRow]:
     return claims
 
 
-def write_kb_file(path: str | Path, books: list[TrueFact]) -> None:
+def write_kb_file(path: str | Path, books: list[BookRow]) -> None:
     lines = [
         json.dumps(
             {

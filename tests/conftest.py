@@ -43,8 +43,6 @@ def core_java_kb():
             object=CORE_ISBN,
             authors=list(CORE_TRUTH),
             title="core java volume 1",
-            publisher="prentice hall",
-            price=45.0,
         )
     }
 

@@ -227,11 +227,12 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
     def test_version_1_state_exits_2_and_says_to_ingest_again(self, tmp_path, capsys):
-        # Version 2 also stored each fact's confidence and a config clamp and seed.
+        # Version 2 also stored each fact's confidence and a config clamp and
+        # seed; version 3 each KB book's publisher and price.
         kb, claims = write_core_fixture(tmp_path)
         state = ingest(tmp_path, kb, claims)
         doc = json.loads(state.read_text(encoding="utf-8"))
-        for version in (1, 2):
+        for version in (1, 2, 3):
             doc["pcf_state_version"] = version
             state.write_text(json.dumps(doc), encoding="utf-8")
             capsys.readouterr()
@@ -278,8 +279,6 @@ class TestRun:
             lambda d: d["method_trusts"]["pcf"].update({W1: 5.0}),
             lambda d: d["method_trusts"]["pcf"].update({W1: -1.0}),
             lambda d: d["method_trusts"]["pcf"].update({W1: OVERFLOW}),
-            lambda d: d["kb"][0].update(price=-3),
-            lambda d: d["kb"][0].update(price=OVERFLOW),
             # `compare` used to divide by zero on an object that no website provides.
             _unprovided_object,
             # `query` skipped urls it did not know and left out the missing site.
@@ -323,7 +322,7 @@ class TestRun:
             "integer-title", "string-author-list", "fractional-website-id",
             "boolean-trust", "string-epoch", "float-provider-ids", "nan-price",
             "method-trust-above-one", "negative-method-trust",
-            "overflowing-method-trust", "negative-price", "overflowing-price",
+            "overflowing-method-trust",
             "fact-without-providers", "method-table-missing-site", "method-table-unknown-url",
             "repeated-author", "unsorted-authors", "repeated-provider", "descending-providers",
             "second-fact-on-a-key", "empty-fact-authors", "blank-fact-author",

@@ -48,8 +48,6 @@ def state_document(state: corpus.TrustState) -> dict:
                 "isbn": tf.object,
                 "title": tf.title,
                 "authors": tf.authors,
-                "publisher": tf.publisher,
-                "price": tf.price,
             }
             for tf in (state.kb[k] for k in sorted(state.kb))
         ],
@@ -118,8 +116,6 @@ def reference_load_state(path):
                 _isbn(rec["isbn"]),
                 _names(rec["authors"]),
                 _text(rec["title"]),
-                _text(rec["publisher"]),
-                _price(rec["price"]),
             )
             for rec in doc["kb"]
         ]
@@ -187,13 +183,6 @@ def _number(value):
     if type(value) is int:
         return float(value)
     raise TypeError(f"expected a number, got {value!r}")
-
-
-def _price(value):
-    number = _number(value)
-    if 0.0 <= number < math.inf:
-        return number
-    raise ValueError(f"KB price {value!r} is negative or not finite")
 
 
 def _trust(value):
@@ -299,9 +288,7 @@ ids = st.integers(-3, 10**9)
 def library_states(draw):
     """A TrustState built through the library; its links need not be consistent."""
     kb = {
-        isbn: corpus.TrueFact(
-            isbn, draw(st.lists(texts, max_size=3)), draw(texts), draw(texts), draw(numbers)
-        )
+        isbn: corpus.TrueFact(isbn, draw(st.lists(texts, max_size=3)), draw(texts))
         for isbn in draw(st.lists(texts, max_size=3, unique=True))
     }
     websites = {
@@ -381,9 +368,10 @@ class TestLoadKnowledgeBase:
         kb_path, _ = write_core_fixture(tmp_path)
         kb = corpus.load_knowledge_base(kb_path)
         assert len(kb) == 1
-        truth = kb[CORE_ISBN]
-        assert truth.authors == ["cay s horstmenn", "gary cornell"]
-        assert truth.price == 45.0
+        # Publisher and price are checked, not kept.
+        assert kb[CORE_ISBN] == corpus.TrueFact(
+            CORE_ISBN, ["cay s horstmenn", "gary cornell"], "Core Java Volume 1"
+        )
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "kb.jsonl"
@@ -887,8 +875,9 @@ class TestPersistence:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "state.json"
         # 1: the format that stored fact_ids, unknown_object and log scores;
-        # 2: the one that stored fact confidences, a clamp and a seed.
-        for version in (1, 2, 99):
+        # 2: the one that stored fact confidences, a clamp and a seed;
+        # 3: the one that stored each KB book's publisher and price.
+        for version in (1, 2, 3, 99):
             path.write_text(json.dumps({"pcf_state_version": version}), encoding="utf-8")
             with pytest.raises(corpus.StateError, match="schema version.*pcf ingest"):
                 corpus.load_state(path)
@@ -914,7 +903,7 @@ def _exact(state):
             (k, f.fact_id, f.object, f.authors, f.providers, x(f.pcf), x(f.adjusted_confidence))
             for k, f in state.facts.items()
         ],
-        [(k, t.object, t.authors, t.title, t.publisher, x(t.price)) for k, t in state.kb.items()],
+        [(k, t.object, t.authors, t.title) for k, t in state.kb.items()],
         (state.epoch, x(config.epsilon), x(config.convergence_tol), config.max_epochs),
         [(m, [(u, x(t)) for u, t in table.items()]) for m, table in state.method_trusts.items()],
     )
@@ -978,7 +967,7 @@ def _small_doc():
         "pcf_state_version": corpus.STATE_SCHEMA_VERSION,
         "config": {"epsilon": 0.4, "convergence_tol": 1e-6, "max_epochs": 10},
         "epoch": 1,
-        "kb": [{"isbn": "1", "title": "t", "authors": ["b"], "publisher": "", "price": 9.5}],
+        "kb": [{"isbn": "1", "title": "t", "authors": ["b"]}],
         "websites": [{"id": i, "url": url, "trust": 0.5} for i, url in enumerate(urls, 1)],
         "facts": [
             {"fact_id": 1, "isbn": "1", "authors": ["b"], "providers": [3], **fact},
@@ -1047,7 +1036,6 @@ class TestLoadState:
     def test_integer_numbers_load_as_floats(self):
         doc = _small_doc()
         doc["config"].update(epsilon=0, convergence_tol=1)
-        doc["kb"][0]["price"] = 3
         doc["websites"][0]["trust"] = 1
         doc["websites"][1]["trust"] = 0
         doc["facts"][0].update(pcf=1, adjusted_confidence=0)
@@ -1055,7 +1043,7 @@ class TestLoadState:
         doc["method_trusts"]["voting"] = dict.fromkeys(doc["method_trusts"]["voting"], 0)
         state = assert_loads_as_the_reference(json.dumps(doc))
         numbers = [
-            state.config.epsilon, state.config.convergence_tol, state.kb["1"].price,
+            state.config.epsilon, state.config.convergence_tol,
             *(w.trust for w in state.websites.values()),
             *(x for f in state.facts.values() for x in (f.pcf, f.adjusted_confidence)),
             *(t for table in state.method_trusts.values() for t in table.values()),
@@ -1126,7 +1114,6 @@ class TestLoadState:
             ([("facts", 1, {"pcf": -0.5}), ("facts", 2, {"pcf": 1.5})], "fact 2: pcf -0.5 outside"),
             ([("facts", 2, {"adjusted_confidence": 1.5})], "fact 3: adjusted confidence 1.5 outside"),
             ([("kb", 0, {"authors": ["b", "b"]})], "KB isbn 1: duplicate author name 'b'"),
-            ([("kb", 0, {"price": -1})], "KB isbn 1: price -1.0 is negative"),
             ([("websites", 1, {"trust": 2}), ("websites", 2, {"trust": 3})],
              "website http://b.example: trust 2.0 outside"),
             ([("method_trusts", "pcf", {"http://b.example": 7, "http://c.example": 8})],

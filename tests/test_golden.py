@@ -46,8 +46,8 @@ NUMBERS = {
 }
 
 STATE_BYTES = {
-    "gen-40x4": "dc40222eab9f29f9633822aa1cac9dc56d62aec02ce807a8129c474b167725ac",
-    "one-object": "1480855f5d8db3a78aa5ed67d67a44b81981987f092234814db6bbf1f2ffb453",
+    "gen-40x4": "9fcc7e7dff5a8f7870dadaf37ab212e6939bba3bc960e448e38f4a2965efb1ab",
+    "one-object": "014a38447688bdda4329dfbb9bedce8ffcbebd825e2153ff8784438d3bd4dbef",
 }
 
 
