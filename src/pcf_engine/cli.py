@@ -113,7 +113,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Store the three methods' trust tables in the state, then print them as CSV.
 
     The rows go out through one ``writelines`` over a generator, so no
-    ``print`` runs per site and no string of the whole CSV is built.
+    ``print`` runs per site and no string of the whole CSV is built. Each
+    url is written as ``csv.writer`` writes it (:func:`_csv_field`).
     """
     state = corpus.load_state(args.state)
     ix = engine.build_index(state)
@@ -125,10 +126,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     sys.stdout.write("url,voting,truthfinder,pcf\n")
     sys.stdout.writelines(
-        f"{url},{voting[url]:.6f},{truthfinder[url]:.6f},{pcf[url]:.6f}\n"
+        f"{_csv_field(url)},{voting[url]:.6f},{truthfinder[url]:.6f},{pcf[url]:.6f}\n"
         for url in sorted(state.websites)
     )
     return EXIT_OK
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(..., lineterminator="\\n")`` writes it: in
+    quotes, each quote doubled, if it holds a comma or a quote. A url holds
+    no CR or LF, since ``load_state`` refuses them."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

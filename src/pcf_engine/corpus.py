@@ -151,10 +151,12 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     an int or float (not a bool) that converts to a finite float >= 0.
     Duplicate ISBNs, empty author lists, duplicate author names within a
     record, and author names containing ``;`` (which no claim could name,
-    since claims separate names with it) are rejected. Publisher and price
-    are checked, not kept.
+    since claims separate names with it) are rejected, and so is an ISBN
+    holding a tab, CR or LF, in one sweep after the last line. Publisher and
+    price are checked, not kept.
     """
     kb: dict[ObjectId, TrueFact] = {}
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -200,6 +202,10 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                     f"{path}: line {lineno}: price must be a finite number >= 0"
                 )
             kb[isbn] = TrueFact(isbn, authors, title)
+            linenos.append(lineno)
+    i = _first_row_break(tuple(kb))
+    if i is not None:
+        raise CorpusError(f"{path}: line {linenos[i]}: isbn holds a tab, CR or LF")
     return kb
 
 
@@ -211,11 +217,14 @@ def load_claims(path: str | Path) -> list[Claim]:
     rejected with their row number, as is a row with a non-numeric or
     non-finite price, a non-integer quantity (each in ASCII digits, with
     no ``_``), or one the csv module cannot read (a field over its size
-    limit). Publisher, price and quantity are checked, not kept. Each
-    distinct authors field is normalized, checked and sorted once per
-    call, and every claim of that field shares the resulting canonical key.
+    limit). A url or ISBN holding a tab, CR or LF is rejected too, in one
+    sweep after the last row. Publisher, price and quantity are checked,
+    not kept. Each distinct authors field is normalized, checked and sorted
+    once per call, and every claim of that field shares the resulting
+    canonical key.
     """
     claims: list[Claim] = []
+    row_nums: list[int] = []
     key_of: dict[str, tuple[str, ...]] = {}
     row_num = 0
     with open(path, encoding="utf-8", newline="") as fh:
@@ -270,9 +279,15 @@ def load_claims(path: str | Path) -> list[Claim]:
                 if not whole or "_" in quantity_field:
                     raise CorpusError(f"{path}: row {row_num}: bad quantity {quantity_field!r}")
                 claims.append(Claim(website, isbn, authors))
+                row_nums.append(row_num)
         except csv.Error as exc:
             # The reader fails on the row after the last one it returned.
             raise CorpusError(f"{path}: row {row_num + 1}: {exc}")
+    websites, isbns = _columns(claims, "website", "object", get=attrgetter)
+    for column, texts in (("website_url", websites), ("isbn", isbns)):
+        i = _first_row_break(texts)
+        if i is not None:
+            raise CorpusError(f"{path}: row {row_nums[i]}: {column} holds a tab, CR or LF")
     return claims
 
 
@@ -449,13 +464,15 @@ def load_state(path: str | Path) -> TrustState:
     ints; other numbers ints or floats, not bools, NaN or Infinity; texts
     strings; ``kb``, ``websites`` and ``facts`` lists of objects;
     ``config``, ``method_trusts`` and each of its tables objects. Trusts
-    (method tables too) and probabilities lie in [0, 1]. Each method table
-    names exactly the websites. ISBNs are non-empty, KB ISBNs, urls and ids
-    distinct, author lists pass :func:`check_authors`, and facts are in
+    (method tables too) and probabilities lie in [0, 1], and the epoch is
+    not negative. Each method table names exactly the websites. ISBNs are
+    non-empty, ISBNs and urls hold no tab, CR or LF, KB ISBNs, urls and ids
+    are distinct, author lists pass :func:`check_authors`, and facts are in
     :func:`build_state`'s form: authors sorted, providers ids of websites,
-    ascending, and no two facts on one ISBN and authors. Anything else, or a config
-    :class:`EngineConfig` refuses, raises :class:`StateError`. Each rule is
-    one sweep over a column; a refusal names the first record that breaks it.
+    ascending, and no two facts on one ISBN and authors. Anything else, or
+    a config :class:`EngineConfig` refuses, raises :class:`StateError`. Each
+    rule is one sweep over a column; a refusal names the first record that
+    breaks it.
     """
     try:
         doc = json.loads(
@@ -498,6 +515,8 @@ def load_state(path: str | Path) -> TrustState:
         # Types first: the sweeps below compare and hash the values.
         _typed({int}, (max_epochs, epoch), ids, fact_ids)
         config = EngineConfig(epsilon, tol, max_epochs)
+        if epoch < 0:
+            raise ValueError(f"epoch {epoch} is negative")
         _typed({str}, isbns, objects, urls, titles)
         _typed({list}, kb_authors, authors, providers)
         trusts, pcfs, adjusted = map(_numbers, (trusts, pcfs, adjusted))
@@ -509,6 +528,13 @@ def load_state(path: str | Path) -> TrustState:
                 raise ValueError(f"duplicate {what} {duplicate!r}")
         if not (all(isbns) and all(objects)):
             raise ValueError("empty ISBN")
+        for what, texts in (("KB isbn", isbns), ("website url", urls)):
+            i = _first_row_break(texts)
+            if i is not None:
+                raise ValueError(f"{what} {texts[i]!r} holds a tab, CR or LF")
+        i = _first_row_break(objects)
+        if i is not None:
+            raise ValueError(f"fact {fact_ids[i]}: isbn {objects[i]!r} holds a tab, CR or LF")
         _in_range("website", urls, trusts, "trust {} outside [0, 1]")
         _in_range("fact", fact_ids, pcfs, "pcf {} outside [0, 1]")
         _in_range("fact", fact_ids, adjusted, "adjusted confidence {} outside [0, 1]")
@@ -540,8 +566,7 @@ def load_state(path: str | Path) -> TrustState:
             if table.keys() != websites.keys():
                 url = min(table.keys() ^ websites.keys())
                 raise ValueError(f"{method} trust table and websites disagree on url {url!r}")
-            # A dict copies about 10 times as fast as it is built from pairs.
-            method_trusts[method] = dict(table) if floats is values else dict(zip(table, floats))
+            method_trusts[method] = table if floats is values else dict(zip(table, floats))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
     except ValueError as exc:
@@ -593,6 +618,20 @@ def _check(swept: bool, what: str, keys: Sequence, values: Iterable, ok: Callabl
     if not swept:
         i, value = next((i, value) for i, value in enumerate(values) if not ok(value))
         raise ValueError(f"{what} {keys[i]}: " + problem.format(value))
+
+
+def _breaks_row(text: str) -> bool:
+    """Whether ``text`` holds a tab, CR or LF: as a url or an ISBN, it would
+    split a row of ``query``'s TSV or ``compare``'s CSV."""
+    return "\t" in text or "\r" in text or "\n" in text
+
+
+def _first_row_break(texts: Sequence[str]) -> int | None:
+    """The index of the first text that :func:`_breaks_row`, or None; one
+    scan of the joined column decides that none does."""
+    if not _breaks_row("".join(texts)):
+        return None
+    return next(i for i, text in enumerate(texts) if _breaks_row(text))
 
 
 def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str) -> None:

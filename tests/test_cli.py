@@ -62,6 +62,14 @@ def _second_fact_on_a_key(doc):
     second.update(isbn=first["isbn"], authors=list(first["authors"]))
 
 
+def _tab_in_url(doc):
+    """Put a tab into the first site's url, in the websites and every method table."""
+    url = doc["websites"][0]["url"]
+    doc["websites"][0]["url"] = url + "\tx"
+    for table in doc["method_trusts"].values():
+        table[url + "\tx"] = table.pop(url)
+
+
 def ingest(tmp_path, kb, claims):
     state = tmp_path / "state.json"
     code = cli.main(
@@ -121,6 +129,18 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "row 3" in err
 
+
+    def test_url_with_a_tab_exits_2_and_names_row(self, tmp_path, capsys):
+        # Its `query` row would have had seven tab-separated fields.
+        kb, claims = write_core_fixture(tmp_path)
+        with claims.open("a", encoding="utf-8") as fh:
+            fh.write(f"http://b.com/x\ty,{CORE_ISBN},Gary Cornell,,,\n")
+        state = tmp_path / "s.json"
+        code = cli.main(["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3: website_url holds a tab, CR or LF" in err
+        assert not state.exists()
 
     def test_repeated_claim_name_exits_2_and_names_row(self, tmp_path, capsys):
         kb, claims = write_core_fixture(tmp_path)
@@ -310,6 +330,13 @@ class TestRun:
             lambda d: d.update(websites=[[1]]),
             lambda d: d.update(config=[]),
             lambda d: d.update(kb=[None]),
+            # `run --epochs 1` printed epoch=-6 after epoch -7.
+            lambda d: d.update(epoch=-7),
+            # A url or ISBN with a tab, CR or LF split a row of `query`'s TSV
+            # or `compare`'s CSV.
+            _tab_in_url,
+            lambda d: d["kb"][0].update(isbn=d["kb"][0]["isbn"] + "\r"),
+            lambda d: d["facts"][0].update(isbn=d["facts"][0]["isbn"] + "\n"),
         ],
         ids=[
             "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
@@ -330,6 +357,7 @@ class TestRun:
             "kb-author-with-semicolon", "empty-kb-isbn", "repeated-kb-isbn",
             "facts-as-string", "facts-as-object", "kb-as-string", "kb-as-object",
             "string-fact", "list-website", "config-as-list", "null-kb-book",
+            "negative-epoch", "url-with-tab", "kb-isbn-with-cr", "fact-isbn-with-lf",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):
@@ -450,6 +478,28 @@ class TestCompare:
         cli.main(["compare", "--state", str(state_path)])
         lines = capsys.readouterr().out.splitlines()
         assert [float(v) for v in lines[1].split(",")[1:]] == [1.0, 1.0, 1.0]
+
+    def test_urls_with_commas_and_quotes_read_back_through_csv(self, tmp_path, capsys):
+        # A comma url used to give a row of five fields.
+        urls = ["http://a.com/x,y", 'http://b.com/"q"', 'http://c.com/"a,b"', "http://d.com/ plain"]
+        kb = tmp_path / "kb.jsonl"
+        kb.write_text(json.dumps({"isbn": "100", "authors": ["ann example"]}) + "\n", encoding="utf-8")
+        claims = tmp_path / "claims.csv"
+        with claims.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(
+                [corpus.CLAIMS_HEADER] + [[url, "100", "ann example", "", "", ""] for url in urls]
+            )
+        state_path = ingest(tmp_path, kb, claims)
+        capsys.readouterr()
+        assert cli.main(["compare", "--state", str(state_path)]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {4}
+        assert [row[0] for row in rows[1:]] == sorted(urls)
+        # Byte for byte what csv.writer writes for the same rows.
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert out == expected.getvalue()
 
     def test_empty_corpus_prints_header_only(self, tmp_path, capsys):
         kb = tmp_path / "kb.jsonl"

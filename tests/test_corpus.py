@@ -120,7 +120,7 @@ def reference_load_state(path):
             for rec in doc["kb"]
         ]
         site_list = [
-            corpus.Website(_int(rec["id"]), _text(rec["url"]), _number(rec["trust"]))
+            corpus.Website(_int(rec["id"]), _unbroken(rec["url"]), _number(rec["trust"]))
             for rec in doc["websites"]
         ]
         site_ids = {site.id for site in site_list}
@@ -141,6 +141,8 @@ def reference_load_state(path):
                 raise TypeError(f"method_trusts {method!r} is not an object")
             method_trusts[method] = {url: _trust(t) for url, t in trusts.items()}
         epoch = _int(doc["epoch"])
+        if epoch < 0:
+            raise ValueError(f"epoch {epoch} is negative")
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise corpus.StateError(f"{path}: malformed state document ({exc})")
     except ValueError as exc:
@@ -209,8 +211,14 @@ def _text(value):
     return value
 
 
+def _unbroken(value):
+    if "\t" in _text(value) or "\r" in value or "\n" in value:
+        raise ValueError(f"{value!r} holds a tab, CR or LF")
+    return value
+
+
 def _isbn(value):
-    if _text(value):
+    if _unbroken(value):
         return value
     raise ValueError("empty ISBN")
 
@@ -447,6 +455,16 @@ class TestLoadKnowledgeBase:
         with pytest.raises(corpus.CorpusError, match=f"line 2: {message}"):
             corpus.load_knowledge_base(path)
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_isbn_with_a_tab_cr_or_lf_names_line(self, tmp_path, char):
+        # It would split a row of `query`'s TSV; line 2 is blank.
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"]})
+        bad = json.dumps({"isbn": f"2{char}3", "authors": ["a b"]})
+        path.write_text(f"{good}\n\n{bad}\n{bad.replace('2', '4')}\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match="line 3: isbn holds a tab, CR or LF"):
+            corpus.load_knowledge_base(path)
+
     def test_author_name_with_the_claims_separator_names_line(self, tmp_path):
         # Claims split their authors field on ";", so no claim could name it.
         path = tmp_path / "kb.jsonl"
@@ -547,6 +565,24 @@ class TestLoadClaims:
             encoding="utf-8",
         )
         with pytest.raises(corpus.CorpusError, match="row 2: field larger than field limit"):
+            corpus.load_claims(path)
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["website_url", "isbn"])
+    def test_url_or_isbn_with_a_tab_cr_or_lf_names_row(self, tmp_path, column, char):
+        # It would split a row of `query`'s TSV or `compare`'s CSV; row 2 is blank.
+        rows = [corpus.CLAIMS_HEADER, ["http://a.com", "1", "x y", "", "", ""], []]
+        for i in range(2):
+            row = ["http://b.com", "2", "x y", "", "", ""]
+            row[column] = f"{row[column][:4]}{char}{i}{row[column][4:]}"
+            rows.append(row)
+        path = tmp_path / "claims.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(
+            corpus.CorpusError,
+            match=f"row 3: {corpus.CLAIMS_HEADER[column]} holds a tab, CR or LF",
+        ):
             corpus.load_claims(path)
 
     def test_header_over_the_csv_limit_is_named(self, tmp_path):
@@ -978,6 +1014,12 @@ def _small_doc():
     }
 
 
+def test_kb_records_hold_only_what_a_command_reads(ranked_doc):
+    # The KB file's publisher and price are checked on ingest, not stored.
+    assert ranked_doc["kb"]
+    assert {tuple(sorted(record)) for record in ranked_doc["kb"]} == {("authors", "isbn", "title")}
+
+
 class TestLoadState:
     """The column sweeps of ``load_state`` against ``reference_load_state``."""
 
@@ -1114,12 +1156,18 @@ class TestLoadState:
             ([("facts", 1, {"pcf": -0.5}), ("facts", 2, {"pcf": 1.5})], "fact 2: pcf -0.5 outside"),
             ([("facts", 2, {"adjusted_confidence": 1.5})], "fact 3: adjusted confidence 1.5 outside"),
             ([("kb", 0, {"authors": ["b", "b"]})], "KB isbn 1: duplicate author name 'b'"),
+            ([("facts", 1, {"isbn": "1\t"}), ("facts", 2, {"isbn": "2\n"})],
+             "fact 2: isbn '1\\t' holds a tab, CR or LF"),
             ([("websites", 1, {"trust": 2}), ("websites", 2, {"trust": 3})],
              "website http://b.example: trust 2.0 outside"),
             ([("method_trusts", "pcf", {"http://b.example": 7, "http://c.example": 8})],
              "pcf trust of http://b.example: 7.0 outside"),
             ([("method_trusts", "voting", {"http://d.example": 0.5})],
              "voting trust table and websites disagree on url 'http://d.example'"),
+            ([("kb", 0, {"isbn": "1\r"})], "KB isbn '1\\r' holds a tab, CR or LF"),
+            ([("websites", 1, {"url": "http://b.example/\t"}),
+              ("websites", 2, {"url": "http://c.example/\n"})],
+             "website url 'http://b.example/\\t' holds a tab, CR or LF"),
         ],
     )
     def test_refusal_names_the_first_record_that_breaks_a_rule(self, tmp_path, edits, message):
