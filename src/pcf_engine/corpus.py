@@ -223,7 +223,10 @@ def load_claims(path: str | Path) -> list[Claim]:
     once per call, and every claim of that field shares the resulting
     canonical key.
     """
-    claims: list[Claim] = []
+    # The claims' columns, and each claim's row for a refusal.
+    websites: list[str] = []
+    isbns: list[ObjectId] = []
+    keys: list[tuple[str, ...]] = []
     row_nums: list[int] = []
     key_of: dict[str, tuple[str, ...]] = {}
     row_num = 0
@@ -278,17 +281,18 @@ def load_claims(path: str | Path) -> list[Claim]:
                     whole = not quantity_field.strip()
                 if not whole or "_" in quantity_field:
                     raise CorpusError(f"{path}: row {row_num}: bad quantity {quantity_field!r}")
-                claims.append(Claim(website, isbn, authors))
+                websites.append(website)
+                isbns.append(isbn)
+                keys.append(authors)
                 row_nums.append(row_num)
         except csv.Error as exc:
             # The reader fails on the row after the last one it returned.
             raise CorpusError(f"{path}: row {row_num + 1}: {exc}")
-    websites, isbns = _columns(claims, "website", "object", get=attrgetter)
     for column, texts in (("website_url", websites), ("isbn", isbns)):
         i = _first_row_break(texts)
         if i is not None:
             raise CorpusError(f"{path}: row {row_nums[i]}: {column} holds a tab, CR or LF")
-    return claims
+    return list(map(Claim, websites, isbns, keys))
 
 
 def build_state(
