@@ -27,7 +27,7 @@ def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed, confi
     )
     kb_records = generator.generate_kb(spec)
     kb = {book.object: book for book in kb_records}
-    claims = generator.generate_claims(spec, kb_records)
+    claims = corpus.canonical_claims(generator.generate_claims(spec, kb_records))
     return engine.assign_pcf(corpus.build_state(kb, claims, config))
 
 

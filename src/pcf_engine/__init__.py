@@ -2,7 +2,7 @@
 
 from .baselines import pcf_run, truthfinder_run, voting_run
 from .corpus import (
-    Claim,
+    Claims,
     CorpusError,
     EngineConfig,
     FactRecord,
@@ -11,6 +11,7 @@ from .corpus import (
     TrustState,
     Website,
     build_state,
+    canonical_claims,
     load_claims,
     load_knowledge_base,
     load_state,

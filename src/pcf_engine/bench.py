@@ -95,7 +95,7 @@ def scaling_bench(sizes: list[int], seed: int = 0) -> list[tuple[int, int, float
         )
         t0 = perf_counter()
         kb_records = generator.generate_kb(spec)
-        claims = generator.generate_claims(spec, kb_records)
+        claims = corpus.canonical_claims(generator.generate_claims(spec, kb_records))
         kb = {book.object: book for book in kb_records}
         n_facts = len(corpus.build_state(kb, claims).facts)
         corpora.append((n, n_facts, perf_counter() - t0, kb, claims))

@@ -186,63 +186,80 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help, function and arguments as (flag, options), in the
+# order `pcf -h` lists them.
+COMMANDS = {
+    "ingest": ("build a state file from KB and claims files", cmd_ingest, [
+        ("--kb", {"required": True, "help": "knowledge base (JSON Lines)"}),
+        ("--claims", {"required": True, "help": "claims table (CSV)"}),
+        ("--state", {"required": True, "help": "output state file (JSON)"}),
+    ]),
+    "run": ("run trust epochs on a state file", cmd_run, [
+        ("--state", {"required": True}),
+        ("--epochs", {"type": int, "default": None}),
+        ("--epsilon", {"type": float, "default": None}),
+        ("--tol", {"type": float, "default": None}),
+    ]),
+    "query": ("rank provider websites for an ISBN or title", cmd_query, [
+        ("--state", {"required": True}),
+        ("--needle", {"required": True, "help": "ISBN or title substring"}),
+        ("--method", {
+            "choices": [baselines.METHOD_PCF, baselines.METHOD_TRUTHFINDER, baselines.METHOD_VOTING],
+            "default": baselines.METHOD_PCF,
+        }),
+        ("--top", {"type": int, "default": 10}),
+    ]),
+    "compare": ("trust table for all three methods", cmd_compare, [
+        ("--state", {"required": True}),
+    ]),
+    "gen": ("generate a synthetic KB and claims corpus", cmd_gen, [
+        ("--websites", {"type": int, "required": True}),
+        ("--objects", {"type": int, "required": True}),
+        ("--claims-per-site", {"type": int, "required": True}),
+        ("--corruption", {"type": float, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out-kb", {"required": True}),
+        ("--out-claims", {"required": True}),
+    ]),
+    "bench": ("scaling timings and epsilon sweeps", cmd_bench, [
+        ("--websites-list", {"type": _int_list, "default": None}),
+        ("--sweep-epsilon", {"type": _epsilon_grid, "default": None}),
+        ("--state", {"default": None, "help": "needed only by --sweep-epsilon"}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `pcf` parser with every subcommand, or with ``command``'s alone.
+
+    With one subcommand, the command list in the usage line is still the
+    full one, so every text the parser prints for that command is the full
+    parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="pcf",
         description="Rank fact-providing websites by trustworthiness against a knowledge base.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="build a state file from KB and claims files")
-    p_ingest.add_argument("--kb", required=True, help="knowledge base (JSON Lines)")
-    p_ingest.add_argument("--claims", required=True, help="claims table (CSV)")
-    p_ingest.add_argument("--state", required=True, help="output state file (JSON)")
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_run = sub.add_parser("run", help="run trust epochs on a state file")
-    p_run.add_argument("--state", required=True)
-    p_run.add_argument("--epochs", type=int, default=None)
-    p_run.add_argument("--epsilon", type=float, default=None)
-    p_run.add_argument("--tol", type=float, default=None)
-    p_run.set_defaults(func=cmd_run)
-
-    p_query = sub.add_parser("query", help="rank provider websites for an ISBN or title")
-    p_query.add_argument("--state", required=True)
-    p_query.add_argument("--needle", required=True, help="ISBN or title substring")
-    p_query.add_argument(
-        "--method",
-        choices=[baselines.METHOD_PCF, baselines.METHOD_TRUTHFINDER, baselines.METHOD_VOTING],
-        default=baselines.METHOD_PCF,
-    )
-    p_query.add_argument("--top", type=int, default=10)
-    p_query.set_defaults(func=cmd_query)
-
-    p_compare = sub.add_parser("compare", help="trust table for all three methods")
-    p_compare.add_argument("--state", required=True)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic KB and claims corpus")
-    p_gen.add_argument("--websites", type=int, required=True)
-    p_gen.add_argument("--objects", type=int, required=True)
-    p_gen.add_argument("--claims-per-site", type=int, required=True)
-    p_gen.add_argument("--corruption", type=float, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out-kb", required=True)
-    p_gen.add_argument("--out-claims", required=True)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="scaling timings and epsilon sweeps")
-    p_bench.add_argument("--websites-list", type=_int_list, default=None)
-    p_bench.add_argument("--sweep-epsilon", type=_epsilon_grid, default=None)
-    p_bench.add_argument("--state", default=None, help="needed only by --sweep-epsilon")
-    p_bench.set_defaults(func=cmd_bench)
-
+    # The metavar would rename the choice in `pcf bogus`'s error, which only
+    # the full parser prints.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named command's subparser is built; `pcf`, `pcf -h` and an
+    # unknown command get the full parser and its texts.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -15,7 +15,7 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 
@@ -52,17 +52,21 @@ class TrueFact:
 
 
 @dataclass
-class Claim:
-    """One website's asserted author list for one object.
+class Claims:
+    """A claims table as parallel columns, one entry per claim: each claim's
+    website url, object and canonical fact key (normalized names, sorted).
 
-    :func:`load_claims` gives ``authors`` as the canonical key, the
-    normalized names sorted, in a tuple that every claim with the same
-    authors field shares; :func:`build_state` takes the names in any order.
+    :func:`load_claims` gives every claim of one authors field the same key
+    tuple; :func:`canonical_claims` builds the columns from rows that name
+    their authors in any order.
     """
 
-    website: str
-    object: ObjectId
-    authors: Sequence[str]
+    websites: tuple[str, ...]
+    objects: tuple[ObjectId, ...]
+    authors: tuple[tuple[str, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.websites)
 
 
 @dataclass
@@ -209,33 +213,31 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     return kb
 
 
-def load_claims(path: str | Path) -> list[Claim]:
-    """Read a claims CSV (header ``website_url,isbn,authors,...``).
+def load_claims(path: str | Path) -> Claims:
+    """Read a claims CSV (header ``website_url,isbn,authors,...``) into columns.
 
     The authors column is semicolon-separated; names are normalized and
     rows whose author list comes out empty or names one author twice are
     rejected with their row number, as is a row with a non-numeric or
     non-finite price, a non-integer quantity (each in ASCII digits, with
     no ``_``), or one the csv module cannot read (a field over its size
-    limit). A url or ISBN holding a tab, CR or LF is rejected too, in one
-    sweep after the last row. Publisher, price and quantity are checked,
-    not kept. Each distinct authors field is normalized, checked and sorted
-    once per call, and every claim of that field shares the resulting
-    canonical key.
+    limit). A url or ISBN holding a tab, CR or LF is rejected too, after
+    the rows that the csv module could read. Blank rows are skipped but
+    counted. Publisher, price and quantity are checked, not kept. Each
+    distinct authors field is normalized, checked and sorted once per call,
+    and every claim of that field shares the resulting canonical key.
+
+    Each rule is one sweep over a column of all the rows; only when a sweep
+    fails does a pass over the rows name the first row that breaks a rule.
     """
-    # The claims' columns, and each claim's row for a refusal.
-    websites: list[str] = []
-    isbns: list[ObjectId] = []
-    keys: list[tuple[str, ...]] = []
-    row_nums: list[int] = []
-    key_of: dict[str, tuple[str, ...]] = {}
-    row_num = 0
+    rows: list[list[str]] = []
+    unread = None
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            return []
+            return Claims((), (), ())
         except csv.Error as exc:
             raise CorpusError(f"{path}: header: {exc}")
         if [h.strip() for h in header] != CLAIMS_HEADER:
@@ -243,91 +245,126 @@ def load_claims(path: str | Path) -> list[Claim]:
                 f"{path}: bad header; expected {','.join(CLAIMS_HEADER)}"
             )
         try:
-            for row_num, row in enumerate(reader, start=1):
-                if not "".join(row).strip():
-                    continue
-                if len(row) != len(CLAIMS_HEADER):
-                    raise CorpusError(
-                        f"{path}: row {row_num}: expected {len(CLAIMS_HEADER)} columns, got {len(row)}"
-                    )
-                website, isbn, authors_field, _publisher, price_field, quantity_field = row
-                website = website.strip()
-                isbn = isbn.strip()
-                if not website:
-                    raise CorpusError(f"{path}: row {row_num}: empty website_url")
-                if not isbn:
-                    raise CorpusError(f"{path}: row {row_num}: empty isbn")
-                authors = key_of.get(authors_field)
-                if authors is None:
-                    # Blank names between separators are dropped.
-                    names = [name for name in map(normalize_name, authors_field.split(";")) if name]
-                    try:
-                        check_authors(names)
-                    except ValueError as exc:
-                        raise CorpusError(f"{path}: row {row_num}: {exc}")
-                    authors = key_of[authors_field] = tuple(sorted(names))
-                # A blank price or quantity is allowed; float and int also
-                # take `_` and non-ASCII digits, which the format does not.
-                try:
-                    finite = math.isfinite(float(price_field)) and price_field.isascii()
-                except ValueError:
-                    finite = not price_field.strip()
-                if not finite or "_" in price_field:
-                    raise CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
-                try:
-                    int(quantity_field)
-                    whole = quantity_field.isascii()
-                except ValueError:
-                    whole = not quantity_field.strip()
-                if not whole or "_" in quantity_field:
-                    raise CorpusError(f"{path}: row {row_num}: bad quantity {quantity_field!r}")
-                websites.append(website)
-                isbns.append(isbn)
-                keys.append(authors)
-                row_nums.append(row_num)
+            rows.extend(reader)
         except csv.Error as exc:
             # The reader fails on the row after the last one it returned.
-            raise CorpusError(f"{path}: row {row_num + 1}: {exc}")
-    for column, texts in (("website_url", websites), ("isbn", isbns)):
+            unread = f"row {len(rows) + 1}: {exc}"
+    numbers: Sequence[int] = range(1, len(rows) + 1)
+    columns = _claim_columns(rows)
+    if columns is None:
+        # A blank row fails the width or the url sweep, so only then are
+        # blank rows looked for.
+        contents = tuple(map(str.strip, map("".join, rows)))
+        numbers, rows = list(compress(numbers, contents)), list(compress(rows, contents))
+        columns = _claim_columns(rows)
+    if columns is None:
+        number, problem = next(filter(itemgetter(1), zip(numbers, map(_row_problem, rows))))
+        raise CorpusError(f"{path}: row {number}: {problem}")
+    if unread is not None:
+        raise CorpusError(f"{path}: {unread}")
+    for column, texts in zip(("website_url", "isbn"), columns):
         i = _first_row_break(texts)
         if i is not None:
-            raise CorpusError(f"{path}: row {row_nums[i]}: {column} holds a tab, CR or LF")
-    return list(map(Claim, websites, isbns, keys))
+            raise CorpusError(f"{path}: row {numbers[i]}: {column} holds a tab, CR or LF")
+    return Claims(*columns)
+
+
+def _claim_columns(rows: list[list[str]]) -> tuple[tuple, tuple, tuple] | None:
+    """The url, ISBN and key columns of non-blank claims rows, or None when
+    a sweep finds a row that breaks a rule of :func:`load_claims`."""
+    if not {len(CLAIMS_HEADER)}.issuperset(map(len, rows)):
+        return None
+    websites, isbns, fields, prices, quantities = _columns(rows, 0, 1, 2, 4, 5)
+    websites, isbns = tuple(map(str.strip, websites)), tuple(map(str.strip, isbns))
+    distinct = dict.fromkeys(fields)
+    try:
+        key_of = dict(zip(distinct, map(_authors_key, distinct)))
+    except ValueError:
+        return None
+    if all(websites) and all(isbns) and _in_format(prices, float) and _in_format(quantities, int):
+        return websites, isbns, tuple(map(key_of.__getitem__, fields))
+    return None
+
+
+def _authors_key(field: str) -> tuple[str, ...]:
+    """The canonical key of a claims authors field; ValueError from
+    :func:`check_authors`. Blank names between separators are dropped."""
+    names = [name for name in map(normalize_name, field.split(";")) if name]
+    check_authors(names)
+    return tuple(sorted(names))
+
+
+def _in_format(fields: Sequence[str], number: type) -> bool:
+    """Whether each field that is not blank is a finite ``number`` (float or
+    int) written in ASCII with no ``_``: float and int also take non-ASCII
+    digits and ``_``, which the claims format does not."""
+    filled = tuple(filter(str.strip, fields))
+    text = "".join(filled)
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        values = tuple(map(number, filled))
+    except ValueError:
+        return False
+    return number is int or all(map(math.isfinite, values))
+
+
+def _row_problem(row: list[str]) -> str | None:
+    """The first rule of :func:`load_claims` that a non-blank row breaks, as
+    the text of its refusal, or None."""
+    if len(row) != len(CLAIMS_HEADER):
+        return f"expected {len(CLAIMS_HEADER)} columns, got {len(row)}"
+    website, isbn, field, _publisher, price, quantity = row
+    if not website.strip():
+        return "empty website_url"
+    if not isbn.strip():
+        return "empty isbn"
+    try:
+        _authors_key(field)
+    except ValueError as exc:
+        return str(exc)
+    if not _in_format((price,), float):
+        return f"bad price {price!r}"
+    if not _in_format((quantity,), int):
+        return f"bad quantity {quantity!r}"
+    return None
+
+
+def canonical_claims(rows: Sequence) -> Claims:
+    """The claims of rows with ``website``, ``object`` and ``authors``
+    attributes that name the authors in any order, such as
+    ``generator.ClaimRow``: each key sorted by :func:`canonical_authors`."""
+    websites, objects, authors = _columns(rows, "website", "object", "authors", get=attrgetter)
+    return Claims(websites, objects, tuple(map(canonical_authors, authors)))
 
 
 def build_state(
     kb: dict[ObjectId, TrueFact],
-    claims: list[Claim],
+    claims: Claims,
     config: EngineConfig | None = None,
 ) -> TrustState:
     """Merge claims into distinct facts and provider websites, in a fresh
     state with all trust and confidence fields at zero.
 
-    Claims with the same (object, canonical author list) collapse into one
-    fact, whatever order each lists its names in; exact duplicate claims
-    from the same website collapse silently.
+    Claims with the same object and canonical key collapse into one fact;
+    exact duplicate claims from the same website collapse silently.
     Website and fact ids follow first appearance order, so the table is
-    deterministic for a given claims list.
+    deterministic for a given claims table.
     """
-    websites: dict[str, Website] = {}
-    facts: dict[int, FactRecord] = {}
-    by_key: dict[tuple[ObjectId, tuple[str, ...]], FactRecord] = {}
-    for claim in claims:
-        site = websites.get(claim.website)
-        if site is None:
-            site = Website(id=len(websites) + 1, url=claim.website)
-            websites[claim.website] = site
-        key = (claim.object, canonical_authors(claim.authors))
-        fact = by_key.get(key)
-        if fact is None:
-            fact = FactRecord(
-                fact_id=len(facts) + 1, object=claim.object, authors=list(key[1])
-            )
-            facts[fact.fact_id] = fact
-            by_key[key] = fact
-        fact.providers.add(site.id)
+    site_ids = dict(zip(dict.fromkeys(claims.websites), count(1)))
+    keys = tuple(zip(claims.objects, claims.authors))
+    providers = {key: set() for key in dict.fromkeys(keys)}
+    for key, site in zip(keys, map(site_ids.__getitem__, claims.websites)):
+        providers[key].add(site)
+    fact_ids = range(1, len(providers) + 1)
+    objects, authors = _columns(providers, 0, 1)
     return TrustState(
-        websites=websites, facts=facts, kb=kb, config=config or EngineConfig()
+        websites=dict(zip(site_ids, map(Website, site_ids.values(), site_ids))),
+        facts=dict(zip(fact_ids, map(
+            FactRecord, fact_ids, objects, map(list, authors), providers.values()
+        ))),
+        kb=kb,
+        config=config or EngineConfig(),
     )
 
 
@@ -592,7 +629,7 @@ def _no_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-def _columns(records: Iterable, *keys: str, get: Callable = itemgetter) -> list[tuple]:
+def _columns(records: Iterable, *keys: str | int, get: Callable = itemgetter) -> list[tuple]:
     """Each key's values over ``records`` (items, or attributes with
     ``get=attrgetter``), one tuple per key."""
     # Not zip(*rows): its row tuples would stay on CPython's tuple free lists.

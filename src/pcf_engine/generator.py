@@ -73,8 +73,9 @@ class BookRow(TrueFact):
 class ClaimRow:
     """One generated claims row: a claim and the listing columns beside it.
 
-    ``authors`` is in claimed order, as written; ``corpus.build_state``
-    takes these rows as it takes loaded claims.
+    ``authors`` is in claimed order, as written to the claims file;
+    ``corpus.canonical_claims`` sorts each row's names into the fact key
+    that ``corpus.build_state`` merges on.
     """
 
     website: str

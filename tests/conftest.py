@@ -1,5 +1,6 @@
 import json
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -20,12 +21,13 @@ CORE_KB_RECORD = {
 }
 
 
+# A claim as the generator's rows give it, names in claimed order;
+# corpus.canonical_claims makes a list of them the columns build_state takes.
+Claim = namedtuple("Claim", "website object authors")
+
+
 def make_claim(website, isbn, authors):
-    return corpus.Claim(
-        website=website,
-        object=isbn,
-        authors=[corpus.normalize_name(a) for a in authors],
-    )
+    return Claim(website, isbn, [corpus.normalize_name(a) for a in authors])
 
 
 def core_java_claims():
@@ -49,7 +51,7 @@ def core_java_kb():
 
 @pytest.fixture
 def core_java_state(core_java_kb):
-    return corpus.build_state(core_java_kb, core_java_claims())
+    return corpus.build_state(core_java_kb, corpus.canonical_claims(core_java_claims()))
 
 
 def write_core_fixture(tmp_path):

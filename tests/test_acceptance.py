@@ -14,7 +14,7 @@ from scipy import stats
 
 from pcf_engine import baselines, bench, cli, corpus, engine, generator, similarity
 
-from conftest import CORE_TRUTH, W1, W2, core_java_claims, make_claim, one_epoch
+from conftest import CORE_TRUTH, W1, W2, Claim, core_java_claims, make_claim, one_epoch
 
 ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
@@ -42,7 +42,7 @@ def test_1_worked_example_golden(capsys, core_java_kb):
         ]
         assert name_scores == pytest.approx([1.0, 0.33333, 0.6, 0.41667], abs=1e-3)
 
-        state = engine.assign_pcf(corpus.build_state(core_java_kb, core_java_claims()))
+        state = engine.assign_pcf(corpus.build_state(core_java_kb, corpus.canonical_claims(core_java_claims())))
         state, _ = one_epoch(state)
         assert state.websites[W2].trust == pytest.approx(0.50833, abs=1e-3)
         assert state.websites[W1].trust == pytest.approx(0.66667, abs=1e-3)
@@ -86,7 +86,7 @@ def test_3_exact_copy_trust_is_one(capsys):
                             generator.corrupt_authors(rng, book.authors, 1.0),
                         )
                     )
-            state = engine.assign_pcf(corpus.build_state(kb, claims))
+            state = engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims)))
             state, _ = one_epoch(state)
             for url in exact_sites:
                 assert state.websites[url].trust == 1.0
@@ -106,7 +106,7 @@ def test_4_probability_bounds_suite(capsys):
             )
             kb_records = generator.generate_kb(spec)
             kb = {book.object: book for book in kb_records}
-            claims = generator.generate_claims(spec, kb_records)
+            claims = corpus.canonical_claims(generator.generate_claims(spec, kb_records))
             state = corpus.build_state(
                 kb,
                 claims,
@@ -157,7 +157,7 @@ def test_5_epsilon_sweep_trend(capsys):
             make_claim("http://weak.com", "200", ["bob"]),
             make_claim("http://exact.com", "200", ["bob stone"]),
         ]
-        state = engine.assign_pcf(corpus.build_state(kb, claims))
+        state = engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims)))
         for fact in state.facts.values():
             sibling_ids = [
                 f.fact_id
@@ -210,14 +210,14 @@ def _per_site_corruption_corpus(seed, n_objects=50, claims_per_site=60, sites_pe
             for j in range(claims_per_site):
                 book = kb_records[(site_index * claims_per_site + j) % n_objects]
                 claims.append(
-                    corpus.Claim(
+                    Claim(
                         website=url,
                         object=book.object,
                         authors=generator.corrupt_authors(rng, book.authors, rate),
                     )
                 )
     # As ingest stores it: the pcf baseline reads each fact's stored pcf.
-    return engine.assign_pcf(corpus.build_state(kb, claims, ONE_EPOCH)), rates
+    return engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims), ONE_EPOCH)), rates
 
 
 def test_7_method_comparison_substitute(capsys):
@@ -242,7 +242,7 @@ def test_7_method_comparison_substitute(capsys):
             make_claim("http://mangled-a.com", "100", ["graeme simsio"]),
             make_claim("http://mangled-b.com", "100", ["graeme simsio"]),
         ]
-        state = engine.assign_pcf(corpus.build_state(kb, claims, ONE_EPOCH))
+        state = engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims), ONE_EPOCH))
         ix = engine.build_index(state)
         pcf = baselines.pcf_run(state, ix)
         tf = baselines.truthfinder_run(state, ix)

@@ -13,7 +13,7 @@ ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
 
 def state_of(kb, claims, config=None):
-    return engine.assign_pcf(corpus.build_state(kb, claims, config))
+    return engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims), config))
 
 
 def run_voting(state):

@@ -79,6 +79,41 @@ def ingest(tmp_path, kb, claims):
     return state
 
 
+def _parser_failures():
+    """(command, argv tail) pairs that the parser refuses or answers with
+    help: help, a flag without its value, an unknown flag, and no arguments
+    where one is required."""
+    cases = []
+    for name, (_, _, arguments) in cli.COMMANDS.items():
+        tails = [["-h"], [arguments[-1][0]], ["--no-such-flag"]]
+        if any(options.get("required") for _, options in arguments):
+            tails.append([])
+        cases += [(name, tail) for tail in tails]
+    return cases
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, tail", _parser_failures())
+    def test_one_command_prints_what_the_full_parser_prints(self, capsys, command, tail):
+        # main builds only the named command's subparser.
+        texts = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit:
+                parse([command, *tail])
+            out = capsys.readouterr()
+            texts.append((exit.value.code, out.out, out.err))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]], ids=["none", "help", "unknown"])
+    def test_without_a_command_the_full_parser_answers(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert "{ingest,run,query,compare,gen,bench}" in out.out + out.err
+        if argv == ["-h"]:
+            assert all(help_text in out.out for help_text, _, _ in cli.COMMANDS.values())
+
+
 class TestIngest:
     def test_worked_example_fixture(self, tmp_path, capsys):
         kb, claims = write_core_fixture(tmp_path)
@@ -337,6 +372,9 @@ class TestRun:
             _tab_in_url,
             lambda d: d["kb"][0].update(isbn=d["kb"][0]["isbn"] + "\r"),
             lambda d: d["facts"][0].update(isbn=d["facts"][0]["isbn"] + "\n"),
+            # The bare NaN token, which save_state never writes, in a field
+            # the loader reads.
+            lambda d: d["websites"][0].update(trust=math.nan),
         ],
         ids=[
             "missing-provider", "providers-unmirrored", "nan-trust", "trust-above-one",
@@ -358,6 +396,7 @@ class TestRun:
             "facts-as-string", "facts-as-object", "kb-as-string", "kb-as-object",
             "string-fact", "list-website", "config-as-list", "null-kb-book",
             "negative-epoch", "url-with-tab", "kb-isbn-with-cr", "fact-isbn-with-lf",
+            "nan-token-trust",
         ],
     )
     def test_corrupted_state_exits_2(self, tmp_path, capsys, corrupt):

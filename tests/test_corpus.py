@@ -256,6 +256,79 @@ def _check_state(path, sites, facts):
             )
 
 
+# The row-by-row loader that ``corpus.load_claims`` replaced, kept as the
+# oracle of the column sweeps: the same claims, or the same refusal text with
+# the same row number.
+def reference_load_claims(path):
+    """Read a claims CSV one row at a time, each row through every rule in turn."""
+    websites, isbns, keys, row_nums = [], [], [], []
+    key_of = {}
+    row_num = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return corpus.Claims((), (), ())
+        except csv.Error as exc:
+            raise corpus.CorpusError(f"{path}: header: {exc}")
+        if [h.strip() for h in header] != corpus.CLAIMS_HEADER:
+            raise corpus.CorpusError(
+                f"{path}: bad header; expected {','.join(corpus.CLAIMS_HEADER)}"
+            )
+        width = len(corpus.CLAIMS_HEADER)
+        try:
+            for row_num, row in enumerate(reader, start=1):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise corpus.CorpusError(
+                        f"{path}: row {row_num}: expected {width} columns, got {len(row)}"
+                    )
+                website, isbn, authors_field, _publisher, price_field, quantity_field = row
+                website = website.strip()
+                isbn = isbn.strip()
+                if not website:
+                    raise corpus.CorpusError(f"{path}: row {row_num}: empty website_url")
+                if not isbn:
+                    raise corpus.CorpusError(f"{path}: row {row_num}: empty isbn")
+                authors = key_of.get(authors_field)
+                if authors is None:
+                    names = [n for n in map(corpus.normalize_name, authors_field.split(";")) if n]
+                    try:
+                        corpus.check_authors(names)
+                    except ValueError as exc:
+                        raise corpus.CorpusError(f"{path}: row {row_num}: {exc}")
+                    authors = key_of[authors_field] = tuple(sorted(names))
+                try:
+                    finite = math.isfinite(float(price_field)) and price_field.isascii()
+                except ValueError:
+                    finite = not price_field.strip()
+                if not finite or "_" in price_field:
+                    raise corpus.CorpusError(f"{path}: row {row_num}: bad price {price_field!r}")
+                try:
+                    int(quantity_field)
+                    whole = quantity_field.isascii()
+                except ValueError:
+                    whole = not quantity_field.strip()
+                if not whole or "_" in quantity_field:
+                    raise corpus.CorpusError(
+                        f"{path}: row {row_num}: bad quantity {quantity_field!r}"
+                    )
+                websites.append(website)
+                isbns.append(isbn)
+                keys.append(authors)
+                row_nums.append(row_num)
+        except csv.Error as exc:
+            # The reader fails on the row after the last one it returned.
+            raise corpus.CorpusError(f"{path}: row {row_num + 1}: {exc}")
+    for column, texts in (("website_url", websites), ("isbn", isbns)):
+        for text, num in zip(texts, row_nums):
+            if "\t" in text or "\r" in text or "\n" in text:
+                raise corpus.CorpusError(f"{path}: row {num}: {column} holds a tab, CR or LF")
+    return corpus.Claims(tuple(websites), tuple(isbns), tuple(keys))
+
+
 _DROPPED_PUNCT = str.maketrans("", "", ".,")
 _WHITESPACE = re.compile(r"\s+")
 
@@ -488,20 +561,19 @@ class TestLoadClaims:
         # Each claim carries its canonical key: normalized names, sorted.
         _, claims_path = write_core_fixture(tmp_path)
         claims = corpus.load_claims(claims_path)
-        assert claims == [
-            corpus.Claim(W1, CORE_ISBN, ("cay s horstmenn", "gary")),
-            corpus.Claim(W2, CORE_ISBN, ("corne", "horstmenn")),
-        ]
+        assert claims == corpus.Claims(
+            (W1, W2), (CORE_ISBN, CORE_ISBN), (("cay s horstmenn", "gary"), ("corne", "horstmenn"))
+        )
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text("", encoding="utf-8")
-        assert corpus.load_claims(path) == []
+        assert corpus.load_claims(path) == corpus.Claims((), (), ())
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "claims.csv"
         path.write_text("website_url,isbn,authors,publisher,price,quantity\n", encoding="utf-8")
-        assert corpus.load_claims(path) == []
+        assert corpus.load_claims(path) == corpus.Claims((), (), ())
 
     def test_blank_author_field_names_row(self, tmp_path):
         path = tmp_path / "claims.csv"
@@ -631,7 +703,7 @@ class TestLoadClaims:
             lambda t: st.permutations([*t[0], *t[1], *[t[3]][: t[2]]])
         ).map(";".join)
         pool = data.draw(st.lists(fields, min_size=1, max_size=4), label="fields")
-        rows, expected, fields_of, refused = [], [], [], None
+        rows, expected, fields_of, refused = [], ([], [], []), [], None
         for site, isbn, field, blank in data.draw(st.lists(st.tuples(
             st.sampled_from(["http://w1.com", "http://w2.com", "http://w3.com"]),
             st.sampled_from(["i1", "i2"]),
@@ -648,7 +720,8 @@ class TestLoadClaims:
             repeated = [n for i, n in enumerate(authors) if n in authors[:i]]
             if repeated and refused is None:
                 refused = f"row {len(rows)}: duplicate author name {repeated[0]!r}"
-            expected.append(corpus.Claim(site, isbn, tuple(sorted(authors))))
+            for column, value in zip(expected, (site, isbn, tuple(sorted(authors)))):
+                column.append(value)
             fields_of.append(field)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "claims.csv"
@@ -660,11 +733,65 @@ class TestLoadClaims:
                     corpus.load_claims(path)
                 return
             claims = corpus.load_claims(path)
-        assert claims == expected
+        assert claims == corpus.Claims(*map(tuple, expected))
         shared = {}
-        for claim, field in zip(claims, fields_of):
-            assert type(claim.authors) is tuple
-            assert shared.setdefault(field, claim.authors) is claim.authors
+        for authors, field in zip(claims.authors, fields_of):
+            assert type(authors) is tuple
+            assert shared.setdefault(field, authors) is authors
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_row_by_row_reference(self, data):
+        """Files of valid rows, blank rows among them, with a few cells or
+        widths made bad and perhaps a field over the csv limit, load as
+        :func:`reference_load_claims` loads them: the same columns, or the same
+        refusal text with the same row number."""
+        valid = [
+            ["http://w1.com", "http://w2.com", " http://w3.com "],
+            ["i1", "i2", " i3 "],
+            ["Ann Ax", "ann ax;Bob By", "Bob By; A. Ax", "cy cz;BOB  BY;", "ANN\tAX"],
+            ["", "pub"],
+            ["2.5", "", " ", "\u3000", " 3 ", "1e3", "-0"],
+            ["3", "", " ", "\u3000", " 4 ", "+0", "-7"],
+        ]
+        bad = [
+            [" ", "", "http://w\t4.com", "http://w5\r.com", "http://w6\n.com"],
+            ["", " ", "i\t4", "i5\r\n", "\ni6"],
+            ["", " ; ", "Ann Ax;ann ax", "Cy;Bob By;cy"],
+            [],
+            ["1_0", "١٢", "１.5", "nan", "inf", "-Infinity", "1e400", "x", "\u30002.5"],
+            ["1_000", "٣", "2.5", "nan", "inf", "1e3", "x", "\u30003"],
+        ]
+        blank = st.sampled_from([[], [""], ["  ", "\t"], [" "] * 6, ["", "", "", "", "", ""]])
+        claim = st.tuples(*map(st.sampled_from, valid)).map(list)
+        rows = data.draw(st.lists(claim | blank, max_size=12), label="rows")
+        for i, column in data.draw(st.lists(st.tuples(
+            st.integers(0, max(len(rows) - 1, 0)), st.integers(-2, len(bad) - 1)
+        ), max_size=3), label="edits"):
+            if i >= len(rows):
+                continue
+            if column == -2:
+                rows[i] = rows[i][:-1] or ["http://w1.com"]
+            elif column == -1:
+                rows[i] = [*rows[i], "extra"]
+            elif bad[column] and len(rows[i]) == len(valid):
+                rows[i][column] = data.draw(st.sampled_from(bad[column]), label="bad cell")
+        big = data.draw(st.none() | st.integers(0, len(rows)), label="over the csv limit")
+        if big is not None:
+            rows.insert(big, ["http://big.com", "i1", "x" * 140_000, "", "", ""])
+
+        def outcome(load, path):
+            try:
+                return load(path)
+            except corpus.CorpusError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "claims.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([corpus.CLAIMS_HEADER, *rows])
+            assert outcome(corpus.load_claims, path) == outcome(reference_load_claims, path)
 
 
 class TestBuildFactTable:
@@ -673,7 +800,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://b.com", "1", ["x y"]),
         ]
-        facts = corpus.build_state({}, claims).facts
+        facts = corpus.build_state({}, corpus.canonical_claims(claims)).facts
         assert len(facts) == 1
         assert facts[1].providers == {1, 2}
 
@@ -682,7 +809,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y", "z w"]),
             make_claim("http://b.com", "1", ["z w", "x y"]),
         ]
-        facts = corpus.build_state({}, claims).facts
+        facts = corpus.build_state({}, corpus.canonical_claims(claims)).facts
         assert len(facts) == 1
 
     def test_conflicting_claims_stay_apart(self):
@@ -690,7 +817,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://b.com", "1", ["z w"]),
         ]
-        state = corpus.build_state({}, claims)
+        state = corpus.build_state({}, corpus.canonical_claims(claims))
         websites, facts = state.websites, state.facts
         assert len(facts) == 2
         assert facts[1].providers == {websites["http://a.com"].id}
@@ -701,7 +828,7 @@ class TestBuildFactTable:
             make_claim("http://a.com", "1", ["x y"]),
             make_claim("http://a.com", "1", ["x y"]),
         ]
-        state = corpus.build_state({}, claims)
+        state = corpus.build_state({}, corpus.canonical_claims(claims))
         websites, facts = state.websites, state.facts
         assert len(facts) == 1
         assert facts[1].providers == {1}
@@ -713,14 +840,16 @@ class TestBuildFactTable:
             url = f"http://site{i:02d}.example.com"
             claims.append(make_claim(url, f"isbn{2 * i}", [f"author {i} one"]))
             claims.append(make_claim(url, f"isbn{2 * i + 1}", [f"author {i} two"]))
-        state = corpus.build_state({}, claims)
+        state = corpus.build_state({}, corpus.canonical_claims(claims))
         assert len(state.facts) == 100
         assert len(state.websites) == 50
         ix = engine.build_index(state)
         assert all(len(own) == 2 for own in ix.site_facts)
 
     def test_fields_initialized_to_zero(self):
-        facts = corpus.build_state({}, [make_claim("http://a.com", "1", ["x y"])]).facts
+        facts = corpus.build_state(
+            {}, corpus.canonical_claims([make_claim("http://a.com", "1", ["x y"])])
+        ).facts
         fact = facts[1]
         assert fact.pcf == 0.0
         assert fact.adjusted_confidence == 0.0
@@ -742,7 +871,7 @@ class TestBuildFactTable:
     )
     def test_provider_pairs_count_deduped_rows(self, rows):
         claims = [make_claim(url, isbn, authors) for url, isbn, authors in rows]
-        state = corpus.build_state({}, claims)
+        state = corpus.build_state({}, corpus.canonical_claims(claims))
         distinct_pairs = {
             (c.website, c.object, corpus.canonical_authors(c.authors)) for c in claims
         }
@@ -754,7 +883,7 @@ class TestBuildFactTable:
 class TestBuildState:
     def test_unknown_objects_flagged(self, core_java_kb):
         claims = core_java_claims() + [make_claim(W1, "no-such-isbn", ["q r"])]
-        ix = engine.build_index(corpus.build_state(core_java_kb, claims))
+        ix = engine.build_index(corpus.build_state(core_java_kb, corpus.canonical_claims(claims)))
         known = {f.object: flag for f, flag in zip(ix.facts, ix.known)}
         assert known["no-such-isbn"] is False
         assert known[CORE_ISBN] is True

@@ -81,13 +81,13 @@ def exact_copy_state(n_sites=3, kb=None, config=None):
         url = f"http://copy{i}.example.com"
         for isbn, truth in kb.items():
             claims.append(make_claim(url, isbn, truth.authors))
-    return engine.assign_pcf(corpus.build_state(kb, claims, config))
+    return engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims), config))
 
 
 class TestAssignPcf:
     def test_exact_copy_fact(self, core_java_kb):
         state = corpus.build_state(
-            core_java_kb, [make_claim(W1, CORE_ISBN, CORE_TRUTH)]
+            core_java_kb, corpus.canonical_claims([make_claim(W1, CORE_ISBN, CORE_TRUTH)])
         )
         state = engine.assign_pcf(state)
         assert state.facts[1].pcf == 1.0
@@ -100,7 +100,7 @@ class TestAssignPcf:
 
     def test_unknown_object_scores_zero(self, core_java_kb):
         state = corpus.build_state(
-            core_java_kb, [make_claim(W1, "missing", ["cay s horstmenn"])]
+            core_java_kb, corpus.canonical_claims([make_claim(W1, "missing", ["cay s horstmenn"])])
         )
         state = engine.assign_pcf(state)
         assert state.facts[1].pcf == 0.0
@@ -129,10 +129,10 @@ class TestUpdateTrust:
     def test_second_epoch_averages_adjusted_confidence(self, core_java_kb):
         state = corpus.build_state(
             core_java_kb,
-            [
+            corpus.canonical_claims([
                 make_claim(W1, CORE_ISBN, CORE_TRUTH),
                 make_claim(W1, "other", ["x y"]),
-            ],
+            ]),
         )
         state = engine.assign_pcf(state)
         site = state.websites[W1]
@@ -144,7 +144,9 @@ class TestUpdateTrust:
         assert updated.websites[W1].trust == pytest.approx(0.6)
 
     def test_site_without_facts_stays_zero(self, core_java_kb):
-        state = corpus.build_state(core_java_kb, [make_claim(W1, CORE_ISBN, CORE_TRUTH)])
+        state = corpus.build_state(
+            core_java_kb, corpus.canonical_claims([make_claim(W1, CORE_ISBN, CORE_TRUTH)])
+        )
         state.websites["http://empty.example.com"] = corpus.Website(
             id=99, url="http://empty.example.com"
         )
@@ -159,11 +161,11 @@ class TestUpdateTrust:
         t, u = "http://t.example.com", "http://u.example.com"
         state = corpus.build_state(
             core_java_kb,
-            [
+            corpus.canonical_claims([
                 make_claim(t, CORE_ISBN, CORE_TRUTH),
                 make_claim(t, "not-in-kb", ["q r"]),
                 make_claim(u, "not-in-kb", ["q r"]),
-            ],
+            ]),
         )
         state = engine.assign_pcf(state)
         (shared,) = [f for f in state.facts.values() if f.object == "not-in-kb"]
@@ -429,7 +431,7 @@ class TestRunEpoch:
         )
         kb_records = generator.generate_kb(spec)
         kb = {b.object: b for b in kb_records}
-        claims = generator.generate_claims(spec, kb_records)
+        claims = corpus.canonical_claims(generator.generate_claims(spec, kb_records))
         config = corpus.EngineConfig(max_epochs=3, convergence_tol=0.0)
         whole = engine.assign_pcf(corpus.build_state(kb, claims, config))
         stepped = copy.deepcopy(whole)
@@ -449,7 +451,9 @@ class TestRunEpoch:
         kb_records = generator.generate_kb(spec)
         kb = {b.object: b for b in kb_records}
         base = engine.assign_pcf(
-            corpus.build_state(kb, generator.generate_claims(spec, kb_records))
+            corpus.build_state(
+                kb, corpus.canonical_claims(generator.generate_claims(spec, kb_records))
+            )
         )
         assert max(map(len, engine.build_index(base).groups)) > 2
         factor = engine.implication_factor
@@ -605,7 +609,7 @@ class TestEpochBounds:
         )
         kb_records = generator.generate_kb(spec)
         kb = {b.object: b for b in kb_records}
-        claims = generator.generate_claims(spec, kb_records)
+        claims = corpus.canonical_claims(generator.generate_claims(spec, kb_records))
         config = corpus.EngineConfig(max_epochs=3, convergence_tol=0.0)
         state = engine.assign_pcf(corpus.build_state(kb, claims, config))
         state, _ = engine.run(state)

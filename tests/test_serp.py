@@ -137,7 +137,8 @@ class TestQuery:
         )
         books = generator.generate_kb(spec)
         state = corpus.build_state(
-            {b.object: b for b in books}, generator.generate_claims(spec, books)
+            {b.object: b for b in books},
+            corpus.canonical_claims(generator.generate_claims(spec, books)),
         )
         state, _ = engine.run(engine.assign_pcf(state))
         state.method_trusts["pcf"] = {url: site.trust for url, site in state.websites.items()}

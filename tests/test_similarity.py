@@ -178,7 +178,7 @@ class TestWebsiteSim:
     known objects, is the trust the first epoch gives it."""
 
     def _trust(self, claims, kb, url="http://x.com"):
-        state, _ = one_epoch(engine.assign_pcf(corpus.build_state(kb, claims)))
+        state, _ = one_epoch(engine.assign_pcf(corpus.build_state(kb, corpus.canonical_claims(claims))))
         return state.websites[url].trust
 
     def test_exact_copy_site(self, core_java_kb):
