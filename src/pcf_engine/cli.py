@@ -240,8 +240,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="pcf",
         description="Rank fact-providing websites by trustworthiness against a knowledge base.",
     )
-    # The metavar would rename the choice in `pcf bogus`'s error, which only
-    # the full parser prints.
+    # A one-command parser lists every command in its usage line, as the
+    # full parser does. The full parser sets no metavar: one would replace
+    # `command` in the error that `pcf bogus` prints.
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, func, arguments) in COMMANDS.items():

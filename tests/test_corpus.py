@@ -766,6 +766,8 @@ class TestLoadClaims:
         blank = st.sampled_from([[], [""], ["  ", "\t"], [" "] * 6, ["", "", "", "", "", ""]])
         claim = st.tuples(*map(st.sampled_from, valid)).map(list)
         rows = data.draw(st.lists(claim | blank, max_size=12), label="rows")
+        # Column -2 drops a row's last field, -1 adds one, and 0-5 put a bad
+        # cell in that column of a full row.
         for i, column in data.draw(st.lists(st.tuples(
             st.integers(0, max(len(rows) - 1, 0)), st.integers(-2, len(bad) - 1)
         ), max_size=3), label="edits"):
