@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -261,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     # unknown command get the full parser and its texts.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    # No command makes cyclic garbage that grows with its input, so the
+    # collector's passes over the state's containers are pure cost.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
@@ -280,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except serp.StaleMethodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

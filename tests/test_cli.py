@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcf_engine import cli, corpus, engine, generator
+from pcf_engine import cli, corpus, engine, generator, serp
 
 from conftest import (
     CORE_ISBN, REPLACEMENTS, W1, json_paths, list_mutations, write_core_fixture
@@ -801,6 +802,117 @@ class TestClosedStdout:
         assert done.returncode == 0
         assert state_path.read_bytes() != before
         corpus.load_state(state_path)
+
+
+@pytest.fixture
+def collector():
+    """Turn the cyclic collector back to its state before the test."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _with_command(monkeypatch, name, func):
+    """Make `pcf name` call ``func`` in place of its ``cmd_*`` function."""
+    help_text, _, arguments = cli.COMMANDS[name]
+    monkeypatch.setitem(cli.COMMANDS, name, (help_text, func, arguments))
+
+
+def _raises(exc_type, *args):
+    def command(parsed):
+        raise exc_type(*args)
+
+    return command
+
+
+# Each way out of main: the command (None: argparse refuses the arguments)
+# and the exit status or the exception that leaves main.
+EXITS = {
+    "ok": (lambda parsed: cli.EXIT_OK, 0),
+    "state-error": (_raises(corpus.StateError, "bad state"), 2),
+    "stale": (_raises(serp.StaleMethodError, "stale method"), 3),
+    "broken-pipe": (_raises(BrokenPipeError), 0),
+    "unexpected": (_raises(RuntimeError, "a bug"), RuntimeError),
+    "usage": (None, SystemExit),
+}
+
+
+class TestCollectorPause:
+    """main runs the command with the cyclic collector paused."""
+
+    def test_command_runs_with_the_collector_off(self, monkeypatch, collector):
+        seen = []
+        _with_command(monkeypatch, "query", lambda parsed: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert cli.main(["query", "--state", "state.json", "--needle", "x"]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("way_out", EXITS)
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, tmp_path, monkeypatch, collector, way_out, enabled
+    ):
+        func, expected = EXITS[way_out]
+        if func is None:
+            argv = ["query"]  # --state and --needle are required
+        else:
+            _with_command(monkeypatch, "query", func)
+            argv = ["query", "--state", "state.json", "--needle", "x"]
+        # The broken-pipe path points stdout's descriptor at the null device,
+        # so stdout is a file of the test's own.
+        with open(tmp_path / "stdout.txt", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            (gc.enable if enabled else gc.disable)()
+            if isinstance(expected, int):
+                assert cli.main(argv) == expected
+            else:
+                with pytest.raises(expected):
+                    cli.main(argv)
+            assert gc.isenabled() is enabled
+
+
+def _cyclic_garbage(tmp_path, websites):
+    """What ``gc.collect()`` finds after each command on a `pcf gen` corpus
+    of ``websites`` sites, with the collector off throughout."""
+    tmp_path.mkdir()
+    args, kb, claims = gen_args(
+        tmp_path, websites=websites, objects=websites // 2, corruption=0.3, seed=2
+    )
+    state = tmp_path / "state.json"
+    refused = tmp_path / "refused.json"
+    commands = {
+        "gen": args,
+        "ingest": ["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)],
+        "run": ["run", "--state", str(state)],
+        "compare": ["compare", "--state", str(state)],
+        "query": ["query", "--state", str(state), "--needle", "vol 1", "--top", "50"],
+        "sweep": ["bench", "--sweep-epsilon", "0:0.5:0.1", "--state", str(state)],
+        "scaling": ["bench", "--websites-list", str(websites)],
+        "refused": ["query", "--state", str(refused), "--needle", "vol 1"],
+    }
+    found = {}
+    gc.disable()
+    for name, argv in commands.items():
+        if name == "refused":
+            # The last site breaks a rule, so the loader reads every record first.
+            doc = json.loads(state.read_text(encoding="utf-8"))
+            doc["websites"][-1]["trust"] = 2.0
+            refused.write_text(json.dumps(doc), encoding="utf-8")
+        gc.collect()
+        assert cli.main(argv) == (2 if name == "refused" else 0)
+        found[name] = gc.collect()
+    return found
+
+
+class TestCyclicGarbage:
+    """Why the pause is sound: no command leaves cyclic garbage that grows
+    with its input, so pausing the collector for a command holds back no
+    memory that grows with it either."""
+
+    def test_a_larger_corpus_leaves_no_more(self, tmp_path, collector):
+        small = _cyclic_garbage(tmp_path / "small", 50)
+        large = _cyclic_garbage(tmp_path / "large", 400)
+        assert all(large[name] <= small[name] for name in small), (small, large)
 
 
 @pytest.fixture(scope="module")

@@ -363,6 +363,8 @@ numbers = (
     | st.integers(-(10**20), 10**20)
 )
 ids = st.integers(-3, 10**9)
+# EngineConfig refuses values the engine cannot run with.
+epsilons = st.sampled_from([5e-324, 1e-10, 0.1 + 0.2, -0.0, 0, 1]) | st.floats(0, 1)
 
 
 @st.composite
@@ -386,13 +388,75 @@ def library_states(draw):
         )
         for fact_id in draw(st.lists(ids, max_size=3, unique=True))
     }
-    # EngineConfig refuses values the engine cannot run with.
-    epsilon = st.sampled_from([5e-324, 1e-10, 0.1 + 0.2, -0.0, 0, 1]) | st.floats(0, 1)
-    config = corpus.EngineConfig(draw(epsilon), draw(numbers), draw(st.integers(1, 10**9)))
+    config = corpus.EngineConfig(draw(epsilons), draw(numbers), draw(st.integers(1, 10**9)))
     method_trusts = draw(
         st.dictionaries(texts, st.dictionaries(texts, numbers, max_size=3), max_size=3)
     )
     return corpus.TrustState(websites, facts, kb, draw(ids), config, method_trusts)
+
+
+# Texts that ``load_state`` takes as a url or an ISBN: no tab, CR or LF.
+unbroken_texts = st.text(
+    alphabet=st.sampled_from(list('ab "\\/\x00\x1f\x7fé€😀 '))
+    | st.characters(exclude_characters="\t\r\n"),
+    max_size=8,
+)
+# Author names: not blank, and without the claims separator.
+author_names = st.text(
+    alphabet=st.sampled_from(list('ab "\\\x00é😀 ')) | st.characters(exclude_characters=";"),
+    min_size=1,
+    max_size=6,
+)
+# Probabilities, with the edges and signed zero that a loader must keep
+# apart, and ints, which load as floats.
+probabilities = (
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1, 5e-324, 0.1 + 0.2, 0.5]) | st.floats(0, 1)
+)
+
+
+@st.composite
+def valid_states(draw):
+    """A TrustState that ``load_state`` takes, valid by construction: ids
+    from ranges, providers from the site ids, fact author lists sorted and
+    distinct, method tables that name exactly the websites, and
+    probabilities that repeat within the state."""
+    pool = draw(st.lists(probabilities, min_size=1, max_size=3))
+    probability = st.sampled_from(pool) | probabilities
+    author_lists = st.lists(author_names, min_size=1, max_size=3, unique=True)
+    kb = {
+        isbn: corpus.TrueFact(isbn, draw(author_lists), draw(texts))
+        for isbn in draw(st.lists(unbroken_texts.filter(bool), max_size=3, unique=True))
+    }
+    urls = draw(st.lists(unbroken_texts, max_size=4, unique=True))
+    first_site = draw(ids)
+    site_ids = draw(st.permutations(range(first_site, first_site + len(urls))))
+    websites = {
+        url: corpus.Website(site_id, url, draw(probability))
+        for url, site_id in zip(urls, site_ids)
+    }
+    keys = st.tuples(unbroken_texts.filter(bool), author_lists.map(sorted))
+    fact_keys = draw(
+        st.lists(keys, max_size=4 if urls else 0, unique_by=lambda k: (k[0], tuple(k[1])))
+    )
+    first_fact = draw(ids)
+    facts = {
+        fact_id: corpus.FactRecord(
+            fact_id,
+            isbn,
+            authors,
+            set(draw(st.lists(st.sampled_from(site_ids), min_size=1, unique=True))),
+            draw(probability),
+            draw(probability),
+        )
+        for fact_id, (isbn, authors) in enumerate(fact_keys, first_fact)
+    }
+    config = corpus.EngineConfig(draw(epsilons), draw(numbers), draw(st.integers(1, 10**9)))
+    method_trusts = {
+        method: {url: draw(probability) for url in urls}
+        for method in draw(st.lists(texts, max_size=3, unique=True))
+    }
+    epoch = draw(st.integers(0, 10**9))
+    return corpus.TrustState(websites, facts, kb, epoch, config, method_trusts)
 
 
 def _edge_state(method_trusts):
@@ -1102,6 +1166,13 @@ OVERFLOW = 1.25e300
 NUMBERS = [0, 1, 2, 1.0, -0.0, 1.5, 5e-324, 10**400, OVERFLOW]
 
 
+def _saved_text(state):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        corpus.save_state(state, path)
+        return path.read_text(encoding="utf-8")
+
+
 def _dumps(doc):
     return json.dumps(doc).replace(repr(OVERFLOW), "1e400")
 
@@ -1158,11 +1229,12 @@ class TestLoadState:
     @given(state=library_states())
     @example(state=_edge_state({"pcf": {}, "voting": {"\\😀\x01": 1, "é": 0.5}}))
     def test_library_states_load_as_the_reference(self, state):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "state.json"
-            corpus.save_state(state, path)
-            text = path.read_text(encoding="utf-8")
-        assert_loads_as_the_reference(text)
+        assert_loads_as_the_reference(_saved_text(state))
+
+    @settings(deadline=None)
+    @given(state=valid_states())
+    def test_valid_states_load_as_the_reference(self, state):
+        assert assert_loads_as_the_reference(_saved_text(state)) is not None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
