@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
-from functools import reduce
-from itertools import combinations
-from operator import add
+from itertools import islice
 from time import perf_counter
 
 from . import corpus, engine, generator
@@ -24,27 +22,36 @@ def epsilon_sweep(
 ) -> list[tuple[float, float]]:
     """Mean implication factor over all same-object fact pairs per epsilon.
 
-    Each unordered pair is counted once, oriented by ascending fact id. An
-    epsilon that :class:`~pcf_engine.corpus.EngineConfig` refuses raises
-    ValueError before any row is computed.
+    Each unordered pair is counted once, oriented by ascending fact id, and
+    the factors are added left to right from 0.0 in group order. The pairs
+    are walked anew for each epsilon, not kept, and each distinct
+    (p_low, p_high) value pair's factor is computed once per epsilon, so
+    memory grows with the facts and the distinct value pairs, not with the
+    pairs. An epsilon that :class:`~pcf_engine.corpus.EngineConfig` refuses
+    raises ValueError before any row is computed.
     """
     for eps in epsilons:
         corpus.EngineConfig(epsilon=eps)
     ix = engine.build_index(state)
-    pairs = [
-        (ix.facts[low].pcf, ix.facts[high].pcf)
-        for group in ix.groups
-        for low, high in combinations(group, 2)
-    ]
+    groups = [[ix.facts[k].pcf for k in group] for group in ix.groups]
+    n_pairs = sum(len(values) * (len(values) - 1) // 2 for values in groups)
 
     rows = []
     for eps in epsilons:
-        if pairs:
-            factors = (engine.implication_factor(p1, p2, eps) for p1, p2 in pairs)
-            mean = reduce(add, factors, 0.0) / len(pairs)
-        else:
-            mean = 0.0
-        rows.append((eps, mean))
+        total = 0.0
+        # p_low -> {p_high: implication_factor(p_low, p_high, eps)}
+        factors: dict[float, dict[float, float]] = {}
+        for values in groups:
+            for i, p_low in enumerate(values):
+                row = factors.get(p_low)
+                if row is None:
+                    row = factors[p_low] = {}
+                for p_high in islice(values, i + 1, None):
+                    factor = row.get(p_high)
+                    if factor is None:
+                        factor = row[p_high] = engine.implication_factor(p_low, p_high, eps)
+                    total += factor
+        rows.append((eps, total / n_pairs if n_pairs else 0.0))
     return rows
 
 

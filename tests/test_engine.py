@@ -1,10 +1,11 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from typing import Iterable
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
@@ -332,6 +333,126 @@ class TestAdjustGroup:
         engine.adjust_confidences(rows, confidence, adjusted)
         assert adjusted[1::2] == expected
         assert adjusted[::2] == [-1.0] * (len(scores) + 1)
+
+
+def takes_value_rows(n, d):
+    """The measured rule: per-value rows for n facts holding d distinct pcf values."""
+    return n >= 4 * (d + 4)
+
+
+def bits(values):
+    """Floats as hex text, so that 0.0 and -0.0 differ."""
+    return [v.hex() for v in values]
+
+
+# The pcf grid with -0.0 beside 0.0, or any probability.
+form_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0, 1 / 3]), probabilities
+)
+EDGE_VALUES = [0.0, -0.0, 0.9, 0.5, 0.6, 0.2]
+EDGE_PICKS = [(i % 6, 0.1 * (i % 7), 0.05 * (i % 5)) for i in range(64)]
+
+
+class TestRowForms:
+    """Per-fact rows and per-value groups, each against the per-fact reference."""
+
+    @given(
+        values=st.lists(form_values, min_size=1, max_size=10),
+        n=st.integers(min_value=1, max_value=64),
+        # (value index, confidence in a, confidence in b) per fact; n are used.
+        picks=st.lists(
+            st.tuples(st.integers(0, 9), probabilities, probabilities), min_size=64, max_size=64
+        ),
+        other=st.lists(st.tuples(form_values, probabilities), min_size=1, max_size=24),
+        epsilon=st.sampled_from([0.0, 0.25, 0.4, 1.0]),
+    )
+    # A per-value group holding 0.0 and -0.0 and the pairs 0.9/0.5 and
+    # 0.6/0.2, exactly 0.4 apart; then a per-fact group of the same values.
+    @example(
+        values=EDGE_VALUES, n=40, picks=EDGE_PICKS, other=[(-0.0, 0.5), (0.0, 0.25)], epsilon=0.4
+    )
+    @example(values=EDGE_VALUES, n=6, picks=EDGE_PICKS, other=[(0.5, 0.5)], epsilon=0.4)
+    def test_both_forms_equal_the_reference(self, values, n, picks, other, epsilon):
+        # Groups a and b hold the same pcf values, so they share one plan, at
+        # interleaved positions with different confidences; group c follows
+        # at every other position. The slots between keep their sentinels.
+        picks = picks[:n]
+        a = [3 * i + 1 for i in range(n)]
+        b = [3 * i + 2 for i in range(n)]
+        c = [3 * n + 2 * i + 1 for i in range(len(other))]
+        size = 3 * n + 2 * len(other) + 1
+        pcf, confidence, adjusted = [0.7] * size, [0.3] * size, [-1.0] * size
+        for i, (value, own, twin) in enumerate(picks):
+            pcf[a[i]] = pcf[b[i]] = values[value % len(values)]
+            confidence[a[i]], confidence[b[i]] = own, twin
+        for k, (p, s) in zip(c, other):
+            pcf[k], confidence[k] = p, s
+        groups = [a, b, c]
+
+        rows = engine.implication_rows(groups, pcf, epsilon)
+        engine.adjust_confidences(rows, confidence, adjusted)
+
+        fact_rows, value_groups = rows
+        per_value = {group for group, _, _ in value_groups}
+        per_fact = [k for k, _, _ in fact_rows]
+        for group in groups:
+            facts = [ScoredFact(k, "1", pcf[k], confidence[k]) for k in group]
+            expected = [min(adjust_confidence(f, facts, epsilon), 1.0 - 1e-10) for f in facts]
+            assert bits(adjusted[k] for k in group) == bits(expected)
+            took_value_rows = takes_value_rows(len(group), len({pcf[k] for k in group}))
+            assert (tuple(group) in per_value) == took_value_rows
+        assert sorted(per_fact + [k for g in per_value for k in g]) == sorted(a + b + c)
+        assert [adjusted[k] for k in range(0, 3 * n, 3)] == [-1.0] * n
+        assert adjusted[3 * n :: 2] == [-1.0] * (len(other) + 1)
+
+    @pytest.mark.parametrize(
+        "n, d, per_value",
+        [(2, 1, False), (16, 1, False), (19, 1, False), (20, 1, True), (31, 4, False),
+         (32, 4, True), (55, 10, False), (56, 10, True), (120, 26, True), (120, 27, False)],
+    )
+    def test_the_rule_picks_the_form(self, n, d, per_value):
+        pcf = [k % d / d for k in range(n)]
+        fact_rows, value_groups = engine.implication_rows([range(n)], pcf, 0.4)
+        assert (len(value_groups), len(fact_rows)) == ((1, 0) if per_value else (0, n))
+        assert takes_value_rows(n, d) == per_value
+
+    def test_a_plan_is_computed_once_per_pcf_values(self, monkeypatch):
+        factor = engine.implication_factor
+        calls = []
+
+        def counted(p1, p2, epsilon):
+            calls.append(None)
+            return factor(p1, p2, epsilon)
+
+        monkeypatch.setattr(engine, "implication_factor", counted)
+        pcf = [0.25, 0.5, 0.25, 0.5, 0.9] + [0.1 * (k % 4) for k in range(64)]
+        (f01, f10), _ = engine.implication_rows([(0, 1)], pcf, 0.4)
+        assert len(calls) == 2 * 2
+        # A second group with the same values adds no factor, and a fact
+        # alone on its object needs none.
+        calls.clear()
+        rows = engine.implication_rows([(0, 1), (4,), (2, 3)], pcf, 0.4)
+        assert len(calls) == 2 * 2
+        assert rows == ((f01, f10, (4, (), ()), (2, f01[1], (3,)), (3, f10[1], (2,))), ())
+        calls.clear()
+        fact_rows, value_groups = engine.implication_rows([range(5, 37), range(37, 69)], pcf, 0.4)
+        assert len(calls) == 4 * 32
+        assert fact_rows == ()
+        assert [g for g, _, _ in value_groups] == [tuple(range(5, 37)), tuple(range(37, 69))]
+
+    def test_value_rows_of_a_large_group_take_linear_memory(self):
+        # One object with 1000 facts over 10 pcf values. Per-fact rows hold
+        # 1000 tuples of 999 factors and 1000 of 999 positions, about 16 MB;
+        # per-value rows hold 10 rows of 1000 factors, under 0.5 MB.
+        pcf = [k % 10 / 9 for k in range(1000)]
+        tracemalloc.start()
+        try:
+            rows = engine.implication_rows([range(1000)], pcf, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(rows[1]) == 1
 
 
 class TestDamp:
