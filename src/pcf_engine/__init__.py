@@ -25,7 +25,6 @@ from .engine import (
     assign_pcf,
     build_index,
     damp,
-    fact_confidence,
     implication_factor,
     implication_rows,
     run,

@@ -377,8 +377,8 @@ def save_state(state: TrustState, path: str | Path) -> None:
     KB in ascending ISBN), so saving the same state twice yields
     byte-identical files; floats keep full round-trip precision. Nothing
     derivable is stored: a website's facts are the facts that list it as a
-    provider, and a fact's confidence is ``engine.fact_confidence`` over its
-    providers' trusts. A NaN or an infinity raises ValueError, and a value
+    provider, and a fact's confidence is stage 2, ``engine.confidences``,
+    over its providers' trusts. A NaN or an infinity raises ValueError, and a value
     of a type the format does not hold (a number that is not an int or a
     float, a text that is not a string) TypeError, before any file is
     opened. The text goes to a temporary file next to ``path`` that then

@@ -20,10 +20,15 @@ function over float vectors indexed by those positions and touches no
 record. ``run`` reads the records into vectors once, runs the epochs through
 ``run_epochs`` and writes the last trust and adjusted-confidence vectors back
 once; a stage-2 confidence lives for one epoch. The stages are the
-functions ``trust_stage``, ``confidences`` (which calls ``fact_confidence``
-on each fact's provider trusts) and ``adjust_confidences``. The baselines
-call ``run_epochs`` on vectors of their own with ``trust_only``: they keep
-only the last trust vector, so their last epoch runs stage 1 alone.
+functions ``trust_stage``, ``confidences`` and ``adjust_confidences``. The
+baselines call ``run_epochs`` on vectors of their own with ``trust_only``:
+they keep only the last trust vector, so their last epoch runs stage 1 alone.
+
+Stages 1 and 2 are plain loops over the index's positions that call no
+function per site or fact: each mean, product and largest change is written
+out inline, in the same float operations and order as the readable per-item
+formulas that the tests hold as their reference, so the results equal those
+formulas' bit for bit.
 
 A sibling's implication factor depends only on the two facts' pcf and on
 epsilon, which stay fixed for a whole run. So ``run_epochs`` builds the
@@ -160,19 +165,6 @@ def assign_pcf(state: TrustState) -> TrustState:
     return state
 
 
-def fact_confidence(trusts: Iterable[float]) -> float:
-    """Confidence that a fact is correct given its providers' trusts.
-
-    s(f) = 1 - prod(1 - t(w)) over ``trusts``, multiplied in the order
-    given (the index's ascending site id), capped at 1 - ``CONFIDENCE_CLAMP``
-    so that no fact is certain, even with a fully trusted provider.
-    """
-    product = 1.0
-    for trust in trusts:
-        product *= 1.0 - trust
-    return min(1.0 - product, 1.0 - CONFIDENCE_CLAMP)
-
-
 def implication_factor(p1: float, p2: float, epsilon: float) -> float:
     """Influence of a fact with probability ``p2`` on one with ``p1``.
 
@@ -290,7 +282,9 @@ def trust_stage(ix: Index, pcf: Vector, trust: Vector, adjusted: Vector) -> tupl
     similarity); otherwise trust is the mean adjusted confidence of all its
     facts from the previous epoch. Websites with no facts keep their trust.
     Means add left to right from 0.0, so they do not depend on the Python
-    version's ``sum``.
+    version's ``sum``. The largest change is kept with ``delta > max_delta``
+    over the change made non-negative, which is what ``max`` of ``abs``
+    gives, NaN included; the facts per site come from one ``map(len, ...)``.
 
     Zero trust is the "first epoch" sentinel, following PAPER.md's method
     literally: a website whose facts all lie on objects outside the knowledge
@@ -300,9 +294,10 @@ def trust_stage(ix: Index, pcf: Vector, trust: Vector, adjusted: Vector) -> tupl
     """
     known = ix.known
     new_trust = []
+    append = new_trust.append
     max_delta = 0.0
-    for old, own in zip(trust, ix.site_facts):
-        if not own:
+    for old, own, n in zip(trust, ix.site_facts, map(len, ix.site_facts)):
+        if not n:
             new = old
         elif old == 0.0:
             total = 0.0
@@ -316,16 +311,34 @@ def trust_stage(ix: Index, pcf: Vector, trust: Vector, adjusted: Vector) -> tupl
             total = 0.0
             for k in own:
                 total += adjusted[k]
-            new = total / len(own)
-        new_trust.append(new)
-        max_delta = max(max_delta, abs(new - old))
+            new = total / n
+        append(new)
+        delta = new - old
+        if delta < 0.0:
+            delta = -delta
+        if delta > max_delta:
+            max_delta = delta
     return new_trust, max_delta
 
 
 def confidences(ix: Index, trust: Vector) -> Vector:
-    """Stage 2: ``fact_confidence`` over each fact's providers' trusts."""
-    at = trust.__getitem__
-    return [fact_confidence(map(at, providers)) for providers in ix.fact_providers]
+    """Stage 2: each fact's confidence from its providers' trusts.
+
+    s(f) = 1 - prod(1 - t(w)) over f's providers, multiplied in ascending
+    site id, capped at 1 - ``CONFIDENCE_CLAMP`` so that no fact is certain,
+    even with a fully trusted provider. The cap, ``ceiling if c > ceiling
+    else c``, is exactly ``min(c, ceiling)``, NaN included.
+    """
+    ceiling = 1.0 - CONFIDENCE_CLAMP
+    confidence = []
+    append = confidence.append
+    for providers in ix.fact_providers:
+        product = 1.0
+        for i in providers:
+            product *= 1.0 - trust[i]
+        c = 1.0 - product
+        append(ceiling if c > ceiling else c)
+    return confidence
 
 
 def run_epoch(
@@ -414,8 +427,8 @@ def run(state: TrustState) -> tuple[TrustState, list[EpochReport]]:
     """``run_epochs`` on vectors read from ``state``'s records, written back after the last epoch.
 
     The write-back sets every trust and adjusted confidence; ``state.epoch``
-    counts the epochs. Fact confidences are not stored: each is
-    ``fact_confidence`` over its providers' trusts.
+    counts the epochs. Fact confidences are not stored: ``confidences``
+    derives them from the trusts.
     """
     ix = build_index(state)
     pcf = [fact.pcf for fact in ix.facts]

@@ -79,6 +79,20 @@ def one_epoch(state):
     return state, report
 
 
+def fact_confidence(trusts):
+    """The readable stage 2: confidence that a fact is correct given its providers' trusts.
+
+    s(f) = 1 - prod(1 - t(w)) over ``trusts``, multiplied in the order
+    given, capped at 1 - ``engine.CONFIDENCE_CLAMP`` so that no fact is
+    certain. ``engine.confidences`` must give exactly this over each fact's
+    providers' trusts in ascending site id.
+    """
+    product = 1.0
+    for trust in trusts:
+        product *= 1.0 - trust
+    return min(1.0 - product, 1.0 - engine.CONFIDENCE_CLAMP)
+
+
 # Values of every JSON type, NaN and infinity included; a mutation puts one
 # of another type in place of a value of the state document.
 REPLACEMENTS = [

@@ -116,8 +116,8 @@ def test_4_probability_bounds_suite(capsys):
             for site in state.websites.values():
                 assert 0.0 <= site.trust <= 1.0
             ix = engine.build_index(state)
-            for fact, providers in zip(ix.facts, ix.fact_providers):
-                confidence = engine.fact_confidence(ix.sites[p].trust for p in providers)
+            trust = [site.trust for site in ix.sites]
+            for fact, confidence in zip(ix.facts, engine.confidences(ix, trust)):
                 assert 0.0 <= confidence <= 1.0
                 assert 0.0 <= fact.adjusted_confidence <= 1.0
 
@@ -127,12 +127,11 @@ def test_4_probability_bounds_suite(capsys):
             assert engine.damp(damped) == damped
 
             # Confidence is monotone in any single provider trust.
-            providers = ix.fact_providers[rng.randrange(len(ix.facts))]
-            trusts = [ix.sites[p].trust for p in providers]
-            base = engine.fact_confidence(trusts)
-            bumped = rng.randrange(len(trusts))
-            trusts[bumped] = min(1.0, trusts[bumped] + rng.random())
-            assert engine.fact_confidence(trusts) >= base
+            k = rng.randrange(len(ix.facts))
+            base = engine.confidences(ix, trust)[k]
+            bumped = ix.fact_providers[k][rng.randrange(len(ix.fact_providers[k]))]
+            trust[bumped] = min(1.0, trust[bumped] + rng.random())
+            assert engine.confidences(ix, trust)[k] >= base
 
             # Pair-sum identity for |delta| <= epsilon, away from the
             # delta == epsilon carve-out which returns epsilon by design.

@@ -178,8 +178,8 @@ class TestUpdateTrust:
 
 
 class TestFactConfidence:
-    def _trusts(self, trusts):
-        """The trusts of one fact's providers, read through the index as an epoch reads them."""
+    def _confidence(self, trusts):
+        """Stage 2's confidence of one fact whose providers hold ``trusts``, in this order."""
         websites = {
             f"http://w{i}.com": corpus.Website(
                 id=i + 1, url=f"http://w{i}.com", trust=t
@@ -190,17 +190,18 @@ class TestFactConfidence:
             fact_id=1, object="1", authors=[], providers=set(range(1, len(trusts) + 1))
         )
         ix = engine.build_index(corpus.TrustState(websites=websites, facts={1: fact}))
-        return [ix.sites[p].trust for p in ix.fact_providers[0]]
+        (confidence,) = engine.confidences(ix, [site.trust for site in ix.sites])
+        return confidence
 
     def test_untrusted_providers(self):
-        assert engine.fact_confidence(self._trusts([0.0, 0.0])) == 0.0
+        assert self._confidence([0.0, 0.0]) == 0.0
 
     def test_two_half_trusted_providers(self):
-        s = engine.fact_confidence(self._trusts([0.5, 0.5]))
+        s = self._confidence([0.5, 0.5])
         assert s == pytest.approx(0.75)
 
     def test_fully_trusted_provider_is_clamped(self):
-        s = engine.fact_confidence(self._trusts([1.0]))
+        s = self._confidence([1.0])
         assert s == 1.0 - 1e-10
 
     @given(
@@ -212,14 +213,11 @@ class TestFactConfidence:
         bump_index %= len(trusts)
         raised = list(trusts)
         raised[bump_index] = min(1.0, raised[bump_index] + bump)
-        assert engine.fact_confidence(self._trusts(raised)) >= engine.fact_confidence(
-            self._trusts(trusts)
-        )
+        assert self._confidence(raised) >= self._confidence(trusts)
 
     @given(trusts=st.lists(probabilities, min_size=1, max_size=5))
     def test_adding_a_provider_never_decreases_confidence(self, trusts):
-        read = self._trusts(trusts + [0.5])
-        assert engine.fact_confidence(read) >= engine.fact_confidence(read[:-1])
+        assert self._confidence(trusts + [0.5]) >= self._confidence(trusts)
 
 
 class TestImplicationFactor:
@@ -737,6 +735,7 @@ class TestEpochBounds:
         for site in state.websites.values():
             assert 0.0 <= site.trust <= 1.0
         ix = engine.build_index(state)
-        for fact, providers in zip(ix.facts, ix.fact_providers):
-            assert 0.0 <= engine.fact_confidence(ix.sites[p].trust for p in providers) <= 1.0
+        confidence = engine.confidences(ix, [site.trust for site in ix.sites])
+        for fact, c in zip(ix.facts, confidence):
+            assert 0.0 <= c <= 1.0
             assert 0.0 <= fact.adjusted_confidence <= 1.0

@@ -5,9 +5,8 @@ Three pins per shape. ``GEN_BYTES`` covers the KB and claims files that
 alone: the repr of every website trust, of every fact's pcf, confidence and
 adjusted confidence keyed by (ISBN, authors), and of every method table
 entry, read back through ``corpus.load_state``, plus the compare CSV. A fact's
-confidence is not stored: it is ``engine.fact_confidence`` over its
-providers' loaded trusts in ascending site id, as the last epoch computed
-it. Any change to the arithmetic or its order changes the hash; a change to
+confidence is not stored: it is stage 2, ``engine.confidences``, over the
+loaded trusts, as the last epoch computed it. Any change to the arithmetic or its order changes the hash; a change to
 the state format does not.
 ``STATE_BYTES`` covers the state file byte for byte, so it changes with the
 format too. Float sums add left to right, so the hashes hold on every
@@ -86,11 +85,13 @@ def ingest_run_compare(tmp_path, capsys, shape):
 def numbers_text(state: corpus.TrustState, compare_csv: str) -> str:
     """Every stored number as its repr, keyed by url or (ISBN, authors), then the CSV."""
     r = float.__repr__
-    trust = {site.id: site.trust for site in state.websites.values()}
+    ix = engine.build_index(state)
+    stage2 = engine.confidences(ix, [site.trust for site in ix.sites])
+    confidence = {fact.fact_id: c for fact, c in zip(ix.facts, stage2)}
     lines = [f"site {site.url} {r(site.trust)}" for site in state.websites.values()]
     lines += [
         f"fact {fact.object} {';'.join(fact.authors)} {r(fact.pcf)}"
-        f" {r(engine.fact_confidence(trust[i] for i in sorted(fact.providers)))}"
+        f" {r(confidence[fact.fact_id])}"
         f" {r(fact.adjusted_confidence)}"
         for fact in state.facts.values()
     ]
