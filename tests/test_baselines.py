@@ -8,6 +8,7 @@ from pcf_engine import baselines, corpus, engine, generator, similarity
 
 from conftest import make_claim
 from test_similarity import reference_tf_name_score
+from test_engine import NO_FACTS_CASE, SENTINEL_CASE, bits, facts_of, mean, stage_cases, stage_state
 
 ONE_EPOCH = corpus.EngineConfig(max_epochs=1)
 
@@ -87,6 +88,23 @@ class TestVoting:
         trusts = run_voting(core_java_state)
         assert list(trusts) == [site.url for site in engine.build_index(core_java_state).sites]
         assert set(trusts) == set(core_java_state.websites)
+
+    @given(case=stage_cases())
+    @example(case=SENTINEL_CASE)
+    @example(case=NO_FACTS_CASE)
+    def test_equals_the_reference_exactly(self, case):
+        """Each fact's share of its object's votes, and each site's mean share from 0.0."""
+        votes = {}
+        for providers, obj in zip(case.providers, case.objects):
+            votes[obj] = votes.get(obj, 0) + len(providers)
+        share = [len(p) / votes[obj] for p, obj in zip(case.providers, case.objects)]
+        expected = {}
+        for site in range(len(case.trust)):
+            own = [share[k] for k in facts_of(case, site)]
+            expected[f"http://s{site}.example"] = mean(own) if own else 0.0
+        got = run_voting(stage_state(case))
+        assert list(got) == list(expected)
+        assert bits(got.values()) == bits(expected.values())
 
 
 class TestTruthfinder:

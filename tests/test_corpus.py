@@ -459,6 +459,108 @@ def valid_states(draw):
     return corpus.TrustState(websites, facts, kb, epoch, config, method_trusts)
 
 
+# Numbers outside [0, 1], the nearest floats first; an int loads as a float.
+OUT_OF_RANGE = [-5e-324, 1.0000000000000002, -0.5, 1.5, 2]
+
+
+def _pairs(records):
+    return [(i, j) for i in range(len(records)) for j in range(len(records)) if i != j]
+
+
+def _unlink(fact, doc, pick):
+    """A provider id no website has: one past the largest, appended so the
+    list stays ascending, or a site's id as a float, a string or a bool."""
+    ids = fact["providers"]
+    if pick([True, False]):
+        ids.append(max(site["id"] for site in doc["websites"]) + 1)
+    else:
+        p = pick(range(len(ids)))
+        ids[p] = pick([float(ids[p]), str(ids[p]), True])
+
+
+def _same_key(doc, pick):
+    i, j = pick(_pairs(doc["facts"]))
+    first, second = doc["facts"][i], doc["facts"][j]
+    second["isbn"], second["authors"] = first["isbn"], list(first["authors"])
+
+
+def _duplicate(table, key):
+    def corrupt(doc, pick):
+        i, j = pick(_pairs(doc[table]))
+        doc[table][j][key] = doc[table][i][key]
+
+    return corrupt
+
+
+def _several(key):
+    return lambda doc: any(len(fact[key]) > 1 for fact in doc["facts"])
+
+
+# name -> (whether a document allows it, the edit). Each edit breaks exactly
+# one rule of the state format, a rule whose refusal ``load_state`` and
+# ``reference_load_state`` word alike. Edits that the two word differently
+# (a pcf or a method trust out of range, a url holding a tab, a value of
+# the wrong type) are left to ``test_mutated_documents_load_as_the_reference``,
+# which compares only that both refuse.
+CORRUPTIONS = {
+    "version": (lambda doc: True, lambda doc, pick: doc.update(
+        pcf_state_version=pick([corpus.STATE_SCHEMA_VERSION - 1, corpus.STATE_SCHEMA_VERSION + 1,
+                                str(corpus.STATE_SCHEMA_VERSION), None]))),
+    "negative epoch": (lambda doc: True, lambda doc, pick: doc.update(epoch=pick([-1, -(10**9)]))),
+    "epsilon": (lambda doc: True,
+                lambda doc, pick: doc["config"].update(epsilon=pick(OUT_OF_RANGE))),
+    "max_epochs": (lambda doc: True,
+                   lambda doc, pick: doc["config"].update(max_epochs=pick([0, -1]))),
+    "trust": (lambda doc: doc["websites"],
+              lambda doc, pick: pick(doc["websites"]).update(trust=pick(OUT_OF_RANGE))),
+    "table without a url": (
+        lambda doc: doc["websites"] and doc["method_trusts"],
+        lambda doc, pick: doc["method_trusts"][pick(sorted(doc["method_trusts"]))].pop(
+            pick(doc["websites"])["url"])),
+    # No website's url holds a tab.
+    "table with another url": (
+        lambda doc: doc["method_trusts"],
+        lambda doc, pick: doc["method_trusts"][pick(sorted(doc["method_trusts"]))].update(
+            {"\t": 0.5})),
+    "duplicate url": (lambda doc: len(doc["websites"]) > 1, _duplicate("websites", "url")),
+    "duplicate KB isbn": (lambda doc: len(doc["kb"]) > 1, _duplicate("kb", "isbn")),
+    "duplicate fact id": (lambda doc: len(doc["facts"]) > 1, _duplicate("facts", "fact_id")),
+    "same ISBN and authors": (lambda doc: len(doc["facts"]) > 1, _same_key),
+    "unlinked provider": (lambda doc: doc["facts"],
+                          lambda doc, pick: _unlink(pick(doc["facts"]), doc, pick)),
+    "no provider": (lambda doc: doc["facts"],
+                    lambda doc, pick: pick(doc["facts"])["providers"].clear()),
+    "repeated provider": (lambda doc: doc["facts"], lambda doc, pick: (
+        lambda ids: ids.insert(0, ids[0]))(pick(doc["facts"])["providers"])),
+    "providers out of order": (_several("providers"), lambda doc, pick: pick(
+        [f for f in doc["facts"] if len(f["providers"]) > 1])["providers"].reverse()),
+    "authors out of order": (_several("authors"), lambda doc, pick: pick(
+        [f for f in doc["facts"] if len(f["authors"]) > 1])["authors"].reverse()),
+}
+
+
+@st.composite
+def corrupted_documents(draw, name):
+    """A ``valid_states()`` state that allows corruption ``name``, as
+    ``save_state`` writes it, with exactly that corruption."""
+    allows, corrupt = CORRUPTIONS[name]
+    doc = draw(valid_states().map(lambda state: json.loads(_saved_text(state))).filter(allows))
+    corrupt(doc, lambda options: draw(st.sampled_from(list(options))))
+    return doc
+
+
+def assert_refused_as_the_reference(text):
+    """Both loaders refuse the file holding ``text``, with the same message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(corpus.StateError) as expected:
+            reference_load_state(path)
+        with pytest.raises(corpus.StateError) as refused:
+            corpus.load_state(path)
+        assert str(refused.value) == str(expected.value)
+
+
 def _edge_state(method_trusts):
     """An empty KB, a site with no facts, a fact, and the given trust tables."""
     return corpus.TrustState(
@@ -1267,6 +1369,22 @@ class TestLoadState:
                 value = data.draw(st.sampled_from(REPLACEMENTS + NUMBERS), label="value")
                 parent[path[-1]] = copy.deepcopy(value)
         assert_loads_as_the_reference(_dumps(doc))
+
+    # Each corruption on states of its own, so that every one is drawn.
+    @pytest.mark.parametrize("name", list(CORRUPTIONS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_one_corruption_is_refused_with_the_reference_message(self, name, data):
+        doc = data.draw(corrupted_documents(name), label="document")
+        assert_refused_as_the_reference(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", list(CORRUPTIONS))
+    def test_each_corruption_of_a_ranked_state_is_refused_as_the_reference(self, ranked_doc, name):
+        doc = copy.deepcopy(ranked_doc)
+        allows, corrupt = CORRUPTIONS[name]
+        assert allows(doc)
+        corrupt(doc, lambda options: list(options)[-1])
+        assert_refused_as_the_reference(json.dumps(doc))
 
     def test_unchanged_documents_load(self, ranked_doc):
         assert assert_loads_as_the_reference(json.dumps(ranked_doc)) is not None

@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import namedtuple
 import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from typing import Iterable
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pcf_engine import corpus, engine
 
-from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, make_claim, one_epoch
+from conftest import CORE_ISBN, CORE_TRUTH, W1, W2, fact_confidence, make_claim, one_epoch
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -218,6 +219,129 @@ class TestFactConfidence:
     @given(trusts=st.lists(probabilities, min_size=1, max_size=5))
     def test_adding_a_provider_never_decreases_confidence(self, trusts):
         assert self._confidence(trusts + [0.5]) >= self._confidence(trusts)
+
+
+# A state for the stages: ``providers[k]`` holds fact k's provider sites as
+# positions into ``trust``, ``objects[k]`` its object, and ``known`` the
+# objects in the KB; ``trust`` is one value per site, ``pcf`` and
+# ``adjusted`` one per fact.
+StageCase = namedtuple("StageCase", "providers objects known trust pcf adjusted")
+
+# The unit interval's ends, -0.0, the confidence cap and the smallest
+# subnormal, or any probability.
+stage_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1 - 1e-10, 5e-324]), probabilities)
+
+
+@st.composite
+def stage_cases(draw):
+    """Sites with 0-6 facts and facts with 1-6 providers, on up to four objects."""
+    n_sites = draw(st.integers(1, 8))
+    load = [0] * n_sites
+    providers = []
+    for _ in range(draw(st.integers(0, 12))):
+        free = [i for i in range(n_sites) if load[i] < 6]
+        if not free:
+            break
+        chosen = draw(st.lists(st.sampled_from(free), min_size=1, max_size=6, unique=True))
+        for i in chosen:
+            load[i] += 1
+        providers.append(tuple(chosen))
+    n = len(providers)
+    return StageCase(
+        providers=providers,
+        objects=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        known=draw(st.sets(st.integers(0, 3))),
+        trust=draw(st.lists(stage_values, min_size=n_sites, max_size=n_sites)),
+        pcf=draw(st.lists(stage_values, min_size=n, max_size=n)),
+        adjusted=draw(st.lists(stage_values, min_size=n, max_size=n)),
+    )
+
+
+# Site 0 at trust 0.0 and site 1 at -0.0 take the initial branch; site 2 at
+# 0.0 holds only facts on object 1, outside the KB, so it stays at 0.0; site
+# 3 holds no facts; site 4, fully trusted, averages facts on known and
+# unknown objects, and caps the confidence of each fact it provides.
+SENTINEL_CASE = StageCase(
+    providers=[(0, 4), (1, 0), (4, 2), (2,), (4, 1)],
+    objects=[0, 0, 1, 1, 2],
+    known={0, 2},
+    trust=[0.0, -0.0, 0.0, 0.7, 1.0],
+    pcf=[0.25, 1.0, 0.9, 0.5, 5e-324],
+    adjusted=[0.5, 1 - 1e-10, 0.75, 1.0, 0.0],
+)
+# One site and no facts.
+NO_FACTS_CASE = StageCase(providers=[], objects=[], known=set(), trust=[0.3], pcf=[], adjusted=[])
+
+
+def stage_state(case):
+    """The state of ``case``: site i has id i + 1 and fact k id k + 1, so positions are kept."""
+    websites = {
+        f"http://s{i}.example": corpus.Website(id=i + 1, url=f"http://s{i}.example", trust=t)
+        for i, t in enumerate(case.trust)
+    }
+    facts = {
+        k + 1: corpus.FactRecord(
+            fact_id=k + 1, object=str(o), authors=[], providers={i + 1 for i in providers}
+        )
+        for k, (providers, o) in enumerate(zip(case.providers, case.objects))
+    }
+    kb = {str(o): corpus.TrueFact(object=str(o), authors=["a b"]) for o in case.known}
+    return corpus.TrustState(websites=websites, facts=facts, kb=kb)
+
+
+def mean(values):
+    """Added left to right from 0.0, as the stages add."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def facts_of(case, site):
+    return [k for k, providers in enumerate(case.providers) if site in providers]
+
+
+def reference_trust_stage(case):
+    """The readable stage 1, read from ``case`` rather than from an index."""
+    new_trust = []
+    for site, old in enumerate(case.trust):
+        own = facts_of(case, site)
+        if not own:
+            new = old
+        elif old == 0.0:
+            scores = [case.pcf[k] for k in own if case.objects[k] in case.known]
+            new = mean(scores) if scores else 0.0
+        else:
+            new = mean([case.adjusted[k] for k in own])
+        new_trust.append(new)
+    return new_trust, max([0.0] + [abs(new - old) for new, old in zip(new_trust, case.trust)])
+
+
+class TestStagesEqualTheReference:
+    """Stages 1 and 2, plain loops, against the readable per-item formulas bit for bit."""
+
+    @given(case=stage_cases())
+    @example(case=SENTINEL_CASE)
+    @example(case=NO_FACTS_CASE)
+    def test_trust_stage(self, case):
+        ix = engine.build_index(stage_state(case))
+        inputs = [bits(v) for v in (case.pcf, case.trust, case.adjusted)]
+        trust, max_delta = engine.trust_stage(ix, case.pcf, case.trust, case.adjusted)
+        expected, expected_delta = reference_trust_stage(case)
+        assert bits(trust) == bits(expected)
+        assert max_delta == expected_delta
+        assert [bits(v) for v in (case.pcf, case.trust, case.adjusted)] == inputs
+
+    @given(case=stage_cases())
+    @example(case=SENTINEL_CASE)
+    @example(case=NO_FACTS_CASE)
+    def test_confidences(self, case):
+        ix = engine.build_index(stage_state(case))
+        expected = [
+            fact_confidence(case.trust[i] for i in sorted(providers))
+            for providers in case.providers
+        ]
+        assert bits(engine.confidences(ix, case.trust)) == bits(expected)
 
 
 class TestImplicationFactor:
