@@ -378,9 +378,9 @@ def save_state(state: TrustState, path: str | Path) -> None:
     byte-identical files; floats keep full round-trip precision. Nothing
     derivable is stored: a website's facts are the facts that list it as a
     provider, and a fact's confidence is stage 2, ``engine.confidences``,
-    over its providers' trusts. A NaN or an infinity raises ValueError, and a value
-    of a type the format does not hold (a number that is not an int or a
-    float, a text that is not a string) TypeError, before any file is
+    over its providers' trusts. A NaN or an infinity raises ValueError, and
+    a value of a type the format does not hold (a number that is not an int
+    or a float, a text that is not a string) TypeError, before any file is
     opened. The text goes to a temporary file next to ``path`` that then
     replaces it, so a failure, or a process killed mid-write, leaves the old
     file whole.

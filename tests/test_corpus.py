@@ -478,6 +478,11 @@ def _unlink(fact, doc, pick):
         ids[p] = pick([float(ids[p]), str(ids[p]), True])
 
 
+def _repeat_provider(doc, pick):
+    ids = pick(doc["facts"])["providers"]
+    ids.insert(0, ids[0])
+
+
 def _same_key(doc, pick):
     i, j = pick(_pairs(doc["facts"]))
     first, second = doc["facts"][i], doc["facts"][j]
@@ -530,8 +535,7 @@ CORRUPTIONS = {
                           lambda doc, pick: _unlink(pick(doc["facts"]), doc, pick)),
     "no provider": (lambda doc: doc["facts"],
                     lambda doc, pick: pick(doc["facts"])["providers"].clear()),
-    "repeated provider": (lambda doc: doc["facts"], lambda doc, pick: (
-        lambda ids: ids.insert(0, ids[0]))(pick(doc["facts"])["providers"])),
+    "repeated provider": (lambda doc: doc["facts"], _repeat_provider),
     "providers out of order": (_several("providers"), lambda doc, pick: pick(
         [f for f in doc["facts"] if len(f["providers"]) > 1])["providers"].reverse()),
     "authors out of order": (_several("authors"), lambda doc, pick: pick(

@@ -6,8 +6,8 @@ alone: the repr of every website trust, of every fact's pcf, confidence and
 adjusted confidence keyed by (ISBN, authors), and of every method table
 entry, read back through ``corpus.load_state``, plus the compare CSV. A fact's
 confidence is not stored: it is stage 2, ``engine.confidences``, over the
-loaded trusts, as the last epoch computed it. Any change to the arithmetic or its order changes the hash; a change to
-the state format does not.
+loaded trusts, as the last epoch computed it. Any change to the arithmetic
+or its order changes the hash; a change to the state format does not.
 ``STATE_BYTES`` covers the state file byte for byte, so it changes with the
 format too. Float sums add left to right, so the hashes hold on every
 supported Python version.
