@@ -156,61 +156,93 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
     Duplicate ISBNs, empty author lists, duplicate author names within a
     record, and author names containing ``;`` (which no claim could name,
     since claims separate names with it) are rejected, and so is an ISBN
-    holding a tab, CR or LF, in one sweep after the last line. Publisher and
-    price are checked, not kept.
+    holding a tab, CR or LF, in one sweep after the last line. Blank lines
+    are skipped but counted. Publisher and price are checked, not kept.
+
+    Each line goes through one ``raw_decode``, and :func:`_kb_records` checks
+    each rule as one sweep over a column of all the records. Only when a
+    decode or a sweep fails are the lines taken again one at a time, each
+    through ``json.loads`` and :func:`_kb_records`, to name the first bad line.
     """
-    kb: dict[ObjectId, TrueFact] = {}
-    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        lines, unread = [], None
+        try:
+            lines.extend(fh)
+        except UnicodeDecodeError as exc:
+            unread = exc  # raised after the refusal of any line read before it
+    texts = tuple(map(str.strip, lines, repeat(" \t\n\r")))  # JSON's whitespace
+    try:
+        records, ends = _columns(list(map(_decode, texts)), 0, 1)
+    except (RecursionError, ValueError):  # a JSONDecodeError is a ValueError
+        kb = None
+    else:
+        kb = _kb_records(records, set()) if ends == tuple(map(len, texts)) else None
+    numbers: Sequence[int] = range(1, len(lines) + 1)
+    if not isinstance(kb, dict):
+        kb, isbns = {}, set()
+        numbers = list(compress(numbers, map(str.strip, lines)))
+        for number, line in zip(numbers, filter(str.strip, lines)):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
+                found = f"invalid JSON ({exc.msg})"
             except ValueError as exc:  # an integer past the interpreter's digit limit
-                raise CorpusError(f"{path}: line {lineno}: {exc}")
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-            isbn = record.get("isbn")
-            if not isinstance(isbn, str) or not isbn.strip():
-                raise CorpusError(f"{path}: line {lineno}: missing or empty isbn")
-            isbn = isbn.strip()
-            if isbn in kb:
-                raise CorpusError(f"{path}: line {lineno}: duplicate isbn {isbn}")
-            raw_authors = record.get("authors")
-            if not isinstance(raw_authors, list):
-                raise CorpusError(f"{path}: line {lineno}: authors is missing or not a list")
-            authors = []
-            for raw in raw_authors:
-                if not isinstance(raw, str):
-                    raise CorpusError(f"{path}: line {lineno}: an author name is not a string")
-                authors.append(normalize_name(raw))
-            try:
-                check_authors(authors)
-            except ValueError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}")
-            title = record.get("title", "")
-            publisher = record.get("publisher", "")
-            for key, value in (("title", title), ("publisher", publisher)):
-                if not isinstance(value, str):
-                    raise CorpusError(f"{path}: line {lineno}: {key} is not a string")
-            price = record.get("price", 0.0)
-            try:
-                price = float(price) if type(price) in (int, float) else math.nan
-            except OverflowError:
-                price = math.nan
-            if not 0.0 <= price < math.inf:
-                raise CorpusError(
-                    f"{path}: line {lineno}: price must be a finite number >= 0"
-                )
-            kb[isbn] = TrueFact(isbn, authors, title)
-            linenos.append(lineno)
+                found = str(exc)
+            else:
+                found = _kb_records([record], isbns)
+            if isinstance(found, str):
+                raise CorpusError(f"{path}: line {number}: {found}")
+            kb.update(found)
+    if unread is not None:
+        raise unread
     i = _first_row_break(tuple(kb))
     if i is not None:
-        raise CorpusError(f"{path}: line {linenos[i]}: isbn holds a tab, CR or LF")
+        raise CorpusError(f"{path}: line {numbers[i]}: isbn holds a tab, CR or LF")
     return kb
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _kb_records(records: Sequence, isbns: set[str]) -> dict[ObjectId, TrueFact] | str:
+    """The knowledge base of decoded ``records``, whose ISBNs must not be in
+    ``isbns`` and are added to it; or, at the first rule of
+    :func:`load_knowledge_base` that a sweep finds broken, the text of its
+    refusal, which names the right value only for a single record."""
+    if not {dict}.issuperset(map(type, records)):
+        return "expected a JSON object"
+    raw_isbns, raw_authors, titles, publishers, prices = (
+        tuple(map(dict.get, records, repeat(key), repeat(default))) for key, default in
+        (("isbn", None), ("authors", None), ("title", ""), ("publisher", ""), ("price", 0.0))
+    )
+    if not ({str}.issuperset(map(type, raw_isbns)) and all(map(str.strip, raw_isbns))):
+        return "missing or empty isbn"
+    keys = tuple(map(str.strip, raw_isbns))
+    if len(isbns.union(keys)) != len(isbns) + len(keys):
+        return f"duplicate isbn {keys[0]}"
+    isbns.update(keys)
+    if not {list}.issuperset(map(type, raw_authors)):
+        return "authors is missing or not a list"
+    if not {str}.issuperset(map(type, chain.from_iterable(raw_authors))):
+        return "an author name is not a string"
+    authors = list(map(list, map(map, repeat(normalize_name), raw_authors)))
+    if not (_valid_names(authors) and sum(map(len, map(set, authors))) == sum(map(len, authors))):
+        try:
+            for names in authors:
+                check_authors(names)
+        except ValueError as exc:
+            return str(exc)
+    for key, values in (("title", titles), ("publisher", publishers)):
+        if not {str}.issuperset(map(type, values)):
+            return f"{key} is not a string"
+    try:
+        _typed({float, int}, prices)
+        floats = tuple(map(float, prices))
+    except (OverflowError, TypeError):
+        floats = (math.nan,)
+    if not (all(map(math.isfinite, floats)) and 0.0 <= min(floats, default=0.0)):
+        return "price must be a finite number >= 0"
+    return dict(zip(keys, map(TrueFact, keys, authors, titles)))
 
 
 def load_claims(path: str | Path) -> Claims:
@@ -287,10 +319,11 @@ def _claim_columns(rows: list[list[str]]) -> tuple[tuple, tuple, tuple] | None:
 
 
 def _authors_key(field: str) -> tuple[str, ...]:
-    """The canonical key of a claims authors field; ValueError from
-    :func:`check_authors`. Blank names between separators are dropped."""
+    """The canonical key of a claims authors field, blank names dropped; ValueError from
+    :func:`check_authors`, which only an empty or repeating list can fail after the split."""
     names = [name for name in map(normalize_name, field.split(";")) if name]
-    check_authors(names)
+    if not names or len(set(names)) != len(names):
+        check_authors(names)
     return tuple(sorted(names))
 
 
@@ -683,9 +716,7 @@ def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str) 
 
 def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool) -> None:
     """:func:`check_authors` over a column; ``distinct`` sweeps for repeats (facts: order)."""
-    names = tuple(chain.from_iterable(lists))
-    # The join raises TypeError at a name that is not a string.
-    if distinct and all(lists) and all(names) and ";" not in "".join(names):
+    if distinct and _valid_names(lists):
         return
     for key, value in zip(keys, lists):
         try:
@@ -695,6 +726,13 @@ def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool) -> Non
     # All pass check_authors, so a fact's names are out of order.
     _check(False, what, keys, lists, lambda names: _ascending((names,)),
            "authors are not sorted and distinct")
+
+
+def _valid_names(lists: Sequence[list]) -> bool:
+    """Whether no list is empty and no name is blank or holds ``;``."""
+    names = tuple(chain.from_iterable(lists))
+    # The join raises TypeError at a name that is not a string.
+    return all(lists) and all(names) and ";" not in "".join(names)
 
 
 def _ascending(lists: tuple) -> bool:

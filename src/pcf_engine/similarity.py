@@ -51,14 +51,16 @@ def name_pcf(claim_name: str, true_authors: Iterable[str]) -> float:
 def fact_pcf(claim_authors: list[str], true_authors: list[str]) -> float:
     """Mean per-name correctness over a claim's author list.
 
-    The sum adds left to right from 0.0, as every float sum in the package
+    A name equal to a true author scores exactly 1.0 without the substring
+    search: len/len is 1.0, and no name that contains it scores more. The
+    sum adds left to right from 0.0, as every float sum in the package
     does, since the builtin ``sum`` rounds differently from Python 3.12 on.
     """
     if not claim_authors:
         return 0.0
     total = 0.0
     for name in claim_authors:
-        total += name_pcf(name, true_authors)
+        total += 1.0 if name and name in true_authors else name_pcf(name, true_authors)
     return total / len(claim_authors)
 
 

@@ -113,21 +113,23 @@ def reference_load_state(path):
             raise TypeError("method_trusts is not an object")
         kb_list = [
             corpus.TrueFact(
-                _isbn(rec["isbn"]),
+                _isbn(rec["isbn"], "KB isbn"),
                 _names(rec["authors"]),
                 _text(rec["title"]),
             )
             for rec in doc["kb"]
         ]
         site_list = [
-            corpus.Website(_int(rec["id"]), _unbroken(rec["url"]), _number(rec["trust"]))
+            corpus.Website(
+                _int(rec["id"]), _unbroken(rec["url"], "website url"), _number(rec["trust"])
+            )
             for rec in doc["websites"]
         ]
         site_ids = {site.id for site in site_list}
         fact_list = [
             corpus.FactRecord(
                 _int(rec["fact_id"]),
-                _isbn(rec["isbn"]),
+                _isbn(rec["isbn"], f"fact {rec['fact_id']}: isbn"),
                 _names(rec["authors"]),
                 _providers(rec, site_ids),
                 _number(rec["pcf"]),
@@ -139,7 +141,7 @@ def reference_load_state(path):
         for method, trusts in method_tables.items():
             if not isinstance(trusts, dict):
                 raise TypeError(f"method_trusts {method!r} is not an object")
-            method_trusts[method] = {url: _trust(t) for url, t in trusts.items()}
+            method_trusts[method] = {url: _trust(method, url, t) for url, t in trusts.items()}
         epoch = _int(doc["epoch"])
         if epoch < 0:
             raise ValueError(f"epoch {epoch} is negative")
@@ -176,7 +178,7 @@ def _no_constant(name):
 def _int(value):
     if type(value) is int:
         return value
-    raise TypeError(f"expected an integer, got {value!r}")
+    raise TypeError(f"expected int, got {value!r}")
 
 
 def _number(value):
@@ -184,19 +186,21 @@ def _number(value):
         return value
     if type(value) is int:
         return float(value)
-    raise TypeError(f"expected a number, got {value!r}")
+    raise TypeError(f"expected float or int, got {value!r}")
 
 
-def _trust(value):
+def _trust(method, url, value):
     number = _number(value)
     if 0.0 <= number <= 1.0:
         return number
-    raise ValueError(f"method trust {value!r} outside [0, 1]")
+    raise ValueError(f"{method} trust of {url}: {number} outside [0, 1]")
 
 
 def _providers(rec, site_ids):
     ids = rec["providers"]
-    if type(ids) is not list or not ({int}.issuperset(map(type, ids)) and site_ids.issuperset(ids)):
+    if type(ids) is not list:
+        raise TypeError(f"expected list, got {ids!r}")
+    if not ({int}.issuperset(map(type, ids)) and site_ids.issuperset(ids)):
         raise ValueError(f"fact {rec['fact_id']!r}: a provider is not the integer id of a website")
     if not ids:
         raise ValueError(f"fact {rec['fact_id']!r}: no website provides it")
@@ -207,25 +211,25 @@ def _providers(rec, site_ids):
 
 def _text(value):
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+        raise TypeError(f"expected str, got {value!r}")
     return value
 
 
-def _unbroken(value):
+def _unbroken(value, what):
     if "\t" in _text(value) or "\r" in value or "\n" in value:
-        raise ValueError(f"{value!r} holds a tab, CR or LF")
+        raise ValueError(f"{what} {value!r} holds a tab, CR or LF")
     return value
 
 
-def _isbn(value):
-    if _unbroken(value):
+def _isbn(value, what):
+    if _unbroken(value, what):
         return value
     raise ValueError("empty ISBN")
 
 
 def _names(value):
     if not isinstance(value, list):
-        raise TypeError(f"expected a list of names, got {value!r}")
+        raise TypeError(f"expected list, got {value!r}")
     corpus.check_authors(value)
     return value
 
@@ -242,8 +246,9 @@ def _check_state(path, sites, facts):
             raise corpus.StateError(f"{path}: website {site.url}: trust {site.trust} outside [0, 1]")
     first = {}
     for fact in facts:
-        if not (0.0 <= fact.pcf <= 1.0 and 0.0 <= fact.adjusted_confidence <= 1.0):
-            raise corpus.StateError(f"{path}: fact {fact.fact_id}: a probability outside [0, 1]")
+        for what, value in (("pcf", fact.pcf), ("adjusted confidence", fact.adjusted_confidence)):
+            if not 0.0 <= value <= 1.0:
+                raise corpus.StateError(f"{path}: fact {fact.fact_id}: {what} {value} outside [0, 1]")
         authors = fact.authors
         if not all(map(lt, authors, authors[1:])):
             raise corpus.StateError(
@@ -327,6 +332,69 @@ def reference_load_claims(path):
             if "\t" in text or "\r" in text or "\n" in text:
                 raise corpus.CorpusError(f"{path}: row {num}: {column} holds a tab, CR or LF")
     return corpus.Claims(tuple(websites), tuple(isbns), tuple(keys))
+
+
+# The line-by-line loader that ``corpus.load_knowledge_base`` replaced, kept
+# as the oracle of its decoder and column sweeps: the same records, or the
+# same refusal text with the same line number.
+def reference_load_knowledge_base(path):
+    """Read a JSON-Lines knowledge base one line at a time, each line through every rule in turn."""
+    kb = {}
+    linenos = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise corpus.CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
+            except ValueError as exc:  # an integer past the interpreter's digit limit
+                raise corpus.CorpusError(f"{path}: line {lineno}: {exc}")
+            if not isinstance(record, dict):
+                raise corpus.CorpusError(f"{path}: line {lineno}: expected a JSON object")
+            isbn = record.get("isbn")
+            if not isinstance(isbn, str) or not isbn.strip():
+                raise corpus.CorpusError(f"{path}: line {lineno}: missing or empty isbn")
+            isbn = isbn.strip()
+            if isbn in kb:
+                raise corpus.CorpusError(f"{path}: line {lineno}: duplicate isbn {isbn}")
+            raw_authors = record.get("authors")
+            if not isinstance(raw_authors, list):
+                raise corpus.CorpusError(
+                    f"{path}: line {lineno}: authors is missing or not a list"
+                )
+            authors = []
+            for raw in raw_authors:
+                if not isinstance(raw, str):
+                    raise corpus.CorpusError(
+                        f"{path}: line {lineno}: an author name is not a string"
+                    )
+                authors.append(corpus.normalize_name(raw))
+            try:
+                corpus.check_authors(authors)
+            except ValueError as exc:
+                raise corpus.CorpusError(f"{path}: line {lineno}: {exc}")
+            title = record.get("title", "")
+            publisher = record.get("publisher", "")
+            for key, value in (("title", title), ("publisher", publisher)):
+                if not isinstance(value, str):
+                    raise corpus.CorpusError(f"{path}: line {lineno}: {key} is not a string")
+            price = record.get("price", 0.0)
+            try:
+                price = float(price) if type(price) in (int, float) else math.nan
+            except OverflowError:
+                price = math.nan
+            if not 0.0 <= price < math.inf:
+                raise corpus.CorpusError(
+                    f"{path}: line {lineno}: price must be a finite number >= 0"
+                )
+            kb[isbn] = corpus.TrueFact(isbn, authors, title)
+            linenos.append(lineno)
+    for isbn, lineno in zip(kb, linenos):
+        if "\t" in isbn or "\r" in isbn or "\n" in isbn:
+            raise corpus.CorpusError(f"{path}: line {lineno}: isbn holds a tab, CR or LF")
+    return kb
 
 
 _DROPPED_PUNCT = str.maketrans("", "", ".,")
@@ -501,12 +569,46 @@ def _several(key):
     return lambda doc: any(len(fact[key]) > 1 for fact in doc["facts"])
 
 
+# A value of another type for each kind of leaf that the state format types.
+WRONG_TYPES = {
+    "int": [1.0, "1", True, None],
+    "number": ["0.5", True, None, [0.5]],
+    "str": [1, None, ["a"], True],
+    "list": ["a", 1, None, {"a": 1}],
+}
+
+
+def _wrong_type(doc, pick):
+    """One typed leaf, an id, a number, a text or a list, set to a value of
+    another type. Author names are left out: both loaders refuse one that is
+    not a string through ``str.join``, whose text counts the names of a
+    list (the reference) or of the whole column (``load_state``)."""
+    leaves = [(doc["config"], "epsilon", "number"), (doc["config"], "convergence_tol", "number"),
+              (doc["config"], "max_epochs", "int"), (doc, "epoch", "int")]
+    for table, kinds in (
+        ("websites", {"id": "int", "url": "str", "trust": "number"}),
+        ("kb", {"isbn": "str", "title": "str", "authors": "list"}),
+        ("facts", {"fact_id": "int", "isbn": "str", "authors": "list", "providers": "list",
+                   "pcf": "number", "adjusted_confidence": "number"}),
+    ):
+        leaves += [(record, key, kind) for record in doc[table] for key, kind in kinds.items()]
+    leaves += [(table, url, "number") for table in doc["method_trusts"].values() for url in table]
+    record, key, kind = pick(leaves)
+    record[key] = pick(WRONG_TYPES[kind])
+
+
+def _row_break(doc, pick):
+    """A tab, CR or LF within a website url, a KB ISBN or a fact's ISBN."""
+    record, key = pick([(record, key) for table, key in
+                        (("websites", "url"), ("kb", "isbn"), ("facts", "isbn"))
+                        for record in doc[table]])
+    at = pick(range(len(record[key]) + 1))
+    record[key] = record[key][:at] + pick(["\t", "\r", "\n"]) + record[key][at:]
+
+
 # name -> (whether a document allows it, the edit). Each edit breaks exactly
-# one rule of the state format, a rule whose refusal ``load_state`` and
-# ``reference_load_state`` word alike. Edits that the two word differently
-# (a pcf or a method trust out of range, a url holding a tab, a value of
-# the wrong type) are left to ``test_mutated_documents_load_as_the_reference``,
-# which compares only that both refuse.
+# one rule of the state format, and ``load_state`` and
+# ``reference_load_state`` word each refusal alike.
 CORRUPTIONS = {
     "version": (lambda doc: True, lambda doc, pick: doc.update(
         pcf_state_version=pick([corpus.STATE_SCHEMA_VERSION - 1, corpus.STATE_SCHEMA_VERSION + 1,
@@ -540,6 +642,15 @@ CORRUPTIONS = {
         [f for f in doc["facts"] if len(f["providers"]) > 1])["providers"].reverse()),
     "authors out of order": (_several("authors"), lambda doc, pick: pick(
         [f for f in doc["facts"] if len(f["authors"]) > 1])["authors"].reverse()),
+    "probability": (lambda doc: doc["facts"], lambda doc, pick: pick(doc["facts"]).update(
+        {pick(["pcf", "adjusted_confidence"]): pick(OUT_OF_RANGE)})),
+    "method trust": (
+        lambda doc: doc["websites"] and doc["method_trusts"],
+        lambda doc, pick: doc["method_trusts"][pick(sorted(doc["method_trusts"]))].update(
+            {pick(doc["websites"])["url"]: pick(OUT_OF_RANGE)})),
+    "url or ISBN holding a tab, CR or LF": (
+        lambda doc: doc["websites"] or doc["kb"] or doc["facts"], _row_break),
+    "wrong type": (lambda doc: True, _wrong_type),
 }
 
 
@@ -588,6 +699,145 @@ def _pair_state(first, second):
         facts={1: corpus.FactRecord(1, "x", ["a"], {1, 2}, second, first)},
         method_trusts={"pcf": dict(pairs), "voting": dict(pairs)},
     )
+
+
+# Author names that stay distinct and non-blank once normalized; each
+# name's upper case, with a period or a comma added, normalizes as it does.
+KB_NAMES = ["Ann Ax", "Bob  By", "C. Cy", "dé,Dee", "Ed\u3000Ex", "İz", "ẞ q"]
+# Prices a KB line may hold: ints and non-negative finite floats, -0.0 too.
+# Written as text in place of a price: an infinity, and an int past the digit limit.
+PRICE_TEXTS = {1.25e300: "1e400", 1.5e300: "1" + "0" * 5000}
+kb_prices = st.sampled_from([0, 0.0, -0.0, 3, 27.78, 5e-324, 1e308, 10**20]) | st.floats(
+    0, allow_infinity=False
+).filter(lambda price: price not in PRICE_TEXTS)
+# Lines that hold no record: skipped, but counted.
+BLANK_LINES = ["", "   ", "\t", "\u3000", "\x1c"]
+
+
+@st.composite
+def kb_records(draw, isbn):
+    """A KB record that ``load_knowledge_base`` takes, its keys in any order."""
+    record = {"isbn": isbn, "authors": draw(
+        st.lists(st.sampled_from(KB_NAMES), min_size=1, max_size=3, unique=True)
+    )}
+    for key, values in (("title", texts), ("publisher", texts), ("price", kb_prices)):
+        if draw(st.booleans()):
+            record[key] = draw(values)
+    return dict(draw(st.permutations(list(record.items()))))
+
+
+def _kb_line(record, pick):
+    """The JSON text of a record, ASCII or not, perhaps with JSON whitespace
+    around it; the markers of ``PRICE_TEXTS`` become their texts."""
+    text = json.dumps(record, ensure_ascii=pick([True, False]))
+    if re.search("[\ud800-\udfff]", text):  # a lone surrogate: only an escape writes it
+        text = json.dumps(record)
+    for marker, price in PRICE_TEXTS.items():
+        text = text.replace(repr(marker), price)
+    return pick(["", " ", "\t "]) + text + pick(["", " ", " \t"])
+
+
+def _kb_edit(key, values):
+    """Set ``key`` of a record to one of ``values``, or drop it if ``values`` is None."""
+    def corrupt(record, others, pick):
+        if values is None:
+            del record[key]
+        else:
+            record[key] = pick(values)
+    return corrupt
+
+
+def _add_name(names):
+    def corrupt(record, others, pick):
+        record["authors"].insert(pick(range(len(record["authors"]) + 1)), pick(names(record)))
+    return corrupt
+
+
+def _same_isbn(record, others, pick):
+    """The ISBN of an earlier record, or of one added before it, as given or
+    with whitespace around it."""
+    if not others:
+        others.append(copy.deepcopy(record))
+    record["isbn"] = pick(["", " ", "\t"]) + pick(others)["isbn"].strip() + pick(["", " "])
+
+
+# name -> an edit of one record, given the records before it, that breaks
+# exactly one rule of the KB format, or a line in place of the record.
+KB_CORRUPTIONS = {
+    "not JSON": lambda record, others, pick: pick([
+        "{broken", json.dumps(record)[:-1], json.dumps(record) + "x", json.dumps(record) + " {}",
+        json.dumps(record).replace('"', "'", 2),
+        # Whitespace to str.strip, but not to JSON.
+        "\u3000" + json.dumps(record), "\x1c" + json.dumps(record), json.dumps(record) + "\x0b",
+    ]),
+    "a BOM": lambda record, others, pick: "\ufeff" + json.dumps(record),
+    "not an object": lambda record, others, pick: pick(
+        ["[1, 2]", "3", "null", '"s"', "true", json.dumps([record])]
+    ),
+    "missing isbn": _kb_edit("isbn", None),
+    "blank isbn": _kb_edit("isbn", ["", " ", "\t \u3000"]),
+    "isbn not a string": _kb_edit("isbn", [5, None, ["x"], True]),
+    "duplicate isbn": _same_isbn,
+    "isbn holding a tab, CR or LF": _kb_edit("isbn", ["1\t2", "x\ry", " 9\n0"]),
+    "missing authors": _kb_edit("authors", None),
+    "authors not a list": _kb_edit("authors", ["Ann Ax", None, {"Ann Ax": 1}, 3]),
+    "no authors": _kb_edit("authors", [[]]),
+    "name not a string": _add_name(lambda record: [None, 3, ["Ann Ax"], True, {}]),
+    "blank name": _add_name(lambda record: ["", " ", " . , ", "\u3000."]),
+    "repeated name": _add_name(
+        lambda record: [name.upper() + end for name in record["authors"] for end in ("", ".", ",")]
+    ),
+    "name holding ;": _add_name(lambda record: ["a;b", ";", "Ann; Ax"]),
+    "title not a string": _kb_edit("title", [None, 3, [], {}, True]),
+    "publisher not a string": _kb_edit("publisher", [None, 3, ["p"], True]),
+    "bad price": _kb_edit("price", [
+        True, False, "12", None, [1], -1, -0.5, -5e-324, math.nan, math.inf, -math.inf,
+        10**400, *PRICE_TEXTS,
+    ]),
+}
+
+
+@st.composite
+def kb_files(draw, corruption):
+    """The text of a KB file: valid records, blank lines among them, and
+    with ``corruption`` one record broken by that edit of ``KB_CORRUPTIONS``."""
+    pick = lambda options: draw(st.sampled_from(list(options)))  # noqa: E731
+    isbns = draw(st.lists(
+        st.builds(lambda space, text: space + text + space, st.sampled_from(["", " ", "\t"]),
+                  unbroken_texts.filter(str.strip)),
+        max_size=5, unique_by=str.strip,
+    ))
+    records = [draw(kb_records(isbn)) for isbn in isbns]
+    lines = [_kb_line(record, pick) for record in records]
+    if corruption is not None:
+        at = pick(range(len(records) + 1))
+        # Longer than any drawn ISBN, so no other record has it.
+        bad = draw(kb_records("isbn-of-the-bad-record"))
+        others = records[:at]
+        edited = KB_CORRUPTIONS[corruption](bad, others, pick)
+        added = [_kb_line(record, pick) for record in others[at:]]  # records the edit added
+        lines[at:at] = [*added, edited if isinstance(edited, str) else _kb_line(bad, pick)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(pick(range(len(lines) + 1)), pick(BLANK_LINES))
+    end = pick(["\n", "\r\n"])
+    return end.join(lines) + pick(["", end])
+
+
+def kb_outcome(load, path):
+    """The records a loader reads, as plain data, or its refusal text."""
+    try:
+        kb = load(path)
+    except corpus.CorpusError as exc:
+        return str(exc)
+    return [(isbn, fact.object, fact.authors, fact.title) for isbn, fact in kb.items()]
+
+
+def assert_kb_loads_as_the_reference(text, path):
+    """Both loaders give the same records, or the same refusal; which one, returned."""
+    path.write_text(text, encoding="utf-8", newline="")
+    outcome = kb_outcome(corpus.load_knowledge_base, path)
+    assert outcome == kb_outcome(reference_load_knowledge_base, path)
+    return outcome
 
 
 class TestNormalizeName:
@@ -724,6 +974,90 @@ class TestLoadKnowledgeBase:
         )
         with pytest.raises(corpus.CorpusError, match="line 1: "):
             corpus.load_knowledge_base(path)
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        good = [json.dumps({"isbn": str(i), "authors": ["a b"]}) for i in range(3)]
+        text = "\n".join([good[0], "", "  ", "\u3000", good[1], "\x1c", good[2], ""])
+        outcome = assert_kb_loads_as_the_reference(text, path)
+        assert [isbn for isbn, *_ in outcome] == ["0", "1", "2"]
+        bad = json.dumps({"isbn": "3", "authors": []})
+        outcome = assert_kb_loads_as_the_reference(text + bad + "\n", path)
+        assert outcome == f"{path}: line 8: empty author list"
+
+    def test_a_line_with_leading_whitespace_loads(self, tmp_path):
+        record = {"isbn": " 1 ", "authors": ["Ann  Ax."], "price": 2}
+        text = json.dumps({"isbn": "0", "authors": ["b"]}) + "\n \t" + json.dumps(record) + " \n"
+        outcome = assert_kb_loads_as_the_reference(text, tmp_path / "kb.jsonl")
+        assert outcome == [("0", "0", ["b"], ""), ("1", "1", ["ann ax"], "")]
+
+    def test_a_line_led_by_whitespace_that_json_does_not_skip_is_refused(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        text = json.dumps({"isbn": "0", "authors": ["b"]}) + "\n\u3000" + json.dumps({"isbn": "1"})
+        outcome = assert_kb_loads_as_the_reference(text, path)
+        assert outcome == f"{path}: line 2: invalid JSON (Expecting value)"
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_a_line_that_starts_with_a_bom_is_refused(self, tmp_path, line):
+        path = tmp_path / "kb.jsonl"
+        lines = [json.dumps({"isbn": str(i), "authors": ["a b"]}) for i in range(2)]
+        lines[line - 1] = "\ufeff" + lines[line - 1]
+        outcome = assert_kb_loads_as_the_reference("\n".join(lines) + "\n", path)
+        assert outcome == (
+            f"{path}: line {line}: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+        )
+
+    def test_a_broken_rule_is_named_before_a_later_decode_error(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"]})
+        bad = json.dumps({"isbn": "2", "authors": ["a b"], "price": -1})
+        outcome = assert_kb_loads_as_the_reference("\n".join([good, bad, "{broken", ""]), path)
+        assert outcome == f"{path}: line 2: price must be a finite number >= 0"
+
+    @pytest.mark.parametrize(
+        "later, message",
+        [
+            (json.dumps({"isbn": "3", "authors": ["a b", "A. B"]}), "duplicate author name 'a b'"),
+            ("{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ],
+    )
+    def test_an_isbn_with_a_tab_is_named_after_a_later_bad_line(self, tmp_path, later, message):
+        # The tab, CR or LF sweep runs after the last line.
+        path = tmp_path / "kb.jsonl"
+        tab = json.dumps({"isbn": "1\t2", "authors": ["a b"]})
+        good = json.dumps({"isbn": "2", "authors": ["a b"]})
+        outcome = assert_kb_loads_as_the_reference("\n".join([tab, good, later, ""]), path)
+        assert outcome == f"{path}: line 3: {message}"
+
+    def test_bytes_that_are_not_utf8_come_after_the_refusal_of_a_line_read_before_them(
+        self, tmp_path
+    ):
+        # The file is decoded in chunks, so the lines of the chunks before the
+        # undecodable bytes are checked first.
+        path = tmp_path / "kb.jsonl"
+        good = [json.dumps({"isbn": str(i), "authors": ["a b"]}).encode() for i in range(2000)]
+        tail = b"\n".join(good) + b"\n\xff\n"
+        path.write_bytes(b'{"isbn": "x", "authors": []}\n' + tail)
+        assert kb_outcome(corpus.load_knowledge_base, path) == f"{path}: line 1: empty author list"
+        assert kb_outcome(reference_load_knowledge_base, path) == f"{path}: line 1: empty author list"
+        path.write_bytes(tail)
+        texts = []
+        for load in (corpus.load_knowledge_base, reference_load_knowledge_base):
+            with pytest.raises(UnicodeDecodeError) as refused:
+                load(path)
+            texts.append(str(refused.value))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("corruption", [None, *KB_CORRUPTIONS])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_line_by_line_reference(self, corruption, data):
+        """Valid files load as :func:`reference_load_knowledge_base` loads them,
+        and each single corruption is refused with its text and line number."""
+        text = data.draw(kb_files(corruption), label="file")
+        with tempfile.TemporaryDirectory() as tmp:
+            outcome = assert_kb_loads_as_the_reference(text, Path(tmp) / "kb.jsonl")
+        assert isinstance(outcome, str) == (corruption is not None)
 
 
 class TestLoadClaims:

@@ -160,7 +160,47 @@ class TestNamePcf:
         assert longer <= base
 
 
+def reference_fact_pcf(claim_authors, true_authors):
+    """The readable fact score: the mean, added left to right, of each name's
+    best len(name)/len(true) over the true authors that hold the name."""
+    if not claim_authors:
+        return 0.0
+    total = 0.0
+    for name in claim_authors:
+        ratios = [len(name) / len(true) for true in true_authors if name and name in true]
+        total += max(ratios, default=0.0)
+    return total / len(claim_authors)
+
+
+# True author lists whose names hold one another, so that a claimed name can
+# equal one true author and lie within several others.
+PCF_TRUTHS = ["ab", "a b", "ab c", "x ab", "b", ""]
+
+
+@st.composite
+def pcf_cases(draw):
+    """A claimed and a true author list: empty names, names equal to a true
+    author, contiguous pieces of true authors, and unrelated names."""
+    truth = draw(st.lists(st.sampled_from(PCF_TRUTHS) | names, max_size=4))
+    claimed = st.just("") | names
+    if truth:
+        pieces = st.sampled_from(truth).flatmap(lambda true: st.lists(
+            st.integers(0, len(true)), min_size=2, max_size=2
+        ).map(lambda ends: true[min(ends):max(ends)]))
+        claimed |= st.sampled_from(truth) | pieces
+    return draw(st.lists(claimed, max_size=5)), truth
+
+
 class TestFactPcf:
+    @given(case=pcf_cases())
+    @example(case=([], ["ab"]))
+    @example(case=(["", "ab"], ["ab", ""]))
+    @example(case=(["ab", "b", "a b"], ["ab", "ab c", "x ab", "a b"]))
+    def test_equals_the_per_name_reference(self, case):
+        claimed, truth = case
+        expected = reference_fact_pcf(claimed, truth)
+        assert similarity.fact_pcf(claimed, truth).hex() == expected.hex()
+
     def test_one_exact_one_truncated(self):
         score = similarity.fact_pcf(["cay s horstmenn", "gary"], CORE_TRUTH)
         assert score == pytest.approx((1 + 1 / 3) / 2)
