@@ -133,11 +133,12 @@ def check_authors(names: list[str]) -> None:
     """Refuse an author list that no input file may give: ValueError if it is
     empty or holds a blank name, a name containing ``;`` (the claims
     separator) or a name twice, TypeError if it holds a name that is not a string.
+    Its callers sweep their lists first and call it only to word a refusal.
     """
-    if names and "" not in names and ";" not in "".join(names) and len(set(names)) == len(names):
-        return
     if not names:
         raise ValueError("empty author list")
+    if "" not in names:
+        "".join(names)  # TypeError at the first name that is not a string
     for i, name in enumerate(names):
         if not name:
             raise ValueError("blank author name")
@@ -186,6 +187,8 @@ def load_knowledge_base(path: str | Path) -> dict[ObjectId, TrueFact]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 found = f"invalid JSON ({exc.msg})"
+            except RecursionError:
+                found = "JSON nested too deeply"
             except ValueError as exc:  # an integer past the interpreter's digit limit
                 found = str(exc)
             else:
@@ -259,8 +262,10 @@ def load_claims(path: str | Path) -> Claims:
     distinct authors field is normalized, checked and sorted once per call,
     and every claim of that field shares the resulting canonical key.
 
-    Each rule is one sweep over a column of all the rows; only when a sweep
-    fails does a pass over the rows name the first row that breaks a rule.
+    :func:`_claim_columns` checks each rule as one sweep over a column of
+    all the rows. Only when a sweep fails are the non-blank rows taken again
+    one at a time, each through :func:`_claim_columns`, to name the first
+    bad row.
     """
     rows: list[list[str]] = []
     unread = None
@@ -283,15 +288,17 @@ def load_claims(path: str | Path) -> Claims:
             unread = f"row {len(rows) + 1}: {exc}"
     numbers: Sequence[int] = range(1, len(rows) + 1)
     columns = _claim_columns(rows)
-    if columns is None:
+    if isinstance(columns, str):
         # A blank row fails the width or the url sweep, so only then are
         # blank rows looked for.
         contents = tuple(map(str.strip, map("".join, rows)))
         numbers, rows = list(compress(numbers, contents)), list(compress(rows, contents))
         columns = _claim_columns(rows)
-    if columns is None:
-        number, problem = next(filter(itemgetter(1), zip(numbers, map(_row_problem, rows))))
-        raise CorpusError(f"{path}: row {number}: {problem}")
+    if isinstance(columns, str):
+        for number, row in zip(numbers, rows):
+            problem = _claim_columns([row])
+            if isinstance(problem, str):
+                raise CorpusError(f"{path}: row {number}: {problem}")
     if unread is not None:
         raise CorpusError(f"{path}: {unread}")
     for column, texts in zip(("website_url", "isbn"), columns):
@@ -301,21 +308,29 @@ def load_claims(path: str | Path) -> Claims:
     return Claims(*columns)
 
 
-def _claim_columns(rows: list[list[str]]) -> tuple[tuple, tuple, tuple] | None:
-    """The url, ISBN and key columns of non-blank claims rows, or None when
-    a sweep finds a row that breaks a rule of :func:`load_claims`."""
+def _claim_columns(rows: list[list[str]]) -> tuple[tuple, tuple, tuple] | str:
+    """The url, ISBN and key columns of non-blank claims rows; or the refusal
+    text of the first rule of :func:`load_claims` that a sweep finds broken
+    (width, url, ISBN, authors, price, quantity, in that order), which names
+    the right value only for a single row."""
     if not {len(CLAIMS_HEADER)}.issuperset(map(len, rows)):
-        return None
+        return f"expected {len(CLAIMS_HEADER)} columns, got {len(rows[0])}"
     websites, isbns, fields, prices, quantities = _columns(rows, 0, 1, 2, 4, 5)
     websites, isbns = tuple(map(str.strip, websites)), tuple(map(str.strip, isbns))
+    if not all(websites):
+        return "empty website_url"
+    if not all(isbns):
+        return "empty isbn"
     distinct = dict.fromkeys(fields)
     try:
         key_of = dict(zip(distinct, map(_authors_key, distinct)))
-    except ValueError:
-        return None
-    if all(websites) and all(isbns) and _in_format(prices, float) and _in_format(quantities, int):
-        return websites, isbns, tuple(map(key_of.__getitem__, fields))
-    return None
+    except ValueError as exc:
+        return str(exc)
+    if not _in_format(prices, float):
+        return f"bad price {prices[0]!r}"
+    if not _in_format(quantities, int):
+        return f"bad quantity {quantities[0]!r}"
+    return websites, isbns, tuple(map(key_of.__getitem__, fields))
 
 
 def _authors_key(field: str) -> tuple[str, ...]:
@@ -340,27 +355,6 @@ def _in_format(fields: Sequence[str], number: type) -> bool:
     except ValueError:
         return False
     return number is int or all(map(math.isfinite, values))
-
-
-def _row_problem(row: list[str]) -> str | None:
-    """The first rule of :func:`load_claims` that a non-blank row breaks, as
-    the text of its refusal, or None."""
-    if len(row) != len(CLAIMS_HEADER):
-        return f"expected {len(CLAIMS_HEADER)} columns, got {len(row)}"
-    website, isbn, field, _publisher, price, quantity = row
-    if not website.strip():
-        return "empty website_url"
-    if not isbn.strip():
-        return "empty isbn"
-    try:
-        _authors_key(field)
-    except ValueError as exc:
-        return str(exc)
-    if not _in_format((price,), float):
-        return f"bad price {price!r}"
-    if not _in_format((quantity,), int):
-        return f"bad quantity {quantity!r}"
-    return None
 
 
 def canonical_claims(rows: Sequence) -> Claims:
@@ -554,6 +548,8 @@ def load_state(path: str | Path) -> TrustState:
         )
     except json.JSONDecodeError as exc:
         raise StateError(f"{path}: not valid JSON ({exc.msg})")
+    except RecursionError:
+        raise StateError(f"{path}: JSON nested too deeply")
     except ValueError as exc:
         raise StateError(f"{path}: {exc}")
     if not isinstance(doc, dict):

@@ -201,6 +201,34 @@ class TestIngest:
         assert err.startswith("error: ") and "line 2: author name 'a;b'" in err
 
 
+# A nesting depth past the recursion limit: the JSON decoder raises RecursionError.
+DEEP = 100_000
+
+
+class TestDeepNesting:
+    """JSON nested past the recursion limit is refused like other bad JSON:
+    exit 2, naming the KB line or the state file."""
+
+    def test_kb_line_exits_2_and_names_line(self, tmp_path, capsys):
+        kb, claims = write_core_fixture(tmp_path)
+        with kb.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + "[" * DEEP + "]" * DEEP + "\n")
+        state = tmp_path / "s.json"
+        code = cli.main(["ingest", "--kb", str(kb), "--claims", str(claims), "--state", str(state)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {kb}: line 3: JSON nested too deeply\n"
+        assert not state.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["compare"], ["query", "--needle", CORE_ISBN]])
+    def test_state_exits_2(self, tmp_path, capsys, command):
+        state = tmp_path / "state.json"
+        state.write_text('{"kb":' + "[" * DEEP + "]" * DEEP + "}\n", encoding="utf-8")
+        before = state.read_bytes()
+        assert cli.main([command[0], "--state", str(state), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {state}: JSON nested too deeply\n"
+        assert state.read_bytes() == before
+
+
 class TestRun:
     def test_exact_corpus_prints_converged(self, tmp_path, capsys):
         args, kb, claims = gen_args(tmp_path, corruption=0.0)
@@ -1074,3 +1102,83 @@ class TestIngestFuzz:
         assert code in {0, 2}, (mutation[:3], code, err.getvalue()[:200])
         if code:
             assert err.getvalue().startswith("error: ")
+
+
+# Byte strings that the byte fuzz inserts: a BOM, a byte that is not UTF-8,
+# whitespace and separators of JSON and CSV, brackets, the non-finite tokens
+# and an int past the interpreter's digit limit.
+FUZZ_TOKENS = [
+    b"\xef\xbb\xbf", b"\xff", b"\t", b"\r", b"\n", b'"', b";", b",", b"[", b"]", b"{", b"}",
+    b"NaN", b"1e999", b"9" * 5000,
+]
+
+
+def _mutate(data, text: bytes) -> bytes:
+    """``text`` after 1 to 4 edits drawn from ``data``: a deleted span, a
+    flipped byte, a copied span or an inserted token."""
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(text) - 1), label="at")
+        op = data.draw(st.sampled_from(["delete", "flip", "copy", "insert"]), label="op")
+        if op == "delete":
+            text = text[:at] + text[at + data.draw(st.integers(1, 16), label="length"):]
+        elif op == "flip":
+            flipped = text[at] ^ data.draw(st.integers(1, 255), label="mask")
+            text = text[:at] + bytes([flipped]) + text[at + 1:]
+        else:
+            if op == "copy":
+                start = data.draw(st.integers(0, len(text) - 1), label="from")
+                insert = text[start:start + data.draw(st.integers(1, 64), label="length")]
+            else:
+                insert = data.draw(st.sampled_from(FUZZ_TOKENS), label="token")
+            text = text[:at] + insert + text[at:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def byte_fuzz_base(tmp_path_factory):
+    """The KB, claims and state bytes of test_golden's `gen-40x4` corpus at
+    seed 0, the state after ingest, run and compare, and an ISBN it holds."""
+    tmp_path = tmp_path_factory.mktemp("byte_fuzz")
+    args, kb, claims = gen_args(
+        tmp_path, websites=40, objects=12, claims_per_site=4, corruption=0.5, seed=0
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+        state = ingest(tmp_path, kb, claims)
+        assert cli.main(["run", "--state", str(state)]) == 0
+        assert cli.main(["compare", "--state", str(state)]) == 0
+    isbn = json.loads(kb.read_text(encoding="utf-8").splitlines()[0])["isbn"]
+    files = {"kb.jsonl": kb, "claims.csv": claims, "state.json": state}
+    return {name: path.read_bytes() for name, path in files.items()}, isbn
+
+
+class TestByteFuzz:
+    """One to four byte edits of the KB, the claims or the state make
+    `ingest`, `run`, `compare` and `query` exit 0 or 2 (3 for `query` on a
+    state whose pcf table an edit renamed), never with a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bytes_never_escape_an_exception(self, byte_fuzz_base, data):
+        files, isbn = byte_fuzz_base
+        files = dict(files)
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        files[name] = _mutate(data, files[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: Path(tmp) / key for key in files}
+            if name == "state.json":
+                commands = [["run"], ["compare"], ["query", "--needle", isbn]]
+            else:
+                commands = [["ingest", "--kb", str(paths["kb.jsonl"]),
+                             "--claims", str(paths["claims.csv"])]]
+            for command in commands:
+                # `run` and `compare` rewrite the state, so each command reads the mutated bytes.
+                for key, text in files.items():
+                    paths[key].write_bytes(text)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([*command, "--state", str(paths["state.json"])])
+                allowed = {0, 2, 3} if command[0] == "query" else {0, 2}
+                assert code in allowed, (command[0], code, err.getvalue()[:200])
+                if code:
+                    assert err.getvalue().startswith("error: ")

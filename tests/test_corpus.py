@@ -88,6 +88,8 @@ def reference_load_state(path):
         )
     except json.JSONDecodeError as exc:
         raise corpus.StateError(f"{path}: not valid JSON ({exc.msg})")
+    except RecursionError:
+        raise corpus.StateError(f"{path}: JSON nested too deeply")
     except ValueError as exc:
         raise corpus.StateError(f"{path}: {exc}")
     if not isinstance(doc, dict):
@@ -349,6 +351,8 @@ def reference_load_knowledge_base(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise corpus.CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
+            except RecursionError:
+                raise corpus.CorpusError(f"{path}: line {lineno}: JSON nested too deeply")
             except ValueError as exc:  # an integer past the interpreter's digit limit
                 raise corpus.CorpusError(f"{path}: line {lineno}: {exc}")
             if not isinstance(record, dict):
@@ -761,6 +765,10 @@ def _same_isbn(record, others, pick):
     record["isbn"] = pick(["", " ", "\t"]) + pick(others)["isbn"].strip() + pick(["", " "])
 
 
+# A nesting depth past the recursion limit: the JSON decoder raises RecursionError.
+DEEP = 100_000
+
+
 # name -> an edit of one record, given the records before it, that breaks
 # exactly one rule of the KB format, or a line in place of the record.
 KB_CORRUPTIONS = {
@@ -771,6 +779,12 @@ KB_CORRUPTIONS = {
         "\u3000" + json.dumps(record), "\x1c" + json.dumps(record), json.dumps(record) + "\x0b",
     ]),
     "a BOM": lambda record, others, pick: "\ufeff" + json.dumps(record),
+    "nested too deeply": lambda record, others, pick: pick([
+        "[" * DEEP + "]" * DEEP,
+        json.dumps({**record, "authors": None}).replace(
+            '"authors": null', '"authors": ' + "[" * DEEP + "]" * DEEP
+        ),
+    ]),
     "not an object": lambda record, others, pick: pick(
         ["[1, 2]", "3", "null", '"s"', "true", json.dumps([record])]
     ),
@@ -1048,6 +1062,13 @@ class TestLoadKnowledgeBase:
             texts.append(str(refused.value))
         assert texts[0] == texts[1]
 
+    def test_a_line_nested_too_deeply_names_line(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        good = json.dumps({"isbn": "1", "authors": ["a b"]})
+        text = "\n".join([good, "", "[" * DEEP + "]" * DEEP, "{broken", ""])
+        outcome = assert_kb_loads_as_the_reference(text, path)
+        assert outcome == f"{path}: line 3: JSON nested too deeply"
+
     @pytest.mark.parametrize("corruption", [None, *KB_CORRUPTIONS])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -1183,6 +1204,47 @@ class TestLoadClaims:
         )
         with pytest.raises(corpus.CorpusError, match=f"row 2: duplicate author name {name!r}"):
             corpus.load_claims(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (["", "1", "x y", "", "cheap", ""], "empty website_url"),
+            (["", "", "x y", "", "", ""], "empty website_url"),
+            ([" ", "1", "a b;A. B", "", "", "2.5"], "empty website_url"),
+            (["http://a.com", " ", "a b;A. B", "", "", ""], "empty isbn"),
+            (["http://a.com", "", "x y", "", "cheap", "x"], "empty isbn"),
+            (["http://a.com", "1", "a b;A. B", "", "", "2.5"], "duplicate author name 'a b'"),
+            (["http://a.com", "1", " ; ", "", "nan", ""], "empty author list"),
+            (["http://a.com", "1", "x y", "", "cheap", "2.5"], "bad price 'cheap'"),
+            (["", "1", "x y", "", "", "", "extra"], "expected 6 columns, got 7"),
+        ],
+    )
+    def test_a_row_breaking_two_rules_is_refused_by_the_first(self, tmp_path, row, message):
+        # Rules go: width, url, ISBN, authors, price, quantity.
+        path = tmp_path / "claims.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([corpus.CLAIMS_HEADER, ["http://b.com", "1", "x y"] + [""] * 3, row])
+        expected = f"{path}: row 2: {message}"
+        for load in (corpus.load_claims, reference_load_claims):
+            with pytest.raises(corpus.CorpusError) as refused:
+                load(path)
+            assert str(refused.value) == expected
+
+    def test_a_later_rule_in_an_earlier_row_is_named_first(self, tmp_path):
+        # The column sweeps find row 3's empty url first; the row pass names row 1.
+        path = tmp_path / "claims.csv"
+        path.write_text(
+            "website_url,isbn,authors,publisher,price,quantity\n"
+            "http://a.com,1,x y,,,2.5\n"
+            "http://a.com,1,x y,,,\n"
+            ",1,x y,,,\n",
+            encoding="utf-8",
+        )
+        expected = f"{path}: row 1: bad quantity '2.5'"
+        for load in (corpus.load_claims, reference_load_claims):
+            with pytest.raises(corpus.CorpusError) as refused:
+                load(path)
+            assert str(refused.value) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
