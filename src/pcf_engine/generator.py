@@ -7,11 +7,10 @@ corrupting each claim independently with a configurable probability.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from .corpus import CLAIMS_HEADER, ObjectId, TrueFact
@@ -202,35 +201,36 @@ def generate_claims(spec: GenSpec, kb: list[BookRow]) -> list[ClaimRow]:
 
 
 def write_kb_file(path: str | Path, books: list[BookRow]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "isbn": book.object,
-                "title": book.title,
-                "authors": book.authors,
-                "publisher": book.publisher,
-                "price": book.price,
-            },
-            sort_keys=True,
-        )
+    """Write ``books`` as JSON Lines, each line the text of ``json.dumps(record,
+    sort_keys=True)`` built from one template: strings through its ASCII
+    escaper, the price through ``repr``. A price that is not a finite int or
+    float (a bool, NaN or an infinity) raises ValueError naming its line."""
+    for number, price in enumerate([book.price for book in books], 1):
+        if type(price) not in (int, float) or price != price or abs(price) == math.inf:
+            raise ValueError(f"line {number}: price must be a finite number, not {price!r}")
+    Path(path).write_text("".join([
+        f'{{"authors": [{", ".join(map(_encode, book.authors))}], "isbn": {_encode(book.object)}, '
+        f'"price": {book.price!r}, "publisher": {_encode(book.publisher)}, '
+        f'"title": {_encode(book.title)}}}\n'
         for book in books
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ]) or "\n", encoding="utf-8")
 
 
 def write_claims_file(path: str | Path, claims: list[ClaimRow]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CLAIMS_HEADER)
-    for claim in claims:
-        writer.writerow(
-            [
-                claim.website,
-                claim.object,
-                ";".join(claim.authors),
-                claim.publisher,
-                repr(claim.price),
-                str(claim.quantity),
-            ]
+    """Write ``claims`` under ``CLAIMS_HEADER``, each row its six fields joined by
+    commas: ``csv.writer``'s text (``lineterminator="\\n"``) for fields needing no
+    quotes. A field holding a comma, ``"``, CR, LF or NUL raises ValueError naming its row."""
+    rows = [CLAIMS_HEADER] + [
+        (c.website, c.object, ";".join(c.authors), c.publisher, repr(c.price), str(c.quantity))
+        for c in claims
+    ]
+    text = "\n".join(map(",".join, rows)) + "\n"
+    # The joins put five commas in each row and an LF after it; any more came from a field.
+    counts = (text.count(","), text.count("\n"))
+    if counts != (5 * len(rows), len(rows)) or any(map(text.__contains__, '"\r\0')):
+        number, field = next(
+            (number, field) for number, row in enumerate(rows) for field in row
+            if any(map(field.__contains__, ',"\r\n\0'))
         )
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+        raise ValueError(f"row {number}: field {field!r} holds a comma, a quote, CR, LF or NUL")
+    Path(path).write_text(text, encoding="utf-8")

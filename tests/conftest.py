@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import math
 from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,43 @@ def write_core_fixture(tmp_path):
         encoding="utf-8",
     )
     return kb_path, claims_path
+
+
+def reference_write_kb_file(path, books):
+    """The reference for ``generator.write_kb_file``: one ``json.dumps`` per line."""
+    lines = [
+        json.dumps(
+            {
+                "isbn": book.object,
+                "title": book.title,
+                "authors": book.authors,
+                "publisher": book.publisher,
+                "price": book.price,
+            },
+            sort_keys=True,
+        )
+        for book in books
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_claims_file(path, claims):
+    """The reference for ``generator.write_claims_file``: every row through ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(corpus.CLAIMS_HEADER)
+    for claim in claims:
+        writer.writerow(
+            [
+                claim.website,
+                claim.object,
+                ";".join(claim.authors),
+                claim.publisher,
+                repr(claim.price),
+                str(claim.quantity),
+            ]
+        )
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
 
 
 def one_epoch(state):
