@@ -33,6 +33,6 @@ from .engine import (
 )
 from .generator import GenSpec, generate_claims, generate_kb
 from .serp import SerpRow, StaleMethodError, query, rank_websites, serp_tsv
-from .similarity import WeightedNameScorer, fact_pcf, name_pcf, tf_name_score
+from .similarity import fact_pcf, name_pcf, tf_name_score, weighted_name_scores
 
 __version__ = "0.1.0"

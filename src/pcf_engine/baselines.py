@@ -2,20 +2,20 @@
 
 The voting baseline scores by provider counts alone. The weighted-name
 baseline runs the engine's epochs but scores facts with the 2:1:3
-first/middle/last matcher instead of the substring-ratio function; the pcf
-run reads the substring-ratio scores that ``ingest`` stored in ``fact.pcf``,
-as ``pcf run`` does. Each run returns its url -> trust table in the index's
-site order; the engine runs read ``state.config`` and keep only the last
-trust vector, so their last epoch runs the trust stage alone
-(``run_epochs(..., trust_only=True)``). All baselines work on vectors over
-an index of the state and write no record.
+first/middle/last matcher, all in one ``weighted_name_scores`` call, instead
+of the substring-ratio function; the pcf run reads the substring-ratio
+scores that ``ingest`` stored in ``fact.pcf``, as ``pcf run`` does. Each run
+returns its url -> trust table in the index's site order; the engine runs
+read ``state.config`` and keep only the last trust vector, so their last
+epoch runs the trust stage alone (``run_epochs(..., trust_only=True)``). All
+baselines work on vectors over an index of the state and write no record.
 """
 
 from __future__ import annotations
 
 from .corpus import TrustState
 from .engine import Index, run_epochs
-from .similarity import WeightedNameScorer
+from .similarity import weighted_name_scores
 
 METHOD_PCF = "pcf"
 METHOD_TRUTHFINDER = "truthfinder"
@@ -60,13 +60,13 @@ def _engine_run(state: TrustState, ix: Index, pcf: list[float]) -> dict[str, flo
 def truthfinder_run(state: TrustState, ix: Index) -> dict[str, float]:
     """Run the engine's epochs from zero trust with the weighted-name fact scorer.
 
-    One scorer serves the whole run, so each distinct name pair is scored once.
+    One ``weighted_name_scores`` call scores all facts, each name split once;
+    a fact off the KB is scored against no true author, which gives 0.0.
     """
-    score = WeightedNameScorer()
-    pcf = [
-        score(fact.authors, state.kb[fact.object].authors) if known else 0.0
+    pcf = weighted_name_scores(
+        (fact.authors, state.kb[fact.object].authors if known else [])
         for fact, known in zip(ix.facts, ix.known)
-    ]
+    )
     return _engine_run(state, ix, pcf)
 
 

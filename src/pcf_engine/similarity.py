@@ -6,27 +6,22 @@ name, scored by the character-length ratio. The second is a weighted
 first/middle/last name matcher (weights 2:1:3) used by the comparison
 baseline. Its near-miss test, edit distance at most 2, uses Myers'
 bit-parallel edit distance; the tests check it against the classic
-dynamic program. Sites copy the same author names, so the baseline scores
-through one :class:`WeightedNameScorer` per run: each distinct name is split
-once, and each distinct name pair and part pair is scored once. Two exact
-shortcuts skip most of that work: a claimed name equal to a true author
-scores 1.0 without being paired, and two parts whose character sets differ
-in more than four characters are more than two edits apart, so they skip
-the edit distance.
+dynamic program. Sites copy the same author names, so one
+:func:`weighted_name_scores` call scores all of a run's facts, splitting
+each distinct name once and crediting each distinct unequal part pair
+once. Exact shortcuts skip most of that work: a claimed name equal to a
+true author scores 1.0 unpaired, equal parts take full credit inline, and
+parts whose character sets differ in more than four characters are more
+than two edits apart, so they skip the edit distance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 FIRST_WEIGHT = 2.0
 MIDDLE_WEIGHT = 1.0
 LAST_WEIGHT = 3.0
-
-_PART_WEIGHTS = {"first": FIRST_WEIGHT, "middle": MIDDLE_WEIGHT, "last": LAST_WEIGHT}
-
-# A fact scorer: (claimed authors, true authors) -> probability in [0, 1].
-Scorer = Callable[[list[str], list[str]], float]
 
 
 def name_pcf(claim_name: str, true_authors: Iterable[str]) -> float:
@@ -101,20 +96,24 @@ def levenshtein(a: str, b: str) -> int:
     return score
 
 
-def split_name_parts(name: str) -> dict[str, str]:
-    """Split a normalized name into first/middle/last parts.
+class _NameParts(dict):
+    """A normalized name's (first, middle, last) parts on lookup, each split once.
 
     One token is a bare last name; two tokens are first+last; with three or
-    more, everything interior joins into the middle part.
+    more, everything interior joins into the middle part. An absent part is
+    None, and so is a name with no token.
     """
-    tokens = name.split()
-    if not tokens:
-        return {}
-    if len(tokens) == 1:
-        return {"last": tokens[0]}
-    if len(tokens) == 2:
-        return {"first": tokens[0], "last": tokens[1]}
-    return {"first": tokens[0], "middle": " ".join(tokens[1:-1]), "last": tokens[-1]}
+
+    def __missing__(self, name: str) -> tuple[str | None, str | None, str] | None:
+        tokens = name.split()
+        if not tokens:
+            parts = None
+        elif len(tokens) == 1:
+            parts = None, None, tokens[0]
+        else:
+            parts = tokens[0], " ".join(tokens[1:-1]) or None, tokens[-1]
+        self[name] = parts
+        return parts
 
 
 def _part_credit(claim_part: str | None, true_part: str) -> float:
@@ -140,71 +139,71 @@ def _part_credit(claim_part: str | None, true_part: str) -> float:
     return 0.0
 
 
-class WeightedNameScorer:
-    """The weighted-name fact scorer, remembering what it has computed.
+def weighted_name_scores(pairs: Iterable[tuple[list[str], list[str]]]) -> list[float]:
+    """The weighted first/middle/last score in [0, 1] of each (claimed
+    authors, true authors) pair, in order.
 
-    Scores exactly as :func:`tf_name_score`, but keeps each distinct name's
-    parts, each (claim name, true name) score and each (claim part, true
-    part) credit. Names and parts have memos of their own: a middle part such
-    as "b c" is also a two-token name, and the two map to different values.
-    The memos grow with the distinct names scored and last as long as the
-    object, so make one per run. A claimed name that is one of the true
-    authors and has a token scores 1.0 with no pair scored: that is its
-    score against itself, and no pair scores more.
+    Each claimed name takes its best part-weighted score (first 2, middle 1,
+    last 3) over the true authors, and a fact scores the mean over its
+    claimed names, added left to right from 0.0; either list empty scores
+    0.0. Weights and credits sum to multiples of 0.5 no larger than 6, exact
+    in any order. A claimed name that is a true author and has a token
+    scores 1.0, its score against itself, unpaired. The memos last one call.
     """
-
-    def __init__(self) -> None:
-        self._parts: dict[str, dict[str, str]] = {}
-        self._names: dict[tuple[str, str], float] = {}
-        self._credits: dict[tuple[str | None, str], float] = {}
-
-    def __call__(self, claim_authors: list[str], true_authors: list[str]) -> float:
+    split = _NameParts()
+    credits: dict[tuple[str, str], float] = {}
+    scores = []
+    for claim_authors, true_authors in pairs:
         if not claim_authors or not true_authors:
-            return 0.0
+            scores.append(0.0)
+            continue
         total = 0.0
         for claim_name in claim_authors:
-            # Against itself every part earns credit 1.0, so the score is
-            # exactly 1.0; a name with no token, such as " ", scores 0.0.
-            if claim_name in true_authors and self._split(claim_name):
+            # strip() drops the whitespace split() splits on: text is left iff there is a token.
+            if claim_name in true_authors and claim_name.strip():
                 total += 1.0
-            else:
-                total += max(self._name_score(claim_name, true_name) for true_name in true_authors)
-        return total / len(claim_authors)
-
-    def _name_score(self, claim_name: str, true_name: str) -> float:
-        key = (claim_name, true_name)
-        score = self._names.get(key)
-        if score is None:
-            claim_parts = self._split(claim_name)
-            total = 0.0
-            granted = 0.0
-            for part, value in self._split(true_name).items():
-                weight = _PART_WEIGHTS[part]
-                total += weight
-                granted += weight * self._credit(claim_parts.get(part), value)
-            score = self._names[key] = granted / total if total else 0.0
-        return score
-
-    def _split(self, name: str) -> dict[str, str]:
-        parts = self._parts.get(name)
-        if parts is None:
-            parts = self._parts[name] = split_name_parts(name)
-        return parts
-
-    def _credit(self, claim_part: str | None, true_part: str) -> float:
-        key = (claim_part, true_part)
-        credit = self._credits.get(key)
-        if credit is None:
-            credit = self._credits[key] = _part_credit(claim_part, true_part)
-        return credit
+                continue
+            claim = split[claim_name]
+            if claim is None:
+                continue
+            first, middle, last = claim
+            best = 0.0
+            for true_name in true_authors:
+                true = split[true_name]
+                if true is None:
+                    continue
+                true_first, true_middle, true_last = true
+                if true_last == last:
+                    granted = LAST_WEIGHT
+                else:
+                    if (credit := credits.get((last, true_last))) is None:
+                        credit = credits[last, true_last] = _part_credit(last, true_last)
+                    granted = LAST_WEIGHT * credit
+                weight = LAST_WEIGHT
+                if true_first is not None:
+                    weight += FIRST_WEIGHT
+                    if true_first == first:
+                        granted += FIRST_WEIGHT
+                    elif first is not None:
+                        if (credit := credits.get((first, true_first))) is None:
+                            credit = credits[first, true_first] = _part_credit(first, true_first)
+                        granted += FIRST_WEIGHT * credit
+                    if true_middle is not None:
+                        weight += MIDDLE_WEIGHT
+                        if true_middle == middle:
+                            granted += MIDDLE_WEIGHT
+                        elif middle is not None:
+                            if (credit := credits.get((middle, true_middle))) is None:
+                                credit = credits[middle, true_middle] = _part_credit(middle, true_middle)
+                            granted += MIDDLE_WEIGHT * credit
+                score = granted / weight
+                if score > best:
+                    best = score
+            total += best
+        scores.append(total / len(claim_authors))
+    return scores
 
 
 def tf_name_score(claim_authors: list[str], true_authors: list[str]) -> float:
-    """Weighted first/middle/last matching score in [0, 1].
-
-    Each claim author is paired with the true author giving it the highest
-    part-weighted score (first 2, middle 1, last 3), then scores average
-    over the claim's authors. A fresh :class:`WeightedNameScorer` scores
-    the one fact, so nothing carries over from call to call.
-    """
-    return WeightedNameScorer()(claim_authors, true_authors)
+    """The weighted-name score of one fact, by :func:`weighted_name_scores`."""
+    return weighted_name_scores([(claim_authors, true_authors)])[0]

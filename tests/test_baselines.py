@@ -189,10 +189,12 @@ class TestThreeMethodComparison:
         assert state == before
 
 
-def generated_state(seed):
-    """A corrupted generator corpus; every seed uses the same ISBNs with other authors."""
+def generated_state(seed, **shape):
+    """A corrupted generator corpus; with the default shape every seed uses
+    the same ISBNs with other authors."""
     spec = generator.GenSpec(
-        n_websites=30, n_objects=8, claims_per_site=3, corruption_rate=0.5, seed=seed
+        **{"n_websites": 30, "n_objects": 8, "claims_per_site": 3, "corruption_rate": 0.5, **shape},
+        seed=seed,
     )
     kb_records = generator.generate_kb(spec)
     claims = generator.generate_claims(spec, kb_records)
@@ -218,9 +220,17 @@ def reference_truthfinder_run(state):
     return full_epoch_run(state, reference_tf_name_score)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 5, 9])
-def test_truthfinder_run_equals_the_per_fact_reference(seed):
-    state = generated_state(seed)
+# One ISBN claimed by 320 sites, every author list corrupted: the shape that
+# repeats names the most.
+ONE_OBJECT = {"n_websites": 320, "n_objects": 1, "claims_per_site": 1, "corruption_rate": 1.0}
+
+
+@pytest.mark.parametrize("seed, shape", [
+    *(pytest.param(seed, {}, id=str(seed)) for seed in (0, 1, 5, 9)),
+    pytest.param(7, ONE_OBJECT, id="one-object"),
+])
+def test_truthfinder_run_equals_the_per_fact_reference(seed, shape):
+    state = generated_state(seed, **shape)
     assert baselines.truthfinder_run(state, engine.build_index(state)) == (
         reference_truthfinder_run(state)
     )

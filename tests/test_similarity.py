@@ -40,15 +40,34 @@ def _reference_part_credit(claim_part, true_part):
     return 0.0
 
 
+_PART_WEIGHTS = {"first": 2.0, "middle": 1.0, "last": 3.0}
+
+
+def split_name_parts(name):
+    """Split a normalized name into first/middle/last parts.
+
+    One token is a bare last name; two tokens are first+last; with three or
+    more, everything interior joins into the middle part.
+    """
+    tokens = name.split()
+    if not tokens:
+        return {}
+    if len(tokens) == 1:
+        return {"last": tokens[0]}
+    if len(tokens) == 2:
+        return {"first": tokens[0], "last": tokens[1]}
+    return {"first": tokens[0], "middle": " ".join(tokens[1:-1]), "last": tokens[-1]}
+
+
 def _reference_weighted_name_score(claim_name, true_name):
-    true_parts = similarity.split_name_parts(true_name)
+    true_parts = split_name_parts(true_name)
     if not true_parts:
         return 0.0
-    claim_parts = similarity.split_name_parts(claim_name)
+    claim_parts = split_name_parts(claim_name)
     total = 0.0
     granted = 0.0
     for part, value in true_parts.items():
-        weight = similarity._PART_WEIGHTS[part]
+        weight = _PART_WEIGHTS[part]
         total += weight
         granted += weight * _reference_part_credit(claim_parts.get(part), value)
     return granted / total
@@ -321,59 +340,123 @@ class TestTfNameScoreReference:
 # Names that share parts: "a b c z" has the middle part "b c", which is also
 # the two-token name "b c", and the pair ("b c", "b d") scores 0.7 as names
 # but 0.5 as middle parts; the middle "b" of "a b c" is the one-token name
-# "b". Near misses of "graeme c simsion" reach the edit distance. " " has
-# no token: it scores 0.0 even against itself.
+# "b". Near misses of "graeme c simsion" reach the edit distance. " " and
+# "\t" have no token: they score 0.0 even against themselves. "\x1cb c\t"
+# splits as "b c" does, but is not equal to it as a string.
 NAME_POOL = [
     "b", "b c", "b d", "a b c", "a b c z", "a b d z",
-    "graeme c simsion", "graeme simsion", "grame simsio", "simsion", " ",
+    "graeme c simsion", "graeme simsion", "grame simsio", "simsion", " ", "\t", "\x1cb c\t",
 ]
 pooled_lists = st.lists(st.sampled_from(NAME_POOL), max_size=3)
+pooled_batches = st.lists(st.tuples(pooled_lists, pooled_lists), min_size=1, max_size=12)
 
 
-class TestWeightedNameScorer:
-    """One scorer over many facts gives each the reference score: its memos
+def counting_part_credit(monkeypatch):
+    """Wrap ``similarity._part_credit``; returns the list of its calls."""
+    calls = []
+
+    def counting(claim_part, true_part):
+        calls.append((claim_part, true_part))
+        return _reference_part_credit(claim_part, true_part)
+
+    monkeypatch.setattr(similarity, "_part_credit", counting)
+    return calls
+
+
+class TestWeightedNameScores:
+    """One call over many facts gives each the reference score: its memos
     return what scoring from scratch would."""
 
-    @given(batch=st.lists(st.tuples(pooled_lists, pooled_lists), min_size=1, max_size=12))
+    @given(batch=pooled_batches)
     @example(batch=[([], ["b c"])])
     @example(batch=[(["b c"], [])])
     @example(batch=[(["a b c z", "a b c z"], ["b c", "a b c z"])])
     @example(batch=[(["b c"], ["b d"]), (["a b c z"], ["a b d z"])])
     @example(batch=[(["a b d z"], ["a b c z"]), (["b d"], ["b c"])])
     @example(batch=[([" "], [" ", "b"])])
-    def test_one_scorer_equals_the_reference_on_every_fact(self, batch):
-        scorer = similarity.WeightedNameScorer()
-        for claims, truth in batch:
-            assert scorer(claims, truth) == reference_tf_name_score(claims, truth)
+    # Tabs, spaces and \x1c inside and around names, and a true list that
+    # holds a name with no token.
+    @example(batch=[(["\ta b", "a\x1cb", " b c ", "\x1c"], ["a b", " ", "b c", "\x1c"])])
+    @example(batch=[(["\t", "a\tb\x1cc", "\x1c", "b"], ["\t", "\x1c", "a b c"])])
+    def test_equals_the_reference_on_every_fact(self, batch):
+        expected = [reference_tf_name_score(claims, truth) for claims, truth in batch]
+        assert similarity.weighted_name_scores(batch) == expected
 
     def test_a_true_name_scores_one_without_pairing(self, monkeypatch):
-        calls = []
-
-        def counting(claim_part, true_part):
-            calls.append((claim_part, true_part))
-            return _reference_part_credit(claim_part, true_part)
-
-        monkeypatch.setattr(similarity, "_part_credit", counting)
-        assert similarity.WeightedNameScorer()(["a b", "c"], ["c", "a b"]) == 1.0
+        calls = counting_part_credit(monkeypatch)
+        assert similarity.weighted_name_scores([(["a b", "c"], ["c", "a b"])]) == [1.0]
         assert calls == []
+
+    def test_equal_parts_reach_no_credit(self, monkeypatch):
+        calls = counting_part_credit(monkeypatch)
+        # First and last equal, the middle absent from the claim.
+        assert similarity.weighted_name_scores([(["a c"], ["a b c"])]) == [5 / 6]
+        assert calls == []
+
+    @given(batch=pooled_batches)
+    @example(batch=[(["b c"], ["b d"]), (["b c"], ["b d"])])
+    @example(batch=[(["a b c z"], ["a b d z"]), (["b c"], ["b d"])])
+    def test_each_unequal_part_pair_is_credited_once_per_call(self, batch):
+        # The distinct (claim part, true part) pairs that differ, of every
+        # claimed name that is not a true author with a token, against every
+        # true author.
+        expected = set()
+        for claims, truth in batch:
+            for claim_name in claims:
+                if claim_name in truth and claim_name.strip():
+                    continue
+                claim_parts = split_name_parts(claim_name)
+                for true_name in truth:
+                    for part, value in split_name_parts(true_name).items():
+                        if claim_parts.get(part) not in (None, value):
+                            expected.add((claim_parts[part], value))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = counting_part_credit(monkeypatch)
+            for _ in range(2):
+                calls.clear()
+                similarity.weighted_name_scores(batch)
+                assert sorted(calls) == sorted(expected)
+
+
+# Every character that str.split() splits on in the Latin-1 range, and U+3000
+# beyond it; U+200B, a zero-width space, is not one.
+_spaced_names = st.text(alphabet="ab \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u3000\u200b", max_size=8)
 
 
 class TestSplitNameParts:
+    """The scorer's tuple split holds the reference split's parts, None for
+    an absent part and for a name with no token."""
+
     def test_one_token_is_last_name(self):
-        assert similarity.split_name_parts("simsion") == {"last": "simsion"}
+        assert split_name_parts("simsion") == {"last": "simsion"}
+        assert similarity._NameParts()["simsion"] == (None, None, "simsion")
 
     def test_two_tokens(self):
-        assert similarity.split_name_parts("graeme simsion") == {
+        assert split_name_parts("graeme simsion") == {
             "first": "graeme",
             "last": "simsion",
         }
+        assert similarity._NameParts()["graeme simsion"] == ("graeme", None, "simsion")
 
     def test_interior_tokens_join_into_middle(self):
-        assert similarity.split_name_parts("a b c d") == {
+        assert split_name_parts("a b c d") == {
             "first": "a",
             "middle": "b c",
             "last": "d",
         }
+        assert similarity._NameParts()["a b c d"] == ("a", "b c", "d")
+
+    @given(name=_spaced_names)
+    @example(name="")
+    @example(name=" \t\x1c ")
+    @example(name="\x1ca\tb c\x1c")
+    @example(name="\u200b")
+    def test_tuple_split_equals_the_reference_split(self, name):
+        parts = split_name_parts(name)
+        expected = (parts.get("first"), parts.get("middle"), parts["last"]) if parts else None
+        assert similarity._NameParts()[name] == expected
+        # The scorer's "has a token" test for a claimed name.
+        assert bool(name.strip()) == bool(parts)
 
 
 class TestTfNameScore:
