@@ -14,7 +14,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pcf_engine import baselines, bench, corpus, engine, generator
+from pcf_engine import baselines, bench, corpus, engine, generator, serp
+
+# Each method's run, in the column order of method_comparison.csv.
+METHODS = {
+    serp.METHOD_VOTING: baselines.voting_run,
+    serp.METHOD_TRUTHFINDER: baselines.truthfinder_run,
+    serp.METHOD_PCF: baselines.pcf_run,
+}
 
 
 def build_corpus(n_websites, n_objects, claims_per_site, corruption, seed, config=None):
@@ -59,19 +66,12 @@ def methods_experiment(out_dir, seed):
     path = out_dir / "method_comparison.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["corruption_rate", "voting_mean", "truthfinder_mean", "pcf_mean"])
+        writer.writerow(["corruption_rate", *(f"{method}_mean" for method in METHODS)])
         for rate in (0.0, 0.3, 0.6):
             state = build_corpus(40, 40, 6, rate, seed, one_epoch)
             ix = engine.build_index(state)
-            tables = {
-                "voting": baselines.voting_run(state, ix),
-                "truthfinder": baselines.truthfinder_run(state, ix),
-                "pcf": baselines.pcf_run(state, ix),
-            }
-            means = {name: sum(t.values()) / len(t) for name, t in tables.items()}
-            writer.writerow(
-                [rate, f"{means['voting']:.6f}", f"{means['truthfinder']:.6f}", f"{means['pcf']:.6f}"]
-            )
+            tables = [run(state, ix) for run in METHODS.values()]
+            writer.writerow([rate, *(f"{sum(t.values()) / len(t):.6f}" for t in tables)])
     print(f"wrote {path}")
 
 

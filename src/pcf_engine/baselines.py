@@ -17,10 +17,6 @@ from .corpus import TrustState
 from .engine import Index, run_epochs
 from .similarity import weighted_name_scores
 
-METHOD_PCF = "pcf"
-METHOD_TRUTHFINDER = "truthfinder"
-METHOD_VOTING = "voting"
-
 
 def voting_run(state: TrustState, ix: Index) -> dict[str, float]:
     """Score websites by vote shares, ignoring fact truthness.

@@ -9,7 +9,10 @@ import os
 import sys
 from dataclasses import replace
 
-from . import baselines, bench, corpus, engine, generator, serp
+from . import baselines, corpus, engine, serp
+
+# `generator` and `bench` are imported in `cmd_gen` and `cmd_bench`, so no
+# other command loads them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         state.config = replace(state.config, **overrides)
 
     state, reports = engine.run(state)
-    state.method_trusts[baselines.METHOD_PCF] = {
+    state.method_trusts[serp.METHOD_PCF] = {
         url: site.trust for url, site in state.websites.items()
     }
     corpus.save_state(state, args.state)
@@ -120,9 +123,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     state = corpus.load_state(args.state)
     ix = engine.build_index(state)
     tables = state.method_trusts
-    tables[baselines.METHOD_VOTING] = voting = baselines.voting_run(state, ix)
-    tables[baselines.METHOD_TRUTHFINDER] = truthfinder = baselines.truthfinder_run(state, ix)
-    tables[baselines.METHOD_PCF] = pcf = baselines.pcf_run(state, ix)
+    tables[serp.METHOD_VOTING] = voting = baselines.voting_run(state, ix)
+    tables[serp.METHOD_TRUTHFINDER] = truthfinder = baselines.truthfinder_run(state, ix)
+    tables[serp.METHOD_PCF] = pcf = baselines.pcf_run(state, ix)
     corpus.save_state(state, args.state)
 
     sys.stdout.write("url,voting,truthfinder,pcf\n")
@@ -143,6 +146,8 @@ def _csv_field(text: str) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import generator
+
     spec = generator.GenSpec(
         n_websites=args.websites,
         n_objects=args.objects,
@@ -162,6 +167,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+
     if args.websites_list is None and args.sweep_epsilon is None:
         print(
             "error: bench needs --websites-list and/or --sweep-epsilon",
@@ -205,8 +212,8 @@ COMMANDS = {
         ("--state", {"required": True}),
         ("--needle", {"required": True, "help": "ISBN or title substring"}),
         ("--method", {
-            "choices": [baselines.METHOD_PCF, baselines.METHOD_TRUTHFINDER, baselines.METHOD_VOTING],
-            "default": baselines.METHOD_PCF,
+            "choices": [serp.METHOD_PCF, serp.METHOD_TRUTHFINDER, serp.METHOD_VOTING],
+            "default": serp.METHOD_PCF,
         }),
         ("--top", {"type": int, "default": 10}),
     ]),

@@ -534,13 +534,13 @@ def load_state(path: str | Path) -> TrustState:
     ``config``, ``method_trusts`` and each of its tables objects. Trusts
     (method tables too) and probabilities lie in [0, 1], and the epoch is
     not negative. Each method table names exactly the websites. ISBNs are
-    non-empty, ISBNs and urls hold no tab, CR or LF, KB ISBNs, urls and ids
-    are distinct, author lists pass :func:`check_authors`, and facts are in
-    :func:`build_state`'s form: authors sorted, providers ids of websites,
-    ascending, and no two facts on one ISBN and authors. Anything else, or
-    a config :class:`EngineConfig` refuses, raises :class:`StateError`. Each
-    rule is one sweep over a column; a refusal names the first record that
-    breaks it.
+    non-empty, ISBNs, urls and fact author names hold no tab, CR or LF, KB
+    ISBNs, urls and ids are distinct, author lists pass :func:`check_authors`,
+    and facts are in :func:`build_state`'s form: authors sorted, providers
+    ids of websites, ascending, and no two facts on one ISBN and authors.
+    Anything else, or a config :class:`EngineConfig` refuses, raises
+    :class:`StateError`. Each rule is one sweep over a column; a refusal
+    names the first record that breaks it.
     """
     try:
         doc = json.loads(
@@ -611,6 +611,11 @@ def load_state(path: str | Path) -> TrustState:
         _check_names("KB isbn", isbns, kb_authors,
                      sum(map(len, map(set, kb_authors))) == sum(map(len, kb_authors)))
         _check_names("fact", fact_ids, authors, _ascending(authors))
+        # `query` prints a fact's authors in its TSV row, as it does the isbn.
+        if _breaks_row("".join(chain.from_iterable(authors))):
+            key, name = next((key, name) for key, names in zip(fact_ids, authors)
+                             for name in names if _breaks_row(name))
+            raise ValueError(f"fact {key}: author name {name!r} holds a tab, CR or LF")
         site_ids = set(ids)
 
         def linked(values: Iterable) -> bool:
@@ -691,8 +696,8 @@ def _check(swept: bool, what: str, keys: Sequence, values: Iterable, ok: Callabl
 
 
 def _breaks_row(text: str) -> bool:
-    """Whether ``text`` holds a tab, CR or LF: as a url or an ISBN, it would
-    split a row of ``query``'s TSV or ``compare``'s CSV."""
+    """Whether ``text`` holds a tab, CR or LF: as a url, an ISBN or a fact's
+    author name, it would split a row of ``query``'s TSV or ``compare``'s CSV."""
     return "\t" in text or "\r" in text or "\n" in text
 
 

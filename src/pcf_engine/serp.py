@@ -7,6 +7,12 @@ from operator import itemgetter
 
 from .corpus import FactRecord, TrustState, normalize_name
 
+# The keys of ``state.method_trusts`` that ``run`` and ``compare`` store and
+# ``query --method`` ranks by.
+METHOD_PCF = "pcf"
+METHOD_TRUTHFINDER = "truthfinder"
+METHOD_VOTING = "voting"
+
 
 class StaleMethodError(Exception):
     """The requested ranking method has not been computed on this state."""
@@ -22,7 +28,7 @@ class SerpRow:
     confidence: float
 
 
-def rank_websites(state: TrustState, method: str = "pcf") -> list[tuple[str, float]]:
+def rank_websites(state: TrustState, method: str = METHOD_PCF) -> list[tuple[str, float]]:
     """All websites ordered by trust descending, url ascending on ties."""
     trusts = state.method_trusts.get(method)
     if trusts is None:
@@ -37,7 +43,7 @@ def rank_websites(state: TrustState, method: str = "pcf") -> list[tuple[str, flo
 
 
 def query(
-    state: TrustState, needle: str, method: str = "pcf", top_k: int = 10
+    state: TrustState, needle: str, method: str = METHOD_PCF, top_k: int = 10
 ) -> list[SerpRow]:
     """Rank the providers of objects matching an ISBN or title substring.
 

@@ -22,6 +22,7 @@ from pcf_engine import cli, corpus, engine, generator, serp
 from conftest import (
     CORE_ISBN, REPLACEMENTS, W1, json_paths, list_mutations, write_core_fixture
 )
+from test_golden import gen
 
 
 def gen_args(tmp_path, websites=6, objects=4, claims_per_site=2, corruption=0.5, seed=11):
@@ -113,6 +114,89 @@ class TestParser:
         assert "{ingest,run,query,compare,gen,bench}" in out.out + out.err
         if argv == ["-h"]:
             assert all(help_text in out.out for help_text, _, _ in cli.COMMANDS.values())
+
+
+# Run in a fresh interpreter: the `pcf_engine` modules loaded by
+# `import pcf_engine.cli`, those loaded once `cli.main(argv)` has run, and
+# the package's own attributes.
+IMPORTS_CHILD = """
+import contextlib, io, json, sys
+import pcf_engine.cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "pcf_engine")
+
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pcf_engine.cli.main(sys.argv[1:])
+print(json.dumps([before, loaded(), code, sorted(vars(sys.modules["pcf_engine"]))]))
+"""
+CLI_MODULES = {
+    "pcf_engine", "pcf_engine.cli", "pcf_engine.corpus", "pcf_engine.engine",
+    "pcf_engine.similarity", "pcf_engine.baselines", "pcf_engine.serp",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_state(tmp_path_factory):
+    """The golden gen-40x4 KB and claims files, and a state after ingest and run."""
+    tmp = tmp_path_factory.mktemp("golden")
+    with contextlib.redirect_stdout(io.StringIO()):
+        kb, claims = gen(tmp, "gen-40x4")
+        state = tmp / "state.json"
+        assert cli.main(["ingest", "--kb", str(kb), "--claims", str(claims),
+                         "--state", str(state)]) == 0
+        assert cli.main(["run", "--state", str(state)]) == 0
+    return kb, claims, state
+
+
+class TestImports:
+    """`import pcf_engine.cli` loads the modules every command runs;
+    `generator` and `bench` load only for `gen` and `bench`. Only
+    `pcf_engine` names are compared: an interpreter's start-up hooks may
+    load other modules."""
+
+    def loads(self, *argv):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORTS_CHILD, *map(str, argv)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=60,
+            check=True,
+        )
+        before, after, code, names = json.loads(done.stdout)
+        assert code == 0
+        return set(before), set(after), names
+
+    def test_the_cli_loads_the_modules_every_command_runs(self, golden_state):
+        before, _, names = self.loads("query", "--state", golden_state[2], "--needle", "x")
+        assert before == CLI_MODULES
+        # No name of the package's own: only its submodules and dunders.
+        own = {name for name in names if not name.startswith("__")}
+        assert own == {module.partition(".")[2] for module in CLI_MODULES} - {""}
+
+    @pytest.mark.parametrize("command", ["ingest", "run", "compare", "query"])
+    def test_a_command_on_a_state_loads_no_more(self, tmp_path, golden_state, command):
+        kb, claims, state = golden_state
+        path = tmp_path / "state.json"
+        path.write_bytes(state.read_bytes())
+        tail = {
+            "ingest": ["--kb", kb, "--claims", claims],
+            "query": ["--needle", "978", "--method", "pcf"],
+        }.get(command, [])
+        before, after, _ = self.loads(command, "--state", path, *tail)
+        assert after == before
+
+    def test_gen_loads_the_generator_alone(self, tmp_path):
+        args, _, _ = gen_args(tmp_path)
+        before, after, _ = self.loads(*args)
+        assert after - before == {"pcf_engine.generator"}
+
+    def test_bench_loads_bench_and_the_generator(self, golden_state):
+        before, after, _ = self.loads(
+            "bench", "--sweep-epsilon", "0:0.2:0.1", "--state", golden_state[2]
+        )
+        assert after - before == {"pcf_engine.bench", "pcf_engine.generator"}
 
 
 class TestIngest:

@@ -132,7 +132,7 @@ def reference_load_state(path):
             corpus.FactRecord(
                 _int(rec["fact_id"]),
                 _isbn(rec["isbn"], f"fact {rec['fact_id']}: isbn"),
-                _names(rec["authors"]),
+                _fact_names(rec),
                 _providers(rec, site_ids),
                 _number(rec["pcf"]),
                 _number(rec["adjusted_confidence"]),
@@ -234,6 +234,13 @@ def _names(value):
         raise TypeError(f"expected list, got {value!r}")
     corpus.check_authors(value)
     return value
+
+
+def _fact_names(rec):
+    names = _names(rec["authors"])
+    for name in names:
+        _unbroken(name, f"fact {rec['fact_id']}: author name")
+    return names
 
 
 def _check_unique(path, what, keys):
@@ -473,12 +480,22 @@ unbroken_texts = st.text(
     | st.characters(exclude_characters="\t\r\n"),
     max_size=8,
 )
-# Author names: not blank, and without the claims separator.
-author_names = st.text(
-    alphabet=st.sampled_from(list('ab "\\\x00é😀 ')) | st.characters(exclude_characters=";"),
-    min_size=1,
-    max_size=6,
-)
+
+
+def _author_names(excluded):
+    """Author names: not blank, and without the characters ``excluded``."""
+    return st.text(
+        alphabet=st.sampled_from(list('ab "\\\x00é😀 '))
+        | st.characters(exclude_characters=excluded),
+        min_size=1,
+        max_size=6,
+    )
+
+
+# A KB's names hold no claims separator; a fact's, which `query` prints, no
+# tab, CR or LF either.
+author_names = _author_names(";")
+fact_author_names = _author_names(";\t\r\n")
 # Probabilities, with the edges and signed zero that a loader must keep
 # apart, and ints, which load as floats.
 probabilities = (
@@ -506,7 +523,8 @@ def valid_states(draw):
         url: corpus.Website(site_id, url, draw(probability))
         for url, site_id in zip(urls, site_ids)
     }
-    keys = st.tuples(unbroken_texts.filter(bool), author_lists.map(sorted))
+    fact_author_lists = st.lists(fact_author_names, min_size=1, max_size=3, unique=True)
+    keys = st.tuples(unbroken_texts.filter(bool), fact_author_lists.map(sorted))
     fact_keys = draw(
         st.lists(keys, max_size=4 if urls else 0, unique_by=lambda k: (k[0], tuple(k[1])))
     )
@@ -601,13 +619,25 @@ def _wrong_type(doc, pick):
     record[key] = pick(WRONG_TYPES[kind])
 
 
+def _broken(text, pick):
+    at = pick(range(len(text) + 1))
+    return text[:at] + pick(["\t", "\r", "\n"]) + text[at:]
+
+
 def _row_break(doc, pick):
     """A tab, CR or LF within a website url, a KB ISBN or a fact's ISBN."""
     record, key = pick([(record, key) for table, key in
                         (("websites", "url"), ("kb", "isbn"), ("facts", "isbn"))
                         for record in doc[table]])
-    at = pick(range(len(record[key]) + 1))
-    record[key] = record[key][:at] + pick(["\t", "\r", "\n"]) + record[key][at:]
+    record[key] = _broken(record[key], pick)
+
+
+def _author_break(doc, pick):
+    """A tab, CR or LF within a fact's author name, the list sorted again."""
+    names = pick(doc["facts"])["authors"]
+    i = pick(range(len(names)))
+    names[i] = _broken(names[i], pick)
+    names.sort()
 
 
 # name -> (whether a document allows it, the edit). Each edit breaks exactly
@@ -654,6 +684,7 @@ CORRUPTIONS = {
             {pick(doc["websites"])["url"]: pick(OUT_OF_RANGE)})),
     "url or ISBN holding a tab, CR or LF": (
         lambda doc: doc["websites"] or doc["kb"] or doc["facts"], _row_break),
+    "fact author name holding a tab, CR or LF": (lambda doc: doc["facts"], _author_break),
     "wrong type": (lambda doc: True, _wrong_type),
 }
 
@@ -1886,6 +1917,8 @@ class TestLoadState:
             ([("method_trusts", "voting", {"http://d.example": 0.5})],
              "voting trust table and websites disagree on url 'http://d.example'"),
             ([("kb", 0, {"isbn": "1\r"})], "KB isbn '1\\r' holds a tab, CR or LF"),
+            ([("facts", 1, {"authors": ["a", "b\tx"]}), ("facts", 2, {"authors": ["a\n", "c"]})],
+             "fact 2: author name 'b\\tx' holds a tab, CR or LF"),
             ([("websites", 1, {"url": "http://b.example/\t"}),
               ("websites", 2, {"url": "http://c.example/\n"})],
              "website url 'http://b.example/\\t' holds a tab, CR or LF"),
