@@ -73,14 +73,16 @@ class Claims:
 class FactRecord:
     """A deduplicated distinct fact: object plus canonical author list.
 
-    ``authors`` is the canonical key form (normalized names, sorted), and
-    ``providers`` holds the ids of every website asserting this fact.
+    ``authors`` is the canonical key (normalized names, sorted and distinct),
+    ``providers`` the asserting websites' ids, strictly ascending: the forms
+    that :func:`build_state` builds and :func:`load_state` requires of a
+    file. ``engine.build_index`` and :func:`save_state` rely on it, sorting nothing.
     """
 
     fact_id: int
     object: ObjectId
-    authors: list[str]
-    providers: set[int] = field(default_factory=set)
+    authors: tuple[str, ...]
+    providers: tuple[int, ...] = ()
     pcf: float = 0.0
     adjusted_confidence: float = 0.0
 
@@ -388,7 +390,7 @@ def build_state(
     return TrustState(
         websites=dict(zip(site_ids, map(Website, site_ids.values(), site_ids))),
         facts=dict(zip(fact_ids, map(
-            FactRecord, fact_ids, objects, map(list, authors), providers.values()
+            FactRecord, fact_ids, objects, authors, map(tuple, map(sorted, providers.values()))
         ))),
         kb=kb,
         config=config or EngineConfig(),
@@ -475,7 +477,6 @@ def _state_text(state: TrustState) -> list[str]:
     ]
     facts = tuple(map(state.facts.__getitem__, sorted(state.facts)))
     fact_ids, providers = _columns(facts, "fact_id", "providers", get=attrgetter)
-    providers = tuple(map(sorted, providers))
     _typed({int}, fact_ids, tuple(chain.from_iterable(providers)))
     objects, authors, pcfs, adjusted = _columns(
         facts, "object", "authors", "pcf", "adjusted_confidence", get=attrgetter
@@ -610,12 +611,8 @@ def load_state(path: str | Path) -> TrustState:
         _in_range("fact", fact_ids, adjusted, "adjusted confidence {} outside [0, 1]")
         _check_names("KB isbn", isbns, kb_authors,
                      sum(map(len, map(set, kb_authors))) == sum(map(len, kb_authors)))
-        _check_names("fact", fact_ids, authors, _ascending(authors))
         # `query` prints a fact's authors in its TSV row, as it does the isbn.
-        if _breaks_row("".join(chain.from_iterable(authors))):
-            key, name = next((key, name) for key, names in zip(fact_ids, authors)
-                             for name in names if _breaks_row(name))
-            raise ValueError(f"fact {key}: author name {name!r} holds a tab, CR or LF")
+        _check_names("fact", fact_ids, authors, _ascending(authors), ";\t\r\n")
         site_ids = set(ids)
 
         def linked(values: Iterable) -> bool:
@@ -626,7 +623,8 @@ def load_state(path: str | Path) -> TrustState:
         _check(all(providers), "fact", fact_ids, providers, bool, "no website provides it")
         _check(_ascending(providers), "fact", fact_ids, providers, lambda p: _ascending((p,)),
                "providers are not ascending and distinct")
-        keys = tuple(zip(objects, map(tuple, authors)))
+        authors = tuple(map(tuple, authors))
+        keys = tuple(zip(objects, authors))
         first = dict(zip(reversed(keys), reversed(fact_ids)))  # each key's first fact
         _check(len(first) == len(keys), "fact", fact_ids, zip(map(first.get, keys), fact_ids),
                lambda pair: pair[0] == pair[1], "same ISBN and authors as fact {0[0]}")
@@ -649,7 +647,7 @@ def load_state(path: str | Path) -> TrustState:
     return TrustState(
         websites=websites,
         facts=dict(zip(fact_ids, map(
-            FactRecord, fact_ids, objects, authors, map(set, providers), pcfs, adjusted
+            FactRecord, fact_ids, objects, authors, map(tuple, providers), pcfs, adjusted
         ))),
         kb=dict(zip(isbns, map(TrueFact, isbns, kb_authors, titles))),
         epoch=epoch,
@@ -715,25 +713,29 @@ def _in_range(what: str, keys: Sequence, values: Sequence[float], problem: str) 
     _check(swept, what, keys, values, lambda value: 0.0 <= value <= 1.0, problem)
 
 
-def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool) -> None:
-    """:func:`check_authors` over a column; ``distinct`` sweeps for repeats (facts: order)."""
-    if distinct and _valid_names(lists):
+def _check_names(what: str, keys: Sequence, lists: tuple, distinct: bool, refused: str = ";") -> None:
+    """:func:`check_authors` over a column; ``distinct`` sweeps for repeats (facts: order).
+    If ``refused`` holds a tab, CR and LF beside ``;``, a name holding one is refused last."""
+    if distinct and _valid_names(lists, refused):
         return
     for key, value in zip(keys, lists):
         try:
             check_authors(value)
         except ValueError as exc:
             raise ValueError(f"{what} {key}: {exc}") from None
-    # All pass check_authors, so a fact's names are out of order.
-    _check(False, what, keys, lists, lambda names: _ascending((names,)),
+    # All pass check_authors, so a fact's names are out of order or one breaks a row.
+    _check(distinct, what, keys, lists, lambda names: _ascending((names,)),
            "authors are not sorted and distinct")
+    key, name = next((key, name) for key, names in zip(keys, lists)
+                     for name in names if _breaks_row(name))
+    raise ValueError(f"{what} {key}: author name {name!r} holds a tab, CR or LF")
 
 
-def _valid_names(lists: Sequence[list]) -> bool:
-    """Whether no list is empty and no name is blank or holds ``;``."""
+def _valid_names(lists: Sequence[list], refused: str = ";") -> bool:
+    """Whether no list is empty and no name is blank or holds a character of ``refused``."""
     names = tuple(chain.from_iterable(lists))
     # The join raises TypeError at a name that is not a string.
-    return all(lists) and all(names) and ";" not in "".join(names)
+    return all(lists) and all(names) and not any(map("".join(names).__contains__, refused))
 
 
 def _ascending(lists: tuple) -> bool:

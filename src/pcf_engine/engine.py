@@ -135,7 +135,8 @@ def build_index(state: TrustState) -> Index:
     sites = sorted(state.websites.values(), key=lambda w: w.id)
     facts = [state.facts[fid] for fid in sorted(state.facts)]
     site_at = {site.id: i for i, site in enumerate(sites)}
-    fact_providers = tuple(tuple(sorted(map(site_at.__getitem__, f.providers))) for f in facts)
+    # Sites in ascending id and providers too, so their positions ascend.
+    fact_providers = tuple(tuple(map(site_at.__getitem__, f.providers)) for f in facts)
     # Facts in ascending id: each site's list comes out ascending.
     site_facts: list[list[int]] = [[] for _ in sites]
     groups: dict[str, list[int]] = {}

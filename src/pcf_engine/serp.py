@@ -57,23 +57,19 @@ def query(
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     needle = needle.strip()
     needle_norm = normalize_name(needle)
-    matched = set()
-    for isbn, truth in state.kb.items():
-        if isbn == needle or (needle_norm and needle_norm in normalize_name(truth.title)):
-            matched.add(isbn)
-    for fact in state.facts.values():
-        if fact.object == needle:
-            matched.add(fact.object)
-    if not matched:
+    matched = {isbn for isbn, truth in state.kb.items()
+               if isbn == needle or (needle_norm and needle_norm in normalize_name(truth.title))}
+    # The facts on matched objects and on an ISBN equal to the needle, in ascending fact id.
+    facts = [fact for fact in map(state.facts.__getitem__, sorted(state.facts))
+             if fact.object in matched or fact.object == needle]
+    if not (matched or facts):
         return []
 
-    # Each site's facts on matched objects, in ascending fact id.
+    # Each site's facts, in ascending fact id.
     facts_of: dict[int, list[FactRecord]] = {}
-    for fact_id in sorted(state.facts):
-        fact = state.facts[fact_id]
-        if fact.object in matched:
-            for site_id in fact.providers:
-                facts_of.setdefault(site_id, []).append(fact)
+    for fact in facts:
+        for site_id in fact.providers:
+            facts_of.setdefault(site_id, []).append(fact)
 
     rows: list[SerpRow] = []
     for url, trust in rank_websites(state, method):
@@ -84,7 +80,7 @@ def query(
                     url=url,
                     trust=trust,
                     object=fact.object,
-                    claimed_authors=tuple(fact.authors),
+                    claimed_authors=fact.authors,
                     confidence=fact.adjusted_confidence,
                 )
             )

@@ -17,7 +17,7 @@ than two edits apart, so they skip the edit distance.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 FIRST_WEIGHT = 2.0
 MIDDLE_WEIGHT = 1.0
@@ -43,7 +43,7 @@ def name_pcf(claim_name: str, true_authors: Iterable[str]) -> float:
     return best
 
 
-def fact_pcf(claim_authors: list[str], true_authors: list[str]) -> float:
+def fact_pcf(claim_authors: Sequence[str], true_authors: Sequence[str]) -> float:
     """Mean per-name correctness over a claim's author list.
 
     A name equal to a true author scores exactly 1.0 without the substring
@@ -139,7 +139,7 @@ def _part_credit(claim_part: str | None, true_part: str) -> float:
     return 0.0
 
 
-def weighted_name_scores(pairs: Iterable[tuple[list[str], list[str]]]) -> list[float]:
+def weighted_name_scores(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> list[float]:
     """The weighted first/middle/last score in [0, 1] of each (claimed
     authors, true authors) pair, in order.
 
@@ -204,6 +204,6 @@ def weighted_name_scores(pairs: Iterable[tuple[list[str], list[str]]]) -> list[f
     return scores
 
 
-def tf_name_score(claim_authors: list[str], true_authors: list[str]) -> float:
+def tf_name_score(claim_authors: Sequence[str], true_authors: Sequence[str]) -> float:
     """The weighted-name score of one fact, by :func:`weighted_name_scores`."""
     return weighted_name_scores([(claim_authors, true_authors)])[0]

@@ -27,7 +27,7 @@ def reference_sweep(state, epsilons):
 def facts_state(objects_and_pcf):
     """A state of facts only, fact ids ascending in the order given."""
     facts = {
-        fid: corpus.FactRecord(fid, obj, [f"name {fid}"], pcf=pcf)
+        fid: corpus.FactRecord(fid, obj, (f"name {fid}",), pcf=pcf)
         for fid, (obj, pcf) in enumerate(objects_and_pcf, start=1)
     }
     return corpus.TrustState(facts=facts)

@@ -578,6 +578,40 @@ class TestQuery:
         assert code == 3
         assert "voting" in capsys.readouterr().err
 
+    # Book 100 has no facts; ISBN 300 has a fact but no KB book.
+    @pytest.mark.parametrize("needle, code", [("Lonely", 3), ("300", 3), ("nothing", 0)])
+    def test_only_a_needle_that_matches_nothing_skips_the_ranking(
+        self, tmp_path, capsys, needle, code
+    ):
+        """A needle that matches a KB book with no facts, or the ISBN of a
+        fact off the KB, reaches the ranking, which an ingested state has not
+        computed; one that matches nothing prints nothing and exits 0."""
+        kb = tmp_path / "kb.jsonl"
+        kb.write_text(
+            json.dumps({"isbn": "100", "title": "Lonely Volume", "authors": ["ann ax"]}) + "\n"
+            + json.dumps({"isbn": "200", "title": "Claimed Book", "authors": ["bo by"]}) + "\n",
+            encoding="utf-8",
+        )
+        claims = tmp_path / "claims.csv"
+        claims.write_text(
+            ",".join(corpus.CLAIMS_HEADER) + "\n"
+            "http://a.example,200,Bo By,,,\nhttp://b.example,300,Cy Cz,,,\n",
+            encoding="utf-8",
+        )
+        state = ingest(tmp_path, kb, claims)
+        capsys.readouterr()
+        assert cli.main(["query", "--state", str(state), "--needle", needle]) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert ("'pcf'" in out.err) == (code == 3)
+        assert cli.main(["run", "--state", str(state), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["query", "--state", str(state), "--needle", needle]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [row[1:2] + row[3:5] for row in rows] == (
+            [["http://b.example", "300", "cy cz"]] if needle == "300" else []
+        )
+
 
 class TestCompare:
     def test_truthful_versus_garbage(self, tmp_path, capsys):

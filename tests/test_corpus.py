@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcf_engine import cli, corpus, engine
+from pcf_engine import cli, corpus, engine, generator
 
 from conftest import (
     CORE_ISBN,
@@ -208,7 +208,7 @@ def _providers(rec, site_ids):
         raise ValueError(f"fact {rec['fact_id']!r}: no website provides it")
     if not all(map(lt, ids, ids[1:])):
         raise ValueError(f"fact {rec['fact_id']!r}: providers are not ascending and distinct")
-    return set(ids)
+    return tuple(ids)
 
 
 def _text(value):
@@ -240,7 +240,7 @@ def _fact_names(rec):
     names = _names(rec["authors"])
     for name in names:
         _unbroken(name, f"fact {rec['fact_id']}: author name")
-    return names
+    return tuple(names)
 
 
 def _check_unique(path, what, keys):
@@ -263,7 +263,7 @@ def _check_state(path, sites, facts):
             raise corpus.StateError(
                 f"{path}: fact {fact.fact_id}: authors are not sorted and distinct"
             )
-        other = first.setdefault((fact.object, tuple(authors)), fact.fact_id)
+        other = first.setdefault((fact.object, authors), fact.fact_id)
         if other != fact.fact_id:
             raise corpus.StateError(
                 f"{path}: fact {fact.fact_id}: same ISBN and authors as fact {other}"
@@ -461,8 +461,8 @@ def library_states(draw):
         fact_id: corpus.FactRecord(
             fact_id,
             draw(texts),
-            draw(st.lists(texts, max_size=3)),
-            set(draw(st.lists(ids, max_size=3))),
+            tuple(draw(st.lists(texts, max_size=3))),
+            tuple(sorted(set(draw(st.lists(ids, max_size=3))))),
             *(draw(numbers) for _ in range(2)),
         )
         for fact_id in draw(st.lists(ids, max_size=3, unique=True))
@@ -524,9 +524,9 @@ def valid_states(draw):
         for url, site_id in zip(urls, site_ids)
     }
     fact_author_lists = st.lists(fact_author_names, min_size=1, max_size=3, unique=True)
-    keys = st.tuples(unbroken_texts.filter(bool), fact_author_lists.map(sorted))
+    keys = st.tuples(unbroken_texts.filter(bool), fact_author_lists.map(sorted).map(tuple))
     fact_keys = draw(
-        st.lists(keys, max_size=4 if urls else 0, unique_by=lambda k: (k[0], tuple(k[1])))
+        st.lists(keys, max_size=4 if urls else 0, unique=True)
     )
     first_fact = draw(ids)
     facts = {
@@ -534,7 +534,7 @@ def valid_states(draw):
             fact_id,
             isbn,
             authors,
-            set(draw(st.lists(st.sampled_from(site_ids), min_size=1, unique=True))),
+            tuple(sorted(draw(st.lists(st.sampled_from(site_ids), min_size=1, unique=True)))),
             draw(probability),
             draw(probability),
         )
@@ -718,7 +718,7 @@ def _edge_state(method_trusts):
             "http://é.example/\"q\"": corpus.Website(1, "http://é.example/\"q\"", 1),
             "\\😀\x01": corpus.Website(2, "\\😀\x01", 0.1 + 0.2),
         },
-        facts={7: corpus.FactRecord(7, "x", ["\u2028é"], {2}, 5e-324, 1e16)},
+        facts={7: corpus.FactRecord(7, "x", ("\u2028é",), (2,), 5e-324, 1e16)},
         method_trusts=method_trusts,
     )
 
@@ -731,7 +731,7 @@ def _pair_state(first, second):
     pairs = list(zip(urls, (first, second)))
     return corpus.TrustState(
         websites={url: corpus.Website(i, url, x) for i, (url, x) in enumerate(pairs, 1)},
-        facts={1: corpus.FactRecord(1, "x", ["a"], {1, 2}, second, first)},
+        facts={1: corpus.FactRecord(1, "x", ("a",), (1, 2), second, first)},
         method_trusts={"pcf": dict(pairs), "voting": dict(pairs)},
     )
 
@@ -1401,7 +1401,7 @@ class TestBuildFactTable:
         ]
         facts = corpus.build_state({}, corpus.canonical_claims(claims)).facts
         assert len(facts) == 1
-        assert facts[1].providers == {1, 2}
+        assert facts[1].providers == (1, 2)
 
     def test_author_order_does_not_split_facts(self):
         claims = [
@@ -1419,8 +1419,8 @@ class TestBuildFactTable:
         state = corpus.build_state({}, corpus.canonical_claims(claims))
         websites, facts = state.websites, state.facts
         assert len(facts) == 2
-        assert facts[1].providers == {websites["http://a.com"].id}
-        assert facts[2].providers == {websites["http://b.com"].id}
+        assert facts[1].providers == (websites["http://a.com"].id,)
+        assert facts[2].providers == (websites["http://b.com"].id,)
 
     def test_exact_duplicate_rows_collapse_silently(self):
         claims = [
@@ -1430,7 +1430,7 @@ class TestBuildFactTable:
         state = corpus.build_state({}, corpus.canonical_claims(claims))
         websites, facts = state.websites, state.facts
         assert len(facts) == 1
-        assert facts[1].providers == {1}
+        assert facts[1].providers == (1,)
         assert list(websites) == ["http://a.com"]
 
     def test_fifty_sites_two_distinct_claims_each(self):
@@ -1512,7 +1512,7 @@ class TestBuildState:
             rows.append([site, isbn, field, "", "", ""])
             site_id = sites.setdefault(site, len(sites) + 1)
             key = (isbn, tuple(sorted(filter(None, map(reference_normalize_name, field.split(";"))))))
-            facts.setdefault(key, (len(facts) + 1, isbn, list(key[1]), set()))[3].add(site_id)
+            facts.setdefault(key, (len(facts) + 1, isbn, key[1], set()))[3].add(site_id)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "claims.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -1523,7 +1523,44 @@ class TestBuildState:
         assert {url: site.id for url, site in state.websites.items()} == sites
         assert [
             (f.fact_id, f.object, f.authors, f.providers) for f in state.facts.values()
-        ] == list(facts.values())
+        ] == [(i, isbn, authors, tuple(sorted(ids))) for i, isbn, authors, ids in facts.values()]
+
+
+def assert_fact_form(state):
+    """Each fact's authors and providers are strictly ascending tuples, and
+    ``build_index`` maps the providers to the positions it computed when it
+    sorted them."""
+    sites = sorted(state.websites.values(), key=lambda site: site.id)
+    site_at = {site.id: i for i, site in enumerate(sites)}
+    ix = engine.build_index(state)
+    assert len(ix.facts) == len(state.facts)
+    for fact, positions in zip(ix.facts, ix.fact_providers):
+        for values in (fact.authors, fact.providers):
+            assert type(values) is tuple
+            assert all(map(lt, values, values[1:]))
+        assert positions == tuple(sorted(map(site_at.__getitem__, fact.providers)))
+
+
+class TestFactForm:
+    """``build_state`` and ``load_state`` give the form that ``FactRecord`` states."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        websites=st.integers(1, 30),
+        objects=st.integers(1, 6),
+        claims_per_site=st.integers(1, 4),
+        corruption=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_corpora_build_and_reload_in_the_fact_form(
+        self, websites, objects, claims_per_site, corruption, seed
+    ):
+        spec = generator.GenSpec(websites, objects, claims_per_site, corruption, seed)
+        books = generator.generate_kb(spec)
+        claims = corpus.canonical_claims(generator.generate_claims(spec, books))
+        state = corpus.build_state({book.object: book for book in books}, claims)
+        assert_fact_form(state)
+        assert_fact_form(assert_loads_as_the_reference(_saved_text(state)))
 
 
 class TestPersistence:
@@ -1767,7 +1804,9 @@ class TestLoadState:
     @settings(deadline=None)
     @given(state=valid_states())
     def test_valid_states_load_as_the_reference(self, state):
-        assert assert_loads_as_the_reference(_saved_text(state)) is not None
+        loaded = assert_loads_as_the_reference(_saved_text(state))
+        assert loaded is not None
+        assert_fact_form(loaded)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1824,7 +1863,7 @@ class TestLoadState:
     def test_lists_may_descend_from_one_fact_to_the_next(self):
         state = assert_loads_as_the_reference(json.dumps(_small_doc()))
         assert [(f.authors, f.providers) for f in state.facts.values()] == [
-            (["b"], {3}), (["a"], {1, 2}), (["a", "c"], {2})
+            (("b",), (3,)), (("a",), (1, 2)), (("a", "c"), (2,))
         ]
 
     def test_integer_numbers_load_as_floats(self):
@@ -1919,6 +1958,8 @@ class TestLoadState:
             ([("kb", 0, {"isbn": "1\r"})], "KB isbn '1\\r' holds a tab, CR or LF"),
             ([("facts", 1, {"authors": ["a", "b\tx"]}), ("facts", 2, {"authors": ["a\n", "c"]})],
              "fact 2: author name 'b\\tx' holds a tab, CR or LF"),
+            # The ';' rule comes first, in the sweep that looks for both.
+            ([("facts", 1, {"authors": ["a", "b\t;x"]})], "fact 2: author name 'b\\t;x' contains ';'"),
             ([("websites", 1, {"url": "http://b.example/\t"}),
               ("websites", 2, {"url": "http://c.example/\n"})],
              "website url 'http://b.example/\\t' holds a tab, CR or LF"),

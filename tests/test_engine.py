@@ -96,7 +96,7 @@ class TestAssignPcf:
 
     def test_worked_example_pair(self, core_java_state):
         state = engine.assign_pcf(core_java_state)
-        by_authors = {tuple(f.authors): f.pcf for f in state.facts.values()}
+        by_authors = {f.authors: f.pcf for f in state.facts.values()}
         assert by_authors[("cay s horstmenn", "gary")] == pytest.approx((1 + 1 / 3) / 2)
         assert by_authors[("corne", "horstmenn")] == pytest.approx(0.5083333, abs=1e-6)
 
@@ -188,7 +188,7 @@ class TestFactConfidence:
             for i, t in enumerate(trusts)
         }
         fact = corpus.FactRecord(
-            fact_id=1, object="1", authors=[], providers=set(range(1, len(trusts) + 1))
+            fact_id=1, object="1", authors=(), providers=tuple(range(1, len(trusts) + 1))
         )
         ix = engine.build_index(corpus.TrustState(websites=websites, facts={1: fact}))
         (confidence,) = engine.confidences(ix, [site.trust for site in ix.sites])
@@ -281,7 +281,7 @@ def stage_state(case):
     }
     facts = {
         k + 1: corpus.FactRecord(
-            fact_id=k + 1, object=str(o), authors=[], providers={i + 1 for i in providers}
+            fact_id=k + 1, object=str(o), authors=(), providers=tuple(sorted(i + 1 for i in providers))
         )
         for k, (providers, o) in enumerate(zip(case.providers, case.objects))
     }
@@ -391,7 +391,7 @@ class TestAdjustConfidence:
     def _adjusted(self, facts, epsilon=0.4):
         """Each fact's adjusted confidence by fact id: stage 3 over build_index's groups."""
         records = {
-            f.fact_id: corpus.FactRecord(f.fact_id, f.object, [f"name {f.fact_id}"], pcf=f.pcf)
+            f.fact_id: corpus.FactRecord(f.fact_id, f.object, (f"name {f.fact_id}",), pcf=f.pcf)
             for f in facts
         }
         confidence_of = {f.fact_id: f.confidence for f in facts}
@@ -775,11 +775,11 @@ class TestBuildIndex:
         websites = {
             f"http://s{i}.com": corpus.Website(id=i, url=f"http://s{i}.com") for i in (3, 1, 2)
         }
-        links = {10: (3, 1), 4: (2,), 7: (1, 2, 3)}  # fact id -> provider site ids
+        links = {10: (1, 3), 4: (2,), 7: (1, 2, 3)}  # fact id -> provider site ids
         facts = {}
         for fid, providers in links.items():
             facts[fid] = corpus.FactRecord(
-                fact_id=fid, object="1" if fid != 4 else "2", authors=[], providers=set(providers)
+                fact_id=fid, object="1" if fid != 4 else "2", authors=(), providers=providers
             )
         ix = engine.build_index(corpus.TrustState(websites=websites, facts=facts, kb=kb))
         assert [w.id for w in ix.sites] == [1, 2, 3]

@@ -44,8 +44,8 @@ def bookstore_state():
         fact = corpus.FactRecord(
             fact_id=fact_id,
             object=isbn,
-            authors=[f"claimed name {fact_id}"],
-            providers={idx},
+            authors=(f"claimed name {fact_id}",),
+            providers=(idx,),
             adjusted_confidence=trust / 2,
         )
         state.facts[fact_id] = fact
@@ -153,7 +153,7 @@ class TestQuery:
             for fact in sorted(state.facts.values(), key=lambda f: f.fact_id)
             if state.websites[url].id in fact.providers and fact.object in matched
         ]
-        by_key = {(f.object, tuple(f.authors)): f.fact_id for f in state.facts.values()}
+        by_key = {(f.object, f.authors): f.fact_id for f in state.facts.values()}
         rows = serp.query(state, needle, top_k=1000)
         assert [(r.url, by_key[r.object, r.claimed_authors]) for r in rows] == expected
         if needle == "vol 1":
