@@ -107,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    state = corpus.load_state(args.state)
+    state = corpus.read_state(args.state)
     rows = serp.query(state, args.needle, method=args.method, top_k=args.top)
     sys.stdout.write(serp.serp_tsv(rows))
     return EXIT_OK

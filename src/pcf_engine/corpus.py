@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
@@ -526,8 +526,34 @@ def _table(rows: list[str]) -> list[str]:
     return rows
 
 
+# The columns of a state file that :func:`read_state` checks, each in file
+# order: the KB's ISBNs, author lists and titles; each url's site id, and the
+# sites' trusts; each fact's id, ISBN, authors (a tuple), providers (a list),
+# pcf and adjusted confidence; then the method tables, the epoch and the config.
+StateColumns = namedtuple("StateColumns", [
+    "isbns", "kb_authors", "titles", "site_of", "trusts", "fact_ids", "objects", "authors",
+    "providers", "pcfs", "adjusted", "method_trusts", "epoch", "config",
+])
+
+
 def load_state(path: str | Path) -> TrustState:
-    """Rebuild a TrustState from a file written by :func:`save_state`.
+    """Rebuild a TrustState from a file written by :func:`save_state`: the
+    records of :func:`read_state`'s columns."""
+    c = read_state(path)
+    return TrustState(
+        websites=dict(zip(c.site_of, map(Website, c.site_of.values(), c.site_of, c.trusts))),
+        facts=dict(zip(c.fact_ids, map(
+            FactRecord, c.fact_ids, c.objects, c.authors, map(tuple, c.providers), c.pcfs, c.adjusted
+        ))),
+        kb=dict(zip(c.isbns, map(TrueFact, c.isbns, c.kb_authors, c.titles))),
+        epoch=c.epoch,
+        config=c.config,
+        method_trusts=c.method_trusts,
+    )
+
+
+def read_state(path: str | Path) -> StateColumns:
+    """The checked columns of a file written by :func:`save_state`.
 
     Types are checked, not coerced: ids, ``epoch`` and ``max_epochs`` are
     ints; other numbers ints or floats, not bools, NaN or Infinity; texts
@@ -628,7 +654,7 @@ def load_state(path: str | Path) -> TrustState:
         first = dict(zip(reversed(keys), reversed(fact_ids)))  # each key's first fact
         _check(len(first) == len(keys), "fact", fact_ids, zip(map(first.get, keys), fact_ids),
                lambda pair: pair[0] == pair[1], "same ISBN and authors as fact {0[0]}")
-        websites = dict(zip(urls, map(Website, ids, urls, trusts)))
+        site_of = dict(zip(urls, ids))
         method_trusts = {}
         for method, table in tables.items():
             if not isinstance(table, dict):
@@ -636,24 +662,16 @@ def load_state(path: str | Path) -> TrustState:
             values = tuple(table.values())
             floats = _numbers(values)
             _in_range(f"{method} trust of", tuple(table), floats, "{} outside [0, 1]")
-            if table.keys() != websites.keys():
-                url = min(table.keys() ^ websites.keys())
+            if table.keys() != site_of.keys():
+                url = min(table.keys() ^ site_of.keys())
                 raise ValueError(f"{method} trust table and websites disagree on url {url!r}")
             method_trusts[method] = table if floats is values else dict(zip(table, floats))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})")
     except ValueError as exc:
         raise StateError(f"{path}: {exc}")
-    return TrustState(
-        websites=websites,
-        facts=dict(zip(fact_ids, map(
-            FactRecord, fact_ids, objects, authors, map(tuple, providers), pcfs, adjusted
-        ))),
-        kb=dict(zip(isbns, map(TrueFact, isbns, kb_authors, titles))),
-        epoch=epoch,
-        config=config,
-        method_trusts=method_trusts,
-    )
+    return StateColumns(isbns, kb_authors, titles, site_of, trusts, fact_ids, objects, authors,
+                        providers, pcfs, adjusted, method_trusts, epoch, config)
 
 
 def _no_constant(name: str) -> float:

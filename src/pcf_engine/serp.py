@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
-from .corpus import FactRecord, TrustState, normalize_name
+from .corpus import StateColumns, TrustState, normalize_name
 
 # The keys of ``state.method_trusts`` that ``run`` and ``compare`` store and
 # ``query --method`` ranks by.
@@ -28,7 +29,9 @@ class SerpRow:
     confidence: float
 
 
-def rank_websites(state: TrustState, method: str = METHOD_PCF) -> list[tuple[str, float]]:
+def rank_websites(
+    state: TrustState | StateColumns, method: str = METHOD_PCF
+) -> list[tuple[str, float]]:
     """All websites ordered by trust descending, url ascending on ties."""
     trusts = state.method_trusts.get(method)
     if trusts is None:
@@ -43,49 +46,46 @@ def rank_websites(state: TrustState, method: str = METHOD_PCF) -> list[tuple[str
 
 
 def query(
-    state: TrustState, needle: str, method: str = METHOD_PCF, top_k: int = 10
+    state: StateColumns, needle: str, method: str = METHOD_PCF, top_k: int = 10
 ) -> list[SerpRow]:
-    """Rank the providers of objects matching an ISBN or title substring.
+    """Rank the providers of objects matching an ISBN or title substring,
+    over the columns of ``corpus.read_state``.
 
     An object matches when its ISBN equals the needle or its normalized
     title contains the normalized needle. One row is emitted per
-    (website, fact) pair on a matched object, in ranking order, truncated
-    to ``top_k``; a ``top_k`` below 1 raises ValueError. No matching
-    object yields an empty list.
+    (website, fact) pair on a matched object, in ranking order and then
+    ascending fact id, truncated to ``top_k``; a ``top_k`` below 1 raises
+    ValueError. No matching object yields an empty list.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     needle = needle.strip()
     needle_norm = normalize_name(needle)
-    matched = {isbn for isbn, truth in state.kb.items()
-               if isbn == needle or (needle_norm and needle_norm in normalize_name(truth.title))}
-    # The facts on matched objects and on an ISBN equal to the needle, in ascending fact id.
-    facts = [fact for fact in map(state.facts.__getitem__, sorted(state.facts))
-             if fact.object in matched or fact.object == needle]
-    if not (matched or facts):
+    matched = {isbn for isbn, title in zip(state.isbns, state.titles)
+               if isbn == needle or (needle_norm and needle_norm in normalize_name(title))}
+    # One sweep of the ISBN column: the facts on matched objects and on an
+    # ISBN equal to the needle, sorted by fact id whatever the file order.
+    objects, fact_ids = state.objects, state.fact_ids
+    hits = list(compress(range(len(objects)), map((matched | {needle}).__contains__, objects)))
+    if not (matched or hits):
         return []
+    hits.sort(key=fact_ids.__getitem__)
 
-    # Each site's facts, in ascending fact id.
-    facts_of: dict[int, list[FactRecord]] = {}
-    for fact in facts:
-        for site_id in fact.providers:
-            facts_of.setdefault(site_id, []).append(fact)
+    # Each site's matched facts, in ascending fact id.
+    facts_of: dict[int, list[int]] = {}
+    for i in hits:
+        for site_id in state.providers[i]:
+            facts_of.setdefault(site_id, []).append(i)
 
     rows: list[SerpRow] = []
     for url, trust in rank_websites(state, method):
-        for fact in facts_of.get(state.websites[url].id, ()):
-            rows.append(
-                SerpRow(
-                    rank=len(rows) + 1,
-                    url=url,
-                    trust=trust,
-                    object=fact.object,
-                    claimed_authors=fact.authors,
-                    confidence=fact.adjusted_confidence,
-                )
-            )
+        for i in facts_of.pop(state.site_of[url], ()):
+            rows.append(SerpRow(len(rows) + 1, url, trust, objects[i], state.authors[i],
+                                state.adjusted[i]))
             if len(rows) >= top_k:
                 return rows
+        if not facts_of:
+            break
     return rows
 
 

@@ -521,10 +521,13 @@ class TestRun:
         state.write_text(json.dumps(doc).replace(repr(OVERFLOW), "1e400"), encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["run", "--state", str(state)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("error: ")
         # `query` never writes, so the writer's own checks cannot stop it.
+        # It reads the file through `corpus.read_state`, as `run` does through
+        # `load_state`, and refuses it with the same line.
         assert cli.main(["query", "--state", str(state), "--needle", CORE_ISBN]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == refusal
 
 
 class TestQuery:
@@ -549,6 +552,23 @@ class TestQuery:
         assert [line.split("\t")[0] for line in lines] == [
             str(i) for i in range(1, len(lines) + 1)
         ]
+
+    def test_query_builds_no_records(self, tmp_path, capsys, monkeypatch):
+        state_path = self._ranked_state(tmp_path, capsys)
+        built = []
+        for record in (corpus.Website, corpus.TrueFact, corpus.FactRecord):
+            def counted(self, *args, _init=record.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__init__", counted)
+        for needle in ("9780000000001", "vol 1"):
+            assert cli.main(["query", "--state", str(state_path), "--needle", needle]) == 0
+            assert capsys.readouterr().out
+        assert built == []
+        # The count sees the records that `load_state` builds.
+        corpus.load_state(state_path)
+        assert set(built) == {"Website", "TrueFact", "FactRecord"}
 
     def test_unknown_isbn_is_empty_success(self, tmp_path, capsys):
         state_path = self._ranked_state(tmp_path, capsys)
